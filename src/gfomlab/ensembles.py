@@ -132,12 +132,6 @@ class EnsembleSpec:
             return math.sqrt(m)
         return math.sqrt(m + n)
 
-    def weight_matrix(self, m, n):
-        """Effective per-entry second moments E A_kl^2 after normalization."""
-        if self.profile.shape != (m, n):
-            raise ConfigError(f"profile shape {self.profile.shape} != ({m}, {n})")
-        return self.profile.values / self.denominator(m, n) ** 2
-
 
 def profile_weights(profile, m, n, normalization):
     """E A_kl^2 matrix for a profile under a named normalization.

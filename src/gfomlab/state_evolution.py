@@ -8,6 +8,24 @@ the Gaussian paths; uncorrected iterations read them off the transform
 applied to the paths.  All expectations over path laws are Monte Carlo
 averages using common random numbers across outer steps, so runs at
 different horizons agree exactly on the steps they share.
+
+Memory.  The Monte Carlo averages accumulate in fixed blocks (_BLOCK
+samples per step of the recursion, _PREDICT_BLOCK per read-out).  The
+paths of a block are drawn and pushed through the history transform in
+sub-blocks along the sample axis, each a multiple of _SUB_ALIGN samples
+holding at most _SUB_BLOCK_BYTES (1 MiB) of path values; a block that
+fits stays whole, and so does the first block under ``fd_check``, whose
+probe averages over it.  The transform's intermediates are thus sized by
+the budget, not by the coordinate count, up to 2048 path values per
+sample (R (p+1) floats), where one _SUB_ALIGN sub-block fills the budget.
+What still grows with the coordinates is the buffer of per-sample
+statistics of one block: (b, R) per statistic for heterogeneous laws
+((b, 1) for homogeneous ones) and (b, coordinates) in the read-out.  The
+statistics reach the accumulators exactly as an unsplit block's would:
+normals come sequentially from the same streams, every per-sample
+operation acts row by row, and the one BLAS product whose rows depend on
+the shape of the call runs on whole blocks.  So the sub-block size never
+changes the accumulation layout or a single output byte.
 """
 
 import json
@@ -23,10 +41,50 @@ from .seeds import DOMAIN_PREDICT, DOMAIN_SE, child_sequence, fixed_child
 PSD_FLOOR = -1e-10
 DEFAULT_MC = 20000
 _BLOCK = 4096
+_PREDICT_BLOCK = 16384
+# path values of one sub-block, in bytes
+_SUB_BLOCK_BYTES = 1 << 20
+# sub-blocks hold a multiple of this many samples: BLAS matrix-vector
+# kernels treat the last (row count mod 4) rows of a call differently
+_SUB_ALIGN = 64
 
 
 def _sel(param, rows):
     return param if rows is None else np.asarray(param)[rows]
+
+
+def _sub_blocks(b, row_values):
+    """(lo, hi) sample ranges splitting a b-sample block whose paths hold
+    ``row_values`` floats per sample into pieces within the byte budget
+    (or of _SUB_ALIGN samples when a single one exceeds it)."""
+    size = _SUB_BLOCK_BYTES // (8 * max(1, row_values))
+    size = max(_SUB_ALIGN, size - size % _SUB_ALIGN)
+    return [(lo, min(lo + size, b)) for lo in range(0, b, size)]
+
+
+def _draw_paths(gens, factors, x0, b):
+    """(b, R, p+1) Gaussian paths over the R rows of ``x0``.
+
+    Column 0 holds x0; columns 1..p hold standard normals mixed by
+    ``factors`` ((1 or R, p, p); None when p = 0).  One generator draws all
+    p columns at once, otherwise generator q draws column q.  Each call
+    continues the streams, so a block drawn in sub-blocks gets the same
+    variates as one drawn whole.
+    """
+    r = x0.shape[0]
+    p = 0 if factors is None else factors.shape[-1]
+    paths = np.empty((b, r, p + 1))
+    paths[..., 0] = x0
+    if p:
+        if len(gens) == 1:
+            g = gens[0].standard_normal((b, r, p))
+        else:
+            g = np.stack([gq.standard_normal((b, r)) for gq in gens], axis=-1)
+        if factors.shape[0] == 1:
+            paths[..., 1:] = np.einsum("ij,brj->bri", factors[0], g)
+        else:
+            paths[..., 1:] = np.einsum("rij,brj->bri", factors, g)
+    return paths
 
 
 def _rows_identical(w):
@@ -120,27 +178,30 @@ class HistoryTransform:
         if self.raw:
             return hist.copy()
         out, _, _ = _forward(self, hist, rows, inner_upto=0, with_partials=False)
-        return np.stack(out, axis=-1)
+        return out
 
 
 def _forward(tr, paths, rows, inner_upto, with_partials):
     """Forward pass of a transform on path arrays (..., R, C+1).
 
-    Returns (out_cols, inner, dinner): inner[s] is inner_s evaluated on the
-    transformed history, dinner[(s, q)] its total derivative in path column
-    q obtained by chaining through the recursion.  inner is filled at least
-    up to ``inner_upto``.
+    Returns (out, inner, dinner): out is the (..., R, C+1) history of
+    output columns, filled column by column; row functions read views of
+    its leading columns.  inner[s] is inner_s evaluated on the transformed
+    history, dinner[(s, q)] its total derivative in path column q obtained
+    by chaining through the recursion.  inner is filled at least up to
+    ``inner_upto``.
     """
     C = paths.shape[-1] - 1
     inc = 1 if tr.inner_uses_current else 0
     base = paths.shape[:-1]
-    out = [np.array(paths[..., 0])]
+    out = np.empty(paths.shape)
+    out[..., 0] = paths[..., 0]
     inner, dinner, J = {}, {}, {}
 
     def compute_inner(s):
         if s in inner:
             return
-        sl = np.stack(out[: s + inc], axis=-1)
+        sl = out[..., : s + inc]
         inner[s] = np.asarray(tr.inner_fns[s - 1].fn(sl, rows), dtype=float)
         if with_partials:
             for w in range(1, s + inc):
@@ -153,7 +214,8 @@ def _forward(tr, paths, rows, inner_upto, with_partials):
                         dinner[(s, q)] = dinner.get((s, q), 0.0) + dw * jwq
 
     for j in range(1, C + 1):
-        col = np.array(paths[..., j])
+        col = out[..., j]
+        col[...] = paths[..., j]
         jcol = {j: np.ones(base)} if with_partials else None
         for r in range(1, tr.n_corr(j) + 1):
             compute_inner(r)
@@ -165,7 +227,7 @@ def _forward(tr, paths, rows, inner_upto, with_partials):
                     if d is not None:
                         jcol[q] = jcol.get(q, 0.0) + cv * d
         if not tr.raw and tr.outer_fns is not None:
-            sl = np.stack(out[:j], axis=-1)
+            sl = out[..., :j]
             col += tr.outer_fns[j - 1].fn(sl, rows)
             if with_partials:
                 for w in range(1, j):
@@ -176,7 +238,6 @@ def _forward(tr, paths, rows, inner_upto, with_partials):
                         jwq = J.get((w, q))
                         if jwq is not None:
                             jcol[q] = jcol.get(q, 0.0) + dw * jwq
-        out.append(col)
         if with_partials:
             for q, val in jcol.items():
                 J[(j, q)] = val
@@ -251,13 +312,21 @@ class _SideEngine:
         )
         self.path_law = None  # wired by the orchestrator
 
-    def _agg(self, x):
-        # per-sample aggregation of (b, R) row statistics
+    def _sample_stat(self, x):
+        # per-sample part of the aggregation of (b, R) row statistics; the
+        # matrix-vector kernels keep rows exact on _SUB_ALIGN multiples
         if self.path_collapsed:
             return x[:, :1]
         if self.hom:
             return (x @ self.w[0])[:, None]
-        return x @ self.w.T
+        return x
+
+    def _agg(self, stats):
+        # a BLAS matrix product's rows depend on the row count and thread
+        # split of the call, so the heterogeneous product runs on whole blocks
+        if self.path_collapsed or self.hom:
+            return stats
+        return stats @ self.w.T
 
     def _extract(self, acc):
         mean, se = acc.mean(), acc.se()
@@ -281,34 +350,32 @@ class _SideEngine:
         prod_acc = [_MeanAccumulator(dim) for _ in range(t)]
         # fresh generators per outer step = common random numbers across steps
         gens = [Generator(Philox(s)) for s in self.col_seqs[:p]]
+        probe = self.fd_check and p > 0
         remaining = self.mc
-        first = True
         while remaining > 0:
             b = min(_BLOCK, remaining)
             remaining -= b
-            if p > 0:
-                g = np.stack([gq.standard_normal((b, r_draw)) for gq in gens],
-                             axis=-1)
-                if factors.shape[0] == 1:
-                    stoch = np.einsum("ij,brj->bri", factors[0], g)
-                else:
-                    stoch = np.einsum("rij,brj->bri", factors, g)
-            else:
-                stoch = np.zeros((b, r_draw, 0))
-            x0col = np.broadcast_to(x0[None, :, None], (b, r_draw, 1))
-            paths = np.concatenate([x0col, stoch], axis=-1)
-            out, inner, dinner = _forward(self.tr, paths, rows, inner_upto=t,
-                                          with_partials=True)
-            et = inner[t]
-            for s in range(1, p + 1):
-                d = dinner.get((t, s))
-                d = np.zeros_like(et) if d is None else np.broadcast_to(d, et.shape)
-                coeff_acc[s - 1].add(self._agg(d))
-            for tau in range(1, t + 1):
-                prod_acc[tau - 1].add(self._agg(et * inner[tau]))
-            if first and self.fd_check and p > 0:
-                self._fd_probe(paths, rows, t, p, dinner)
-            first = False
+            # per-sample statistics of the whole block, in accumulator order;
+            # raw row statistics where _agg needs the whole block
+            stats = np.empty((p + t, b, 1 if dim == 1 else r_draw))
+            # the finite-difference probe averages over the whole first block
+            pieces = [(0, b)] if probe else _sub_blocks(b, r_draw * (p + 1))
+            for lo, hi in pieces:
+                paths = _draw_paths(gens, factors, x0, hi - lo)
+                _, inner, dinner = _forward(self.tr, paths, rows, inner_upto=t,
+                                            with_partials=True)
+                et = inner[t]
+                for s in range(1, p + 1):
+                    d = dinner.get((t, s))
+                    d = np.zeros_like(et) if d is None else np.broadcast_to(d, et.shape)
+                    stats[s - 1, lo:hi] = self._sample_stat(d)
+                for tau in range(1, t + 1):
+                    stats[p + tau - 1, lo:hi] = self._sample_stat(et * inner[tau])
+                if probe:
+                    self._fd_probe(paths, rows, t, p, dinner)
+            probe = False
+            for acc, block in zip(coeff_acc + prod_acc, stats):
+                acc.add(self._agg(block))
         for tau in range(1, t + 1):
             mvec, svec = self._extract(prod_acc[tau - 1])
             cm = mvec[:1] if self.hom else mvec
@@ -652,22 +719,17 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
     collapsed = record.collapsed.get(side, False)
     sel = np.array([0]) if collapsed else coords
     factors = law.factors(t, coords=sel)
-    gen = Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0)))
+    gens = [Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0)))]
+    x0 = law.x0[sel]
     acc = [_MeanAccumulator(1) for _ in sel]
     remaining = int(n_paths)
     while remaining > 0:
-        b = min(16384, remaining)
+        b = min(_PREDICT_BLOCK, remaining)
         remaining -= b
-        g = gen.standard_normal((b, len(sel), t))
-        if factors.shape[0] == 1:
-            stoch = np.einsum("ij,brj->bri", factors[0], g)
-        else:
-            stoch = np.einsum("rij,brj->bri", factors, g)
-        x0 = law.x0[sel]
-        paths = np.concatenate(
-            [np.broadcast_to(x0[None, :, None], (b, len(sel), 1)), stoch], axis=-1)
-        out = transform.apply(paths, rows=sel)
-        vals = np.asarray(psi(out[..., t]), dtype=float)
+        vals = np.empty((b, len(sel)))
+        for lo, hi in _sub_blocks(b, len(sel) * (t + 1)):
+            out = transform.apply(_draw_paths(gens, factors, x0, hi - lo), rows=sel)
+            vals[lo:hi] = psi(out[..., t])
         for i in range(len(sel)):
             acc[i].add(vals[:, i : i + 1])
     means = np.array([a.mean()[0] for a in acc])

@@ -23,6 +23,8 @@ from gfomlab.gd_se import (
     gd_se,
     gd_se_homogeneous,
 )
+from gfomlab.programs import build_gd_ridge
+from gfomlab.state_evolution import predict_entrywise, se_asymmetric
 
 
 def wavy_loss():
@@ -291,6 +293,32 @@ def test_homogeneous_first_prediction_moment():
         gd_se_homogeneous(squared_loss(), 0.2, 0.0, -1.0, np.ones(8), 2.0, 1)
     with pytest.raises(ConfigError):
         gd_se_homogeneous(squared_loss(), 0.2, 0.0, 1.0, np.ones(8), 0.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# cross-route check against the general two-sided engine
+
+def test_gd_se_matches_two_sided_engine_on_gd_program():
+    # gd_se is exact for the quadratic loss; se_asymmetric runs the general
+    # Monte Carlo recursion on the same iteration written as a program, whose
+    # v track is mu^(t) - mu0.  Compare E[(mu^(t) - mu0)_l^2].
+    n, m, T, eta, lam = 60, 90, 3, 0.3, 0.2
+    rng = np.random.default_rng(0)
+    mu0 = rng.normal(size=n)
+    xi = 0.5 * rng.normal(size=m)
+    prof = constant_profile((m, n))
+    st = gd_se(squared_loss(), eta, lam, mu0, xi, None, prof, T)
+    prog = build_gd_ridge(squared_loss(), eta, lam, mu0, xi, None, T)
+    rec = se_asymmetric(prog, prof, mc_samples=20000, seed=0,
+                        normalization="inv_sqrt_n")
+    coords = np.arange(5)
+    for t in range(1, T + 1):
+        laws = [gd_entrywise_law(st, ell, t) for ell in coords]
+        want = np.array([law.mean**2 + law.variance for law in laws])
+        means, ses = predict_entrywise(rec, coords, np.square, side="v", t=t,
+                                       n_paths=20000, seed=0)
+        assert np.all(ses > 0)
+        assert np.all(np.abs(means - want) <= 4.0 * ses), t
 
 
 # ---------------------------------------------------------------------------
