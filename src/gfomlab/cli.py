@@ -22,7 +22,7 @@ import scipy
 from .errors import ConfigError, NumericalError
 from .harness import (ComparisonReport, DecayReport, DelocalizationReport,
                       ExperimentConfig, list_experiments, list_programs,
-                      run_named_experiment)
+                      run_named_experiment, write_json, write_lines)
 
 
 def parse_config(path):
@@ -39,9 +39,7 @@ def parse_config(path):
 
 
 def serialize_config(config, path):
-    with open(path, "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, config.to_dict())
 
 
 def config_hash(config):
@@ -75,9 +73,7 @@ class RunManifest:
         return dataclasses.asdict(self)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 def _now():
@@ -157,9 +153,7 @@ def emit_plot_data(report, path):
     else:
         for series, x, y, yerr in _plot_rows(report):
             lines.append(f"{series},{x},{y:.17g},{yerr:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    write_lines(path, lines)
 
 
 def _apply_overrides(config, args):

@@ -20,8 +20,8 @@ from numpy.random import Generator, Philox
 from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
 from .seeds import DOMAIN_SE, child_sequence
+from .state_evolution import psd_factors
 
-PSD_FLOOR = -1e-10
 VAR_FLOOR = -1e-10
 DEFAULT_MC = 20000
 _N_BLOCKS = 10
@@ -37,17 +37,6 @@ def _block_sizes(mc):
         out.append(min(size, left))
         left -= out[-1]
     return out
-
-
-def _factors(cov_block, context):
-    vals, vecs = np.linalg.eigh(cov_block)
-    low = float(vals.min(initial=0.0))
-    if low < PSD_FLOOR:
-        where = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        raise NumericalError(
-            f"{context}: covariance eigenvalue {low:.3e} below PSD floor "
-            f"(coordinate {where[0]})")
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
 
 
 class GdSeState:
@@ -273,7 +262,7 @@ def _mc_step(state, t, blocks, seed_seq):
     eta, masks, xi, loss = state.eta, state.masks, state.xi, state.loss
     m = xi.shape[0]
     wts = state.weights
-    factors = _factors(state.u_cov[:, :t, :t], f"prediction side, step {t}")
+    factors = psd_factors(state.u_cov[:, :t, :t], f"prediction side, step {t}")
     gen = Generator(Philox(seed_seq))
     g_sum = np.zeros((t, m))
     p_sum = np.zeros((t, m))
@@ -342,7 +331,7 @@ def g_coefficient_nested_sum(state, s, t):
     blocks = _block_sizes(state.mc)
     gen = Generator(Philox(child_sequence(state.seed, DOMAIN_SE, 0)))
     m = state.xi.shape[0]
-    factors = _factors(state.u_cov[:, :t, :t], f"prediction side, step {t}")
+    factors = psd_factors(state.u_cov[:, :t, :t], f"prediction side, step {t}")
     acc = np.zeros(m)
     count = 0
     for b in blocks:
@@ -440,7 +429,7 @@ def gd_se_homogeneous(loss, eta, lam, mu0_sq_mean, xi, phi, T,
                 cross = state.alphas[t][1:] @ uc[:t, :s] @ state.alphas[s][1:]
                 v_new.append(eta**2 * phi * (np.mean(p_det_t * p_det_s) + c2**2 * cross))
         else:
-            factors = _factors(uc[None, :t, :t], f"homogeneous step {t}")[0]
+            factors = psd_factors(uc[None, :t, :t], f"homogeneous step {t}")[0]
             gen = Generator(Philox(seed_seq))
             gb = [[] for _ in range(t)]
             pb = [[] for _ in range(t)]

@@ -6,19 +6,29 @@ prediction, or empirical gradient-descent replicates against their
 predicted normal law.  Reports carry per-statistic estimates, gaps,
 combined standard errors and a pass flag; runtimes go to JSON only so CSV
 artifacts are byte-stable under reruns.
+
+All four replicate experiments run one loop, ``_replicates``, with a
+per-experiment statistic.  Its seed contract: replicate r draws law A's
+matrix from the stream ``(seed, REPLICATE, r, ENSEMBLE_A)`` and law B's
+from ``(seed, REPLICATE, r, ENSEMBLE_B)``, the streams that
+``ensembles.matched_pair`` derives from ``(seed, REPLICATE, r)``.  Both
+matrices of a replicate are drawn before either runs; a divergence under
+either law drops the whole replicate and is counted against that law.  The
+decay and delocalization diagnostics draw their one matrix as law A of
+replicate 0.
 """
 
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
 from .dynamics import Trajectory, run_amp_symmetric, run_asymmetric, run_symmetric
-from .ensembles import (EnsembleSpec, EntryLaw, constant_profile, matched_pair,
+from .ensembles import (EnsembleSpec, EntryLaw, constant_profile,
                         sample_asymmetric, sample_symmetric)
 from .erm import (ErmProblem, gradient_descent, pgd_linear, prox_lasso,
                   prox_ridge, prox_zero, smoothstep, solve_fixed_point,
@@ -27,8 +37,8 @@ from .errors import ConfigError, DivergenceError, NumericalError
 from .gd_se import gd_key_params, gd_se
 from .programs import (build_gd_ridge, build_logistic, build_pgd_linear,
                        build_power_iteration, build_tanh_iteration, tanh_map)
-from .seeds import (DOMAIN_ENSEMBLE_A, DOMAIN_PROBLEM_DATA, DOMAIN_REPLICATE,
-                    child_sequence, generator)
+from .seeds import (DOMAIN_ENSEMBLE_A, DOMAIN_ENSEMBLE_B, DOMAIN_PROBLEM_DATA,
+                    DOMAIN_REPLICATE, child_sequence, generator)
 from .state_evolution import (amp_se_symmetric, predict_entrywise,
                               se_asymmetric, se_symmetric)
 
@@ -42,6 +52,19 @@ def default_tolerances():
         with open(_FIXTURE_PATH) as fh:
             _FIXTURE = json.load(fh)
     return _FIXTURE
+
+
+def write_json(path, obj):
+    """Indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_lines(path, lines):
+    """Text lines, each terminated by a newline."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -141,24 +164,7 @@ class ExperimentConfig:
         return self
 
     def to_dict(self):
-        return {
-            "experiment": self.experiment,
-            "program": self.program,
-            "n": self.n,
-            "m": self.m,
-            "T": self.T,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "psi": self.psi,
-            "coordinates": list(self.coordinates),
-            "law_a": self.law_a,
-            "law_a_param": self.law_a_param,
-            "law_b": self.law_b,
-            "law_b_param": self.law_b_param,
-            "mc_samples": self.mc_samples,
-            "tolerance": self.tolerance,
-            "program_params": dict(self.program_params),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data):
@@ -210,14 +216,11 @@ class ComparisonReport:
         raise KeyError(label)
 
     def to_csv(self, path):
-        lines = ["statistic,estimate_a,estimate_b,gap,se,tolerance,passed"]
-        for st in self.statistics:
-            lines.append(f"{st.label},{st.estimate_a:.17g},{st.estimate_b:.17g},"
-                         f"{st.gap:.17g},{st.se:.17g},{st.tolerance:.17g},"
-                         f"{int(st.passed)}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+        header = "statistic,estimate_a,estimate_b,gap,se,tolerance,passed"
+        write_lines(path, [header] + [
+            f"{st.label},{st.estimate_a:.17g},{st.estimate_b:.17g},"
+            f"{st.gap:.17g},{st.se:.17g},{st.tolerance:.17g},{int(st.passed)}"
+            for st in self.statistics])
 
     def to_json_dict(self):
         return {
@@ -234,9 +237,7 @@ class ComparisonReport:
         }
 
     def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +251,36 @@ class RegistryEntry:
         self.build = build
 
 
-class _SymGfomPlan:
-    kind = "symmetric"
+class _Plan:
+    """Sampling side shared by every program plan: a constant variance
+    profile over the matrix shape (n x n without ``m``, m x n with it), one
+    ensemble spec per entry law, built once, and the matching sampler."""
 
-    def __init__(self, prog):
-        self.prog = prog
-        self.n = prog.n
-        self.m = None
-        self.profile = constant_profile((self.n, self.n))
-        self.normalization = "inv_sqrt_n"
+    def __init__(self, n, m=None, data=None):
+        self.n = n
+        self.m = m
+        self.data = data
+        self.kind = "symmetric" if m is None else "asymmetric"
+        self.profile = constant_profile((n, n) if m is None else (m, n))
+        self._specs = {}
 
     def ensemble_spec(self, law):
-        return EnsembleSpec(law, self.profile, "inv_sqrt_n", symmetric=True)
+        if law not in self._specs:
+            self._specs[law] = EnsembleSpec(law, self.profile, "inv_sqrt_n",
+                                            symmetric=self.m is None)
+        return self._specs[law]
 
     def sample(self, law, seed):
-        return sample_symmetric(self.ensemble_spec(law), self.n, seed)
+        spec = self.ensemble_spec(law)
+        if self.m is None:
+            return sample_symmetric(spec, self.n, seed)
+        return sample_asymmetric(spec, self.m, self.n, seed)
 
-    def prepare(self, mc, seed):
-        pass
+
+class _SymGfomPlan(_Plan):
+    def __init__(self, prog):
+        super().__init__(prog.n)
+        self.prog = prog
 
     def simulate(self, a):
         return {"z": run_symmetric(a, self.prog).z}
@@ -276,62 +289,28 @@ class _SymGfomPlan:
         return se_symmetric(self.prog, self.profile, mc_samples=mc, seed=seed)
 
 
-class _AmpSymPlan:
-    kind = "symmetric"
-
-    def __init__(self, fns, z0):
+class _AmpSymPlan(_Plan):
+    def __init__(self, fns, z0, mc, seed):
+        super().__init__(z0.shape[0])
         self.fns = fns
         self.z0 = z0
-        self.n = z0.shape[0]
-        self.m = None
-        self.profile = constant_profile((self.n, self.n))
-        self.normalization = "inv_sqrt_n"
-        self._record = None
-        self._key = None
-
-    def ensemble_spec(self, law):
-        return EnsembleSpec(law, self.profile, "inv_sqrt_n", symmetric=True)
-
-    def sample(self, law, seed):
-        return sample_symmetric(self.ensemble_spec(law), self.n, seed)
-
-    def prepare(self, mc, seed):
         # memory coefficients come from the limit law, shared by every replicate
-        if self._key != (mc, seed):
-            self._record = amp_se_symmetric(self.fns, self.profile, self.z0,
-                                            mc_samples=mc, seed=seed)
-            self._key = (mc, seed)
+        self.record = amp_se_symmetric(fns, self.profile, z0, mc_samples=mc,
+                                       seed=seed)
 
     def simulate(self, a):
-        if self._record is None:
-            raise ConfigError("corrected iteration plan not prepared")
-        return {"z": run_amp_symmetric(a, self.fns, self._record.onsager,
+        return {"z": run_amp_symmetric(a, self.fns, self.record.onsager,
                                        self.z0).z}
 
     def se_record(self, mc, seed):
-        self.prepare(mc, seed)
-        return self._record
+        # the record the plan was built with, from the same config
+        return self.record
 
 
-class _AsymGfomPlan:
-    kind = "asymmetric"
-
+class _AsymGfomPlan(_Plan):
     def __init__(self, prog, data):
+        super().__init__(prog.n, prog.m, data)
         self.prog = prog
-        self.m = prog.m
-        self.n = prog.n
-        self.data = data
-        self.profile = constant_profile((self.m, self.n))
-        self.normalization = "inv_sqrt_n"
-
-    def ensemble_spec(self, law):
-        return EnsembleSpec(law, self.profile, "inv_sqrt_n", symmetric=False)
-
-    def sample(self, law, seed):
-        return sample_asymmetric(self.ensemble_spec(law), self.m, self.n, seed)
-
-    def prepare(self, mc, seed):
-        pass
 
     def simulate(self, a):
         traj = run_asymmetric(a, self.prog)
@@ -406,7 +385,7 @@ def _build_tanh_gfom(config):
 
 def _build_tanh_amp(config):
     fns = [tanh_map(t, t - 1) for t in range(1, config.T + 1)]
-    return _AmpSymPlan(fns, np.ones(config.n))
+    return _AmpSymPlan(fns, np.ones(config.n), config.mc_samples, config.seed)
 
 
 def _build_pgd_linear(config):
@@ -474,20 +453,51 @@ def list_experiments():
 # ---------------------------------------------------------------------------
 # experiment helpers
 
-def _rep_seed(master, r):
-    return child_sequence(master, DOMAIN_REPLICATE, r)
+def _laws(config):
+    """[law A, law B]; law B is law A when the config names none."""
+    law_a = EntryLaw(config.law_a, p=config.law_a_param)
+    if config.law_b is None:
+        return [law_a, law_a]
+    return [law_a, EntryLaw(config.law_b, p=config.law_b_param)]
 
 
-def _draw_seed(rep_seq, domain=DOMAIN_ENSEMBLE_A):
-    return np.random.SeedSequence(rep_seq.entropy,
-                                  spawn_key=rep_seq.spawn_key + (domain,))
+def _replicates(config, plan, laws, stat, label):
+    """Per-replicate statistic vectors under one or two entry laws.
+
+    ``stat(a)`` maps one sampled matrix to a vector of statistics and runs
+    the iteration once.  Returns one (replicates kept, statistics) array
+    per law and the divergent-replicate counts keyed "a" (and "b").
+    """
+    names = "ab"[:len(laws)]
+    domains = (DOMAIN_ENSEMBLE_A, DOMAIN_ENSEMBLE_B)
+    kept = [[] for _ in laws]
+    divergent = dict.fromkeys(names, 0)
+    for r in range(config.replicates):
+        mats = [plan.sample(law, child_sequence(config.seed, DOMAIN_REPLICATE,
+                                                r, dom))
+                for law, dom in zip(laws, domains)]
+        row = []
+        for name, a in zip(names, mats):
+            try:
+                row.append(stat(a))
+            except DivergenceError:
+                divergent[name] += 1
+                break
+        else:
+            for vals, v in zip(kept, row):
+                vals.append(v)
+    _check_enough(len(kept[0]), label)
+    return [np.asarray(vals, dtype=float) for vals in kept], divergent
 
 
-def _avg_psi(tracks, psi, t):
+def _avg_psi(tracks, psi, T):
+    """psi averaged over the coordinates of each step 1..T."""
+    steps = range(1, T + 1)
     if "z" in tracks:
-        return float(np.mean(psi(tracks["z"][t])))
+        return [float(np.mean(psi(tracks["z"][t]))) for t in steps]
     u, v = tracks["u"], tracks["v"]
-    return float((psi(u[t]).sum() + psi(v[t]).sum()) / (u.shape[1] + v.shape[1]))
+    width = u.shape[1] + v.shape[1]
+    return [float((psi(u[t]).sum() + psi(v[t]).sum()) / width) for t in steps]
 
 
 def _mean_se(samples):
@@ -499,14 +509,18 @@ def _mean_se(samples):
     return mean, float(dev.std(ddof=1) / math.sqrt(len(arr)))
 
 
-def _default_sigmas():
-    return float(default_tolerances()["sigmas"])
-
-
 def _gap_tolerance(config, se):
     if config.tolerance is not None:
         return config.tolerance
-    return _default_sigmas() * se
+    return float(default_tolerances()["sigmas"]) * se
+
+
+def _gap_row(config, label, samples_a, samples_b):
+    """Row comparing two replicate means, with their combined SE."""
+    est_a, se_a = _mean_se(samples_a)
+    est_b, se_b = _mean_se(samples_b)
+    se = math.sqrt(se_a**2 + se_b**2)
+    return Statistic(label, est_a, est_b, se, _gap_tolerance(config, se))
 
 
 def _check_enough(kept, label):
@@ -522,52 +536,25 @@ def universality_averaged(config):
     moments); same-law comparison when no B law is configured."""
     tic = time.perf_counter()
     plan = build_plan(config)
-    plan.prepare(config.mc_samples, config.seed)
     psi = resolve_psi(config.psi)
-    law_a = EntryLaw(config.law_a, p=config.law_a_param)
-    law_b = EntryLaw(config.law_b, p=config.law_b_param) \
-        if config.law_b is not None else law_a
-    spec_a = plan.ensemble_spec(law_a)
-    vals_a = [[] for _ in range(config.T)]
-    vals_b = [[] for _ in range(config.T)]
-    divergent = {"a": 0, "b": 0}
-    for r in range(config.replicates):
-        a, b = matched_pair(spec_a, law_b, n=plan.n, m=plan.m,
-                            seed=_rep_seed(config.seed, r))
-        try:
-            tracks_a = plan.simulate(a)
-        except DivergenceError:
-            divergent["a"] += 1
-            continue
-        try:
-            tracks_b = plan.simulate(b)
-        except DivergenceError:
-            divergent["b"] += 1
-            continue
-        for t in range(1, config.T + 1):
-            vals_a[t - 1].append(_avg_psi(tracks_a, psi, t))
-            vals_b[t - 1].append(_avg_psi(tracks_b, psi, t))
-    _check_enough(len(vals_a[0]), "universality_averaged")
-    rows = []
-    for t in range(1, config.T + 1):
-        est_a, se_a = _mean_se(vals_a[t - 1])
-        est_b, se_b = _mean_se(vals_b[t - 1])
-        se = math.sqrt(se_a**2 + se_b**2)
-        rows.append(Statistic(f"psi_avg[t={t}]", est_a, est_b, se,
-                              _gap_tolerance(config, se)))
+    (vals_a, vals_b), divergent = _replicates(
+        config, plan, _laws(config),
+        lambda a: _avg_psi(plan.simulate(a), psi, config.T),
+        "universality_averaged")
+    rows = [_gap_row(config, f"psi_avg[t={t}]", vals_a[:, t - 1],
+                     vals_b[:, t - 1]) for t in range(1, config.T + 1)]
     return ComparisonReport(
         "universality_averaged", rows, divergent,
         runtime_seconds=time.perf_counter() - tic,
         details={"psi": psi.name, "law_a": config.law_a,
                  "law_b": config.law_b or config.law_a,
-                 "replicates_used": len(vals_a[0])})
+                 "replicates_used": len(vals_a)})
 
 
 def universality_entrywise(config, coords=None, psi=None):
     """Entrywise moments at selected coordinates under two matched laws."""
     tic = time.perf_counter()
     plan = build_plan(config)
-    plan.prepare(config.mc_samples, config.seed)
     coords = list(config.coordinates if coords is None else coords)
     if len(coords) > 10:
         raise ConfigError("entrywise comparison is limited to 10 coordinates")
@@ -578,42 +565,20 @@ def universality_entrywise(config, coords=None, psi=None):
         if not 0 <= k < dim:
             raise ConfigError(f"coordinate {k} outside 0..{dim - 1}")
     track_key = "z" if plan.kind == "symmetric" else "v"
-    law_a = EntryLaw(config.law_a, p=config.law_a_param)
-    law_b = EntryLaw(config.law_b, p=config.law_b_param) \
-        if config.law_b is not None else law_a
-    spec_a = plan.ensemble_spec(law_a)
-    vals_a = {k: [] for k in coords}
-    vals_b = {k: [] for k in coords}
-    divergent = {"a": 0, "b": 0}
-    for r in range(config.replicates):
-        a, b = matched_pair(spec_a, law_b, n=plan.n, m=plan.m,
-                            seed=_rep_seed(config.seed, r))
-        try:
-            track_a = plan.simulate(a)[track_key][config.T]
-        except DivergenceError:
-            divergent["a"] += 1
-            continue
-        try:
-            track_b = plan.simulate(b)[track_key][config.T]
-        except DivergenceError:
-            divergent["b"] += 1
-            continue
-        for k in coords:
-            vals_a[k].append(float(psi(track_a[k])))
-            vals_b[k].append(float(psi(track_b[k])))
-    _check_enough(len(vals_a[coords[0]]), "universality_entrywise")
-    rows = []
-    for k in coords:
-        est_a, se_a = _mean_se(vals_a[k])
-        est_b, se_b = _mean_se(vals_b[k])
-        se = math.sqrt(se_a**2 + se_b**2)
-        rows.append(Statistic(f"entry[k={k},t={config.T}]", est_a, est_b, se,
-                              _gap_tolerance(config, se)))
+
+    def stat(a):
+        track = plan.simulate(a)[track_key][config.T]
+        return [float(psi(track[k])) for k in coords]
+
+    (vals_a, vals_b), divergent = _replicates(config, plan, _laws(config),
+                                              stat, "universality_entrywise")
+    rows = [_gap_row(config, f"entry[k={k},t={config.T}]", vals_a[:, i],
+                     vals_b[:, i]) for i, k in enumerate(coords)]
     return ComparisonReport(
         "universality_entrywise", rows, divergent,
         runtime_seconds=time.perf_counter() - tic,
         details={"psi": psi.name, "coordinates": coords,
-                 "replicates_used": len(vals_a[coords[0]])})
+                 "replicates_used": len(vals_a)})
 
 
 def se_vs_simulation(config):
@@ -621,46 +586,36 @@ def se_vs_simulation(config):
     Gaussian-limit prediction computed by the covariance recursion."""
     tic = time.perf_counter()
     plan = build_plan(config)
-    plan.prepare(config.mc_samples, config.seed)
     psi = resolve_psi(config.psi)
     record = plan.se_record(config.mc_samples, config.seed)
-    law_a = EntryLaw(config.law_a, p=config.law_a_param)
     sides = ["z"] if record.symmetric else ["u", "v"]
-    sim = {s: [[] for _ in range(config.T)] for s in sides}
-    divergent = {"a": 0}
-    for r in range(config.replicates):
-        a = plan.sample(law_a, _draw_seed(_rep_seed(config.seed, r)))
-        try:
-            tracks = plan.simulate(a)
-        except DivergenceError:
-            divergent["a"] += 1
-            continue
-        for s in sides:
-            for t in range(1, config.T + 1):
-                sim[s][t - 1].append(float(np.mean(psi(tracks[s][t]))))
-    _check_enough(len(sim[sides[0]][0]), "se_vs_simulation")
+    cells = [(s, t) for s in sides for t in range(1, config.T + 1)]
+
+    def stat(a):
+        tracks = plan.simulate(a)
+        return [float(np.mean(psi(tracks[s][t]))) for s, t in cells]
+
+    (sim,), divergent = _replicates(config, plan, _laws(config)[:1], stat,
+                                    "se_vs_simulation")
     rows = []
-    for s in sides:
+    for i, (s, t) in enumerate(cells):
         dim = plan.n if s in ("z", "v") else plan.m
-        for t in range(1, config.T + 1):
-            est_sim, se_sim = _mean_se(sim[s][t - 1])
-            means, ses = predict_entrywise(record, np.arange(dim), psi,
-                                           side=s, t=t,
-                                           n_paths=config.mc_samples,
-                                           seed=config.seed)
-            est_pred = float(means.mean())
-            if record.collapsed.get(s, False):
-                se_pred = float(ses[0])
-            else:
-                se_pred = float(np.sqrt(np.sum(ses**2)) / dim)
-            se = math.sqrt(se_sim**2 + se_pred**2)
-            rows.append(Statistic(f"psi_avg[{s},t={t}]", est_sim, est_pred, se,
-                                  _gap_tolerance(config, se)))
+        est_sim, se_sim = _mean_se(sim[:, i])
+        means, ses = predict_entrywise(record, np.arange(dim), psi, side=s, t=t,
+                                       n_paths=config.mc_samples,
+                                       seed=config.seed)
+        est_pred = float(means.mean())
+        if record.collapsed.get(s, False):
+            se_pred = float(ses[0])
+        else:
+            se_pred = float(np.sqrt(np.sum(ses**2)) / dim)
+        se = math.sqrt(se_sim**2 + se_pred**2)
+        rows.append(Statistic(f"psi_avg[{s},t={t}]", est_sim, est_pred, se,
+                              _gap_tolerance(config, se)))
     return ComparisonReport(
         "se_vs_simulation", rows, divergent,
         runtime_seconds=time.perf_counter() - tic,
-        details={"psi": psi.name,
-                 "replicates_used": len(sim[sides[0]][0])})
+        details={"psi": psi.name, "replicates_used": len(sim)})
 
 
 def gd_gaussianity_test(config):
@@ -677,20 +632,10 @@ def gd_gaussianity_test(config):
             raise ConfigError(f"coordinate {k} outside 0..{plan.n - 1}")
     state = plan.gd_state(config.mc_samples, config.seed)
     law = gd_key_params(state, config.T)
-    spec_a = plan.ensemble_spec(EntryLaw(config.law_a, p=config.law_a_param))
-    devs = []
-    divergent = {"a": 0}
-    for r in range(config.replicates):
-        a = sample_asymmetric(spec_a, plan.m, plan.n,
-                              _draw_seed(_rep_seed(config.seed, r)))
-        try:
-            mu = plan.gd_mu(a)
-        except DivergenceError:
-            divergent["a"] += 1
-            continue
-        devs.append(mu[config.T][coords] - plan.mu0[coords])
-    _check_enough(len(devs), "gd_gaussianity")
-    devs = np.asarray(devs)
+    (devs,), divergent = _replicates(
+        config, plan, _laws(config)[:1],
+        lambda a: plan.gd_mu(a)[config.T][coords] - plan.mu0[coords],
+        "gd_gaussianity")
     tols = default_tolerances()["gd_gaussianity"]
     rows = []
     rep = devs.shape[0]
@@ -744,12 +689,8 @@ class DecayReport:
                 and self.r_squared >= thresh)
 
     def to_csv(self, path):
-        lines = ["t,l2_over_sqrt_n,sup_norm"]
-        for t, l2, linf in self.rows:
-            lines.append(f"{t},{l2:.17g},{linf:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+        write_lines(path, ["t,l2_over_sqrt_n,sup_norm"] + [
+            f"{t},{l2:.17g},{linf:.17g}" for t, l2, linf in self.rows])
 
     def to_json_dict(self):
         return {
@@ -765,9 +706,7 @@ class DecayReport:
         }
 
     def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 def convergence_decay_report(problem, T, mu_start=None):
@@ -826,9 +765,7 @@ class DelocalizationReport:
             lines.append(f"{r['track']},{r['t']},{r['sup_norm']:.17g},"
                          f"{r['rms_norm']:.17g},{r['ratio']:.17g},"
                          f"{r['bound']:.17g},{int(r['flagged'])},{loo}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+        write_lines(path, lines)
 
     def to_json_dict(self):
         return {"name": "delocalization", "passed": True,
@@ -836,9 +773,7 @@ class DelocalizationReport:
                 "runtime_seconds": self.runtime_seconds, "rows": self.rows}
 
     def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 def _as_tracks(obj):
@@ -895,8 +830,8 @@ def _run_decay(config):
         prox = plan.data["prox"]
     else:
         raise ConfigError("decay experiment needs pgd_linear or gd_ridge")
-    a = plan.sample(EntryLaw(config.law_a, p=config.law_a_param),
-                    _draw_seed(_rep_seed(config.seed, 0)))
+    a = plan.sample(_laws(config)[0], child_sequence(
+        config.seed, DOMAIN_REPLICATE, 0, DOMAIN_ENSEMBLE_A))
     problem = ErmProblem(a=a, prox=prox, eta=plan.data["eta"],
                          loss=squared_loss(), mu0=plan.data["mu0"],
                          xi=plan.data["xi"])
@@ -905,9 +840,8 @@ def _run_decay(config):
 
 def _run_delocalization(config):
     plan = build_plan(config)
-    plan.prepare(config.mc_samples, config.seed)
-    a = plan.sample(EntryLaw(config.law_a, p=config.law_a_param),
-                    _draw_seed(_rep_seed(config.seed, 0)))
+    a = plan.sample(_laws(config)[0], child_sequence(
+        config.seed, DOMAIN_REPLICATE, 0, DOMAIN_ENSEMBLE_A))
     tracks = plan.simulate(a)
     tracks.pop("mu", None)
     return delocalization_report(tracks)

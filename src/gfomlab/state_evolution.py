@@ -91,6 +91,22 @@ def _rows_identical(w):
     return bool(np.all(w == w[:1, :]))
 
 
+def psd_factors(cov_block, context):
+    """(C, t, t) matrices M with M M^T = each (t, t) slice of ``cov_block``.
+
+    Eigenvalues in [PSD_FLOOR, 0) are clipped to 0; anything below the
+    floor raises NumericalError naming ``context`` and the coordinate slot.
+    """
+    vals, vecs = np.linalg.eigh(cov_block)
+    low = float(vals.min(initial=0.0))
+    if low < PSD_FLOOR:
+        where = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        raise NumericalError(
+            f"{context}: covariance eigenvalue {low:.3e} below the PSD floor "
+            f"(coordinate slot {where[0]})")
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
+
+
 class GaussianLawTable:
     """Per-coordinate Gaussian path law.
 
@@ -115,24 +131,13 @@ class GaussianLawTable:
         return self.cov[0 if self.homogeneous else k]
 
     def factors(self, t, coords=None):
-        """(C', t, t) matrices M with M M^T = leading covariance block.
-
-        Eigenvalues in [PSD_FLOOR, 0) are clipped to 0; anything below the
-        floor raises NumericalError.
-        """
+        """(C', t, t) matrices M with M M^T = leading covariance block
+        (see ``psd_factors``)."""
         if self.homogeneous or coords is None:
             block = self.cov[:, :t, :t]
         else:
             block = self.cov[np.asarray(coords), :t, :t]
-        vals, vecs = np.linalg.eigh(block)
-        low = float(vals.min(initial=0.0))
-        if low < PSD_FLOOR:
-            where = np.unravel_index(int(np.argmin(vals)), vals.shape)
-            raise NumericalError(
-                f"covariance block through step {t} has eigenvalue {low:.3e} "
-                f"below the PSD floor (coordinate slot {where[0]})"
-            )
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
+        return psd_factors(block, f"covariance block through step {t}")
 
 
 class HistoryTransform:
@@ -540,7 +545,7 @@ def amp_se_symmetric(fns, profile, z0, T=None, mc_samples=DEFAULT_MC, seed=0,
                                  corr_includes_current=False, width=n, raw=True)
     eng = _SideEngine(w, law_x0=z0, path_x0=z0, transform=transform,
                       T=T, mc=mc_samples, seed_seq=child_sequence(seed, DOMAIN_SE, 0),
-                      coeffs_constant=True, fd_check=fd_check)
+                      coeffs_constant=_rows_identical(w), fd_check=fd_check)
     eng.path_law = eng.law
     onsager, onsager_se = [], []
     for t in range(1, T + 1):
@@ -573,11 +578,11 @@ def _asym_drive(u_inner, u_outer, v_inner, v_outer, u0, v0, weights, T, mc,
     rows_ident = _rows_identical(w)
     u_eng = _SideEngine(w, law_x0=u0, path_x0=v0, transform=v_tr, T=T, mc=mc,
                         seed_seq=child_sequence(seed, DOMAIN_SE, 0),
-                        coeffs_constant=True if raw else cols_ident,
+                        coeffs_constant=cols_ident,
                         fd_check=fd_check)
     v_eng = _SideEngine(w.T, law_x0=v0, path_x0=u0, transform=u_tr, T=T, mc=mc,
                         seed_seq=child_sequence(seed, DOMAIN_SE, 1),
-                        coeffs_constant=True if raw else rows_ident,
+                        coeffs_constant=rows_ident,
                         fd_check=fd_check)
     u_eng.path_law = v_eng.law
     v_eng.path_law = u_eng.law

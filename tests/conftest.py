@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from gfomlab.ensembles import VarianceProfile
 from gfomlab.programs import (
     AsymmetricProgram,
     SymmetricProgram,
@@ -41,3 +42,12 @@ def mixed_asymmetric_program(m, n, T, seed):
         v_add.append(affine_combination(t, rng.normal(size=t) * 0.2))
     return AsymmetricProgram(T=T, u_mat_fns=u_mat, u_add_fns=u_add,
                              v_mat_fns=v_mat, v_add_fns=v_add, u0=u0, v0=v0)
+
+
+def two_block_profile(m, n):
+    """Two-block variance profile, symmetric when m == n; being
+    heterogeneous, it takes the per-coordinate paths of the engines."""
+    v = np.ones((m, n))
+    v[: m // 2, : n // 2] = 3.0
+    v[m // 2 :, n // 2 :] = 0.5
+    return VarianceProfile(v)

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import mixed_asymmetric_program, mixed_symmetric_program
+from conftest import (mixed_asymmetric_program, mixed_symmetric_program,
+                      two_block_profile)
 from gfomlab.dynamics import (
     run_amp_asymmetric,
     run_amp_symmetric,
@@ -220,6 +221,27 @@ def test_two_sided_zero_updates_and_homogeneity():
                             np.zeros(m), np.zeros(n), mc_samples=100, seed=14)
     assert np.all(rec.u_law.cov == 0.0) and np.all(rec.v_law.cov == 0.0)
     assert rec.u_law.homogeneous and rec.v_law.homogeneous
+
+
+def test_corrected_paths_do_not_collapse_under_two_block_profile():
+    # tanh updates from a constant start collapse the path on a constant
+    # profile; under a two-block profile the path law is per coordinate
+    n, m, T = 6, 5, 2
+    tanh1_sq = np.tanh(1.0) ** 2
+    prof = two_block_profile(n, n)
+    rec = amp_se_symmetric(build_tanh_iteration(T, np.ones(n)).mat_fns, prof,
+                           np.ones(n), mc_samples=400, seed=15)
+    assert rec.collapsed == {"z": False}
+    assert np.allclose(rec.law.cov[:, 0, 0],
+                       prof.values.sum(axis=1) / n * tanh1_sq, rtol=1e-12)
+    prof = two_block_profile(m, n)
+    rec = amp_se_asymmetric([tanh_map(t, t - 1) for t in range(1, T + 1)],
+                            [tanh_map(t + 1, t) for t in range(1, T + 1)],
+                            prof, np.ones(m), np.ones(n), mc_samples=400,
+                            seed=16)
+    assert rec.collapsed == {"u": False, "v": False}
+    assert np.allclose(rec.u_law.cov[:, 0, 0],
+                       prof.values.sum(axis=1) / m * tanh1_sq, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

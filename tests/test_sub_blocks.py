@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import gfomlab.state_evolution as se
-from conftest import mixed_asymmetric_program, mixed_symmetric_program
-from gfomlab.ensembles import VarianceProfile, constant_profile
+from conftest import (mixed_asymmetric_program, mixed_symmetric_program,
+                      two_block_profile)
+from gfomlab.ensembles import constant_profile
 from gfomlab.erm import squared_loss
 from gfomlab.programs import build_gd_ridge, build_tanh_iteration
 
@@ -19,17 +20,10 @@ BUDGETS = (WHOLE, DEFAULT, TINY)
 MIB = 1 << 20
 
 
-def _two_block(m, n):
-    # symmetric when m == n; a heterogeneous profile takes the matrix
-    # product branch of the aggregation
-    v = np.ones((m, n))
-    v[: m // 2, : n // 2] = 3.0
-    v[m // 2 :, n // 2 :] = 0.5
-    return VarianceProfile(v)
-
-
 def _profile(kind, m, n):
-    return constant_profile((m, n)) if kind == "constant" else _two_block(m, n)
+    if kind == "constant":
+        return constant_profile((m, n))
+    return two_block_profile(m, n)
 
 
 def _under_budgets(monkeypatch, fn):
