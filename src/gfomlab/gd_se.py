@@ -11,7 +11,6 @@ with common random numbers across outer steps.
 """
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -50,7 +49,7 @@ class GdSeState:
     """
 
     def __init__(self, loss, eta, lam, mu0, xi, masks, weights, T, mc, seed,
-                 homogeneous=False, phi=None):
+                 homogeneous=False):
         self.loss = loss
         self.eta = float(eta)
         self.lam = float(lam)
@@ -62,7 +61,6 @@ class GdSeState:
         self.mc = int(mc)
         self.seed = seed
         self.homogeneous = homogeneous
-        self.phi = phi
         self.quadratic = bool(getattr(loss, "quadratic", False))
         m = self.xi.shape[0]
         c = 1 if homogeneous else (None if mu0 is None else len(mu0))
@@ -100,11 +98,6 @@ class GdSeState:
             "g_tables": [np.asarray(g).tolist() for g in self.g_tables],
             "g_tables_se": [np.asarray(g).tolist() for g in self.g_tables_se],
         }
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 class GdLaw:
@@ -388,7 +381,7 @@ def gd_se_homogeneous(loss, eta, lam, mu0_sq_mean, xi, phi, T,
         raise ConfigError("eta and lambda must be >= 0")
     masks = np.ones((T, m))
     state = GdSeState(loss, eta, lam, None, xi, masks, None, T, mc_samples,
-                      seed, homogeneous=True, phi=phi)
+                      seed, homogeneous=True)
     state.v_cov[0, 0, 0] = mu0_sq_mean
     quadratic = state.quadratic
     if quadratic:

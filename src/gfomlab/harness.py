@@ -299,8 +299,8 @@ class _AmpSymPlan(_Plan):
                                        seed=seed)
 
     def simulate(self, a):
-        return {"z": run_amp_symmetric(a, self.fns, self.record.onsager,
-                                       self.z0).z}
+        coeffs = self.record.sides["z"].coeffs
+        return {"z": run_amp_symmetric(a, self.fns, coeffs, self.z0).z}
 
     def se_record(self, mc, seed):
         # the record the plan was built with, from the same config
@@ -588,7 +588,7 @@ def se_vs_simulation(config):
     plan = build_plan(config)
     psi = resolve_psi(config.psi)
     record = plan.se_record(config.mc_samples, config.seed)
-    sides = ["z"] if record.symmetric else ["u", "v"]
+    sides = list(record.sides)
     cells = [(s, t) for s in sides for t in range(1, config.T + 1)]
 
     def stat(a):
@@ -605,7 +605,7 @@ def se_vs_simulation(config):
                                        n_paths=config.mc_samples,
                                        seed=config.seed)
         est_pred = float(means.mean())
-        if record.collapsed.get(s, False):
+        if record.sides[s].collapsed:
             se_pred = float(ses[0])
         else:
             se_pred = float(np.sqrt(np.sum(ses**2)) / dim)

@@ -28,7 +28,7 @@ the shape of the call runs on whole blocks.  So the sub-block size never
 changes the accumulation layout or a single output byte.
 """
 
-import json
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -174,9 +174,6 @@ class HistoryTransform:
         if self.outer_fns is not None:
             ok = ok and all(f.row_constant for f in self.outer_fns)
         return ok
-
-    def coeffs_constant(self):
-        return all(c.size == 0 or np.ptp(c, axis=1).max() == 0.0 for c in self.coeffs)
 
     def apply(self, hist, rows=None):
         hist = np.asarray(hist, dtype=float)
@@ -343,8 +340,8 @@ class _SideEngine:
         return mean, se
 
     def step(self, t, n_path_cols):
-        """Advance the law to row t; returns per-earlier-step coefficient
-        vectors [(vec, se), ...] for path columns 1..n_path_cols."""
+        """Advance the law to row t; returns the (n_path_cols, coordinates)
+        coefficient table for path columns 1..n_path_cols and its SEs."""
         p = n_path_cols
         r_draw = 1 if self.path_collapsed else self.path_x0.shape[0]
         x0 = self.path_x0[:1] if self.path_collapsed else self.path_x0
@@ -389,7 +386,10 @@ class _SideEngine:
             self.law.cov[:, tau - 1, t - 1] = cm
             self.law.cov_se[:, t - 1, tau - 1] = cs
             self.law.cov_se[:, tau - 1, t - 1] = cs
-        return [self._extract(coeff_acc[s - 1]) for s in range(1, p + 1)]
+        pairs = [self._extract(acc) for acc in coeff_acc]
+        k = self.w.shape[0]
+        return (np.array([v for v, _ in pairs]).reshape(p, k),
+                np.array([s for _, s in pairs]).reshape(p, k))
 
     def _fd_probe(self, paths, rows, t, p, dinner):
         # cross-check chained partials against central differences on one block
@@ -407,87 +407,59 @@ class _SideEngine:
             self.fd_gap = max(self.fd_gap, gap)
 
 
-class SeRecord:
-    """Everything needed to read out one iteration's Gaussian limit."""
+@dataclass
+class Side:
+    """One track of a limit: its Gaussian path law, the history transform
+    from paths to iterates, the per-step coefficient tables with their Monte
+    Carlo standard errors, and whether its paths collapse to one row.
 
-    def __init__(self, kind, mc, seed, fd_gap=None, law=None, transform=None,
-                 coeff_se=None, onsager=None, onsager_se=None,
-                 u_law=None, v_law=None, u_transform=None, v_transform=None,
-                 u_coeff_se=None, v_coeff_se=None,
-                 u_onsager=None, v_onsager=None,
-                 u_onsager_se=None, v_onsager_se=None, collapsed=None):
-        self.kind = kind
-        self.mc = mc
-        self.seed = seed
-        self.fd_gap = fd_gap
-        self.law = law
-        self.transform = transform
-        self.coeff_se = coeff_se
-        self.onsager = onsager
-        self.onsager_se = onsager_se
-        self.u_law = u_law
-        self.v_law = v_law
-        self.u_transform = u_transform
-        self.v_transform = v_transform
-        self.u_coeff_se = u_coeff_se
-        self.v_coeff_se = v_coeff_se
-        self.u_onsager = u_onsager
-        self.v_onsager = v_onsager
-        self.u_onsager_se = u_onsager_se
-        self.v_onsager_se = v_onsager_se
-        self.collapsed = collapsed or {}
+    For an uncorrected program ``coeffs`` is ``transform.coeffs`` (the
+    correction vectors); for a corrected iteration, whose transform is the
+    identity, it holds the memory coefficients.
+    """
 
-    @property
-    def symmetric(self):
-        return self.law is not None
-
-    def side(self, name):
-        """(law, transform) pair for reading out one track."""
-        table = {
-            "z": (self.law, self.transform),
-            "u": (self.u_law, self.u_transform),
-            "v": (self.v_law, self.v_transform),
-        }
-        if name not in table or table[name][0] is None:
-            raise ConfigError(f"record has no side {name!r}")
-        return table[name]
+    law: GaussianLawTable
+    transform: HistoryTransform
+    coeffs: list
+    coeffs_se: list
+    collapsed: bool
 
     def to_json_dict(self):
-        def law_dict(law):
-            if law is None:
-                return None
-            return {
-                "x0": law.x0.tolist(),
-                "homogeneous": law.homogeneous,
-                "cov": law.cov.tolist(),
-                "cov_se": law.cov_se.tolist(),
-            }
+        return {
+            "x0": self.law.x0.tolist(),
+            "homogeneous": self.law.homogeneous,
+            "cov": self.law.cov.tolist(),
+            "cov_se": self.law.cov_se.tolist(),
+            "coeffs": [c.tolist() for c in self.coeffs],
+            "coeffs_se": [c.tolist() for c in self.coeffs_se],
+            "collapsed": self.collapsed,
+        }
 
-        def coeff_list(cs):
-            if cs is None:
-                return None
-            return [np.asarray(c).tolist() for c in cs]
 
+@dataclass
+class SeRecord:
+    """Everything needed to read out one iteration's Gaussian limit:
+    ``sides`` maps "z" (symmetric) or "u" and "v" (two-sided) to a Side."""
+
+    kind: str
+    mc: int
+    seed: int
+    fd_gap: float
+    sides: dict
+
+    def side(self, name):
+        if name not in self.sides:
+            raise ConfigError(f"record has no side {name!r}")
+        return self.sides[name]
+
+    def to_json_dict(self):
         return {
             "kind": self.kind,
             "mc": self.mc,
             "seed": self.seed,
             "fd_gap": self.fd_gap,
-            "collapsed": self.collapsed,
-            "law": law_dict(self.law),
-            "u_law": law_dict(self.u_law),
-            "v_law": law_dict(self.v_law),
-            "memory_coeffs": coeff_list(None if self.transform is None
-                                        else self.transform.coeffs),
-            "onsager": coeff_list(self.onsager),
-            "u_onsager": coeff_list(self.u_onsager),
-            "v_onsager": coeff_list(self.v_onsager),
+            "sides": {name: s.to_json_dict() for name, s in self.sides.items()},
         }
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _weights_for(profile, m, n, normalization):
@@ -497,12 +469,76 @@ def _weights_for(profile, m, n, normalization):
     return w
 
 
-def _sym_setup(z0_default, z0, T, T_max):
-    z0 = np.asarray(z0_default if z0 is None else z0, dtype=float)
+def _horizon(T, T_max):
     T = T_max if T is None else int(T)
     if not 1 <= T <= T_max:
         raise ConfigError(f"horizon {T} outside 1..{T_max}")
-    return z0, T
+    return T
+
+
+def _drive(kind, mc, seed, fd_check, tracks, T):
+    """The step loop shared by every builder.
+
+    A track is (side, engine, transform, lag): at step t the engine averages
+    over t - lag path columns, and its coefficient vectors form the side's
+    table for step t, appended to ``transform`` (unless it is raw) before
+    the next track steps.  A side's paths are drawn by the engine whose path
+    law is that side's law.
+    """
+    engines = [eng for _, eng, _, _ in tracks]
+    sides = {}
+    for name, eng, tr, _ in tracks:
+        drawer = next(e for e in engines if e.path_law is eng.law)
+        sides[name] = Side(eng.law, tr, [] if tr.raw else tr.coeffs, [],
+                           drawer.path_collapsed)
+    for t in range(1, T + 1):
+        for name, eng, _, lag in tracks:
+            coeffs, ses = eng.step(t, n_path_cols=t - lag)
+            sides[name].coeffs.append(coeffs)
+            sides[name].coeffs_se.append(ses)
+    fd_gap = max(e.fd_gap for e in engines) if fd_check else None
+    return SeRecord(kind, mc, seed, fd_gap, sides)
+
+
+def _sym_record(kind, mat_fns, add_fns, z0, profile, T, mc, seed,
+                normalization, fd_check, raw):
+    z0 = np.asarray(z0, dtype=float)
+    n = z0.shape[0]
+    w = _weights_for(profile, n, n, normalization)
+    transform = HistoryTransform(mat_fns, add_fns, inner_uses_current=False,
+                                 corr_includes_current=False, width=n, raw=raw)
+    eng = _SideEngine(w, law_x0=z0, path_x0=z0, transform=transform,
+                      T=T, mc=mc, seed_seq=child_sequence(seed, DOMAIN_SE, 0),
+                      coeffs_constant=_rows_identical(w), fd_check=fd_check)
+    eng.path_law = eng.law
+    return _drive(kind, mc, seed, fd_check, [("z", eng, transform, 1)], T)
+
+
+def _asym_record(kind, u_inner, u_outer, v_inner, v_outer, u0, v0, profile,
+                 T, mc, seed, normalization, fd_check, raw):
+    """Two-sided engines: the u-engine builds the u law from v-paths pushed
+    through the v transform (correction sum includes the current step,
+    inner functions read strictly earlier columns); the v-engine builds the
+    v law from u-paths pushed through the u transform (corrections exclude
+    the current step, inner functions read through the current column)."""
+    u0 = np.asarray(u0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    m, n = u0.shape[0], v0.shape[0]
+    w = _weights_for(profile, m, n, normalization)
+    v_tr = HistoryTransform(u_inner, v_outer, inner_uses_current=False,
+                            corr_includes_current=True, width=n, raw=raw)
+    u_tr = HistoryTransform(v_inner, u_outer, inner_uses_current=True,
+                            corr_includes_current=False, width=m, raw=raw)
+    u_eng = _SideEngine(w, law_x0=u0, path_x0=v0, transform=v_tr, T=T, mc=mc,
+                        seed_seq=child_sequence(seed, DOMAIN_SE, 0),
+                        coeffs_constant=_rows_identical(w.T), fd_check=fd_check)
+    v_eng = _SideEngine(w.T, law_x0=v0, path_x0=u0, transform=u_tr, T=T, mc=mc,
+                        seed_seq=child_sequence(seed, DOMAIN_SE, 1),
+                        coeffs_constant=_rows_identical(w), fd_check=fd_check)
+    u_eng.path_law = v_eng.law
+    v_eng.path_law = u_eng.law
+    return _drive(kind, mc, seed, fd_check,
+                  [("u", u_eng, u_tr, 1), ("v", v_eng, v_tr, 0)], T)
 
 
 def se_symmetric(prog, profile, z0=None, T=None, mc_samples=DEFAULT_MC, seed=0,
@@ -512,138 +548,41 @@ def se_symmetric(prog, profile, z0=None, T=None, mc_samples=DEFAULT_MC, seed=0,
     ``profile`` holds un-normalized per-entry second moments; with the
     default normalization the effective weights are profile / n.
     """
-    n = prog.n
-    z0, T = _sym_setup(prog.z0, z0, T, prog.T)
-    w = _weights_for(profile, n, n, normalization)
-    transform = HistoryTransform(prog.mat_fns, prog.add_fns,
-                                 inner_uses_current=False,
-                                 corr_includes_current=False, width=n)
-    eng = _SideEngine(w, law_x0=z0, path_x0=z0, transform=transform,
-                      T=T, mc=mc_samples, seed_seq=child_sequence(seed, DOMAIN_SE, 0),
-                      coeffs_constant=_rows_identical(w), fd_check=fd_check)
-    eng.path_law = eng.law
-    coeff_se = []
-    for t in range(1, T + 1):
-        vecs = eng.step(t, n_path_cols=t - 1)
-        transform.coeffs.append(
-            np.stack([v for v, _ in vecs]) if vecs else np.zeros((0, n)))
-        coeff_se.append(
-            np.stack([s for _, s in vecs]) if vecs else np.zeros((0, n)))
-    return SeRecord("gfom_symmetric", mc_samples, seed,
-                    fd_gap=eng.fd_gap if fd_check else None,
-                    law=eng.law, transform=transform, coeff_se=coeff_se,
-                    collapsed={"z": eng.path_collapsed})
+    return _sym_record("gfom_symmetric", prog.mat_fns, prog.add_fns,
+                       prog.z0 if z0 is None else z0, profile,
+                       _horizon(T, prog.T), mc_samples, seed, normalization,
+                       fd_check, raw=False)
 
 
 def amp_se_symmetric(fns, profile, z0, T=None, mc_samples=DEFAULT_MC, seed=0,
                      normalization="inv_sqrt_n", fd_check=False):
     """Gaussian law + memory coefficients for a corrected symmetric iteration."""
-    z0, T = _sym_setup(z0, None, T, len(fns))
-    n = z0.shape[0]
-    w = _weights_for(profile, n, n, normalization)
-    transform = HistoryTransform(fns, None, inner_uses_current=False,
-                                 corr_includes_current=False, width=n, raw=True)
-    eng = _SideEngine(w, law_x0=z0, path_x0=z0, transform=transform,
-                      T=T, mc=mc_samples, seed_seq=child_sequence(seed, DOMAIN_SE, 0),
-                      coeffs_constant=_rows_identical(w), fd_check=fd_check)
-    eng.path_law = eng.law
-    onsager, onsager_se = [], []
-    for t in range(1, T + 1):
-        vecs = eng.step(t, n_path_cols=t - 1)
-        onsager.append(np.stack([v for v, _ in vecs]) if vecs else np.zeros((0, n)))
-        onsager_se.append(np.stack([s for _, s in vecs]) if vecs else np.zeros((0, n)))
-    return SeRecord("amp_symmetric", mc_samples, seed,
-                    fd_gap=eng.fd_gap if fd_check else None,
-                    law=eng.law, transform=transform,
-                    onsager=onsager, onsager_se=onsager_se,
-                    collapsed={"z": eng.path_collapsed})
-
-
-def _asym_drive(u_inner, u_outer, v_inner, v_outer, u0, v0, weights, T, mc,
-                seed, fd_check, raw):
-    """Shared two-sided recursion; returns engines and both transforms.
-
-    v_transform maps v-paths to v-iterate columns (correction sum includes
-    the current step, inner functions read strictly earlier columns);
-    u_transform maps u-paths to u-iterate columns (corrections exclude the
-    current step, inner functions read through the current column).
-    """
-    w = np.asarray(weights, dtype=float)
-    m, n = w.shape
-    v_tr = HistoryTransform(u_inner, v_outer, inner_uses_current=False,
-                            corr_includes_current=True, width=n, raw=raw)
-    u_tr = HistoryTransform(v_inner, u_outer, inner_uses_current=True,
-                            corr_includes_current=False, width=m, raw=raw)
-    cols_ident = _rows_identical(w.T)
-    rows_ident = _rows_identical(w)
-    u_eng = _SideEngine(w, law_x0=u0, path_x0=v0, transform=v_tr, T=T, mc=mc,
-                        seed_seq=child_sequence(seed, DOMAIN_SE, 0),
-                        coeffs_constant=cols_ident,
-                        fd_check=fd_check)
-    v_eng = _SideEngine(w.T, law_x0=v0, path_x0=u0, transform=u_tr, T=T, mc=mc,
-                        seed_seq=child_sequence(seed, DOMAIN_SE, 1),
-                        coeffs_constant=rows_ident,
-                        fd_check=fd_check)
-    u_eng.path_law = v_eng.law
-    v_eng.path_law = u_eng.law
-    u_tab, u_tab_se, v_tab, v_tab_se = [], [], [], []
-    for t in range(1, T + 1):
-        fvecs = u_eng.step(t, n_path_cols=t - 1)
-        u_tab.append(np.stack([v for v, _ in fvecs]) if fvecs else np.zeros((0, m)))
-        u_tab_se.append(np.stack([s for _, s in fvecs]) if fvecs else np.zeros((0, m)))
-        if not raw:
-            u_tr.coeffs.append(u_tab[-1])
-        gvecs = v_eng.step(t, n_path_cols=t)
-        v_tab.append(np.stack([v for v, _ in gvecs]))
-        v_tab_se.append(np.stack([s for _, s in gvecs]))
-        if not raw:
-            v_tr.coeffs.append(v_tab[-1])
-    fd = max(u_eng.fd_gap, v_eng.fd_gap) if fd_check else None
-    collapsed = {"u": v_eng.path_collapsed, "v": u_eng.path_collapsed}
-    return u_eng, v_eng, u_tr, v_tr, u_tab, u_tab_se, v_tab, v_tab_se, fd, collapsed
+    return _sym_record("amp_symmetric", fns, None, z0, profile,
+                       _horizon(T, len(fns)), mc_samples, seed, normalization,
+                       fd_check, raw=True)
 
 
 def se_asymmetric(prog, profile, u0=None, v0=None, T=None,
                   mc_samples=DEFAULT_MC, seed=0, normalization="inv_sqrt_m",
                   fd_check=False):
     """Gaussian laws + history transforms for an asymmetric program."""
-    u0 = np.asarray(prog.u0 if u0 is None else u0, dtype=float)
-    v0 = np.asarray(prog.v0 if v0 is None else v0, dtype=float)
-    T = prog.T if T is None else int(T)
-    if not 1 <= T <= prog.T:
-        raise ConfigError(f"horizon {T} outside 1..{prog.T}")
-    w = _weights_for(profile, prog.m, prog.n, normalization)
-    (u_eng, v_eng, u_tr, v_tr, _, u_se, _, v_se, fd,
-     collapsed) = _asym_drive(prog.u_mat_fns, prog.u_add_fns,
-                              prog.v_mat_fns, prog.v_add_fns,
-                              u0, v0, w, T, mc_samples, seed,
-                              fd_check, raw=False)
-    return SeRecord("gfom_asymmetric", mc_samples, seed, fd_gap=fd,
-                    u_law=u_eng.law, v_law=v_eng.law,
-                    u_transform=u_tr, v_transform=v_tr,
-                    u_coeff_se=u_se, v_coeff_se=v_se, collapsed=collapsed)
+    return _asym_record("gfom_asymmetric", prog.u_mat_fns, prog.u_add_fns,
+                        prog.v_mat_fns, prog.v_add_fns,
+                        prog.u0 if u0 is None else u0,
+                        prog.v0 if v0 is None else v0, profile,
+                        _horizon(T, prog.T), mc_samples, seed, normalization,
+                        fd_check, raw=False)
 
 
 def amp_se_asymmetric(u_fns, v_fns, profile, u0, v0, T=None,
                       mc_samples=DEFAULT_MC, seed=0,
                       normalization="inv_sqrt_m", fd_check=False):
     """Laws + memory coefficient tables for a corrected asymmetric iteration."""
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    w = _weights_for(profile, u0.shape[0], v0.shape[0], normalization)
     if len(u_fns) != len(v_fns):
         raise ConfigError("update function lists must have equal length")
-    T = len(u_fns) if T is None else int(T)
-    if not 1 <= T <= len(u_fns):
-        raise ConfigError(f"horizon {T} outside 1..{len(u_fns)}")
-    (u_eng, v_eng, u_tr, v_tr, u_tab, u_se, v_tab, v_se, fd,
-     collapsed) = _asym_drive(u_fns, None, v_fns, None, u0, v0, w,
-                              T, mc_samples, seed, fd_check, raw=True)
-    return SeRecord("amp_asymmetric", mc_samples, seed, fd_gap=fd,
-                    u_law=u_eng.law, v_law=v_eng.law,
-                    u_transform=u_tr, v_transform=v_tr,
-                    u_onsager=u_tab, v_onsager=v_tab,
-                    u_onsager_se=u_se, v_onsager_se=v_se, collapsed=collapsed)
+    return _asym_record("amp_asymmetric", u_fns, None, v_fns, None, u0, v0,
+                        profile, _horizon(T, len(u_fns)), mc_samples, seed,
+                        normalization, fd_check, raw=True)
 
 
 class AmpFromGfom:
@@ -686,23 +625,25 @@ def gfom_to_amp(prog, record):
     if isinstance(prog, SymmetricProgram):
         if record.kind != "gfom_symmetric":
             raise ConfigError("record was not built from a symmetric program")
-        if len(record.transform.coeffs) < prog.T:
+        z = record.side("z")
+        if len(z.coeffs) < prog.T:
             raise ConfigError("record horizon shorter than the program's")
-        fns = [_compose_with_transform(prog.mat_fns[t - 1], record.transform, t)
+        fns = [_compose_with_transform(prog.mat_fns[t - 1], z.transform, t)
                for t in range(1, prog.T + 1)]
         return AmpFromGfom("symmetric", fns=fns,
-                           onsager=[np.array(c) for c in record.transform.coeffs[:prog.T]])
+                           onsager=[np.array(c) for c in z.coeffs[:prog.T]])
     if record.kind != "gfom_asymmetric":
         raise ConfigError("record was not built from an asymmetric program")
-    if len(record.u_transform.coeffs) < prog.T:
+    u, v = record.side("u"), record.side("v")
+    if len(u.coeffs) < prog.T:
         raise ConfigError("record horizon shorter than the program's")
-    u_fns = [_compose_with_transform(prog.u_mat_fns[t - 1], record.v_transform, t)
+    u_fns = [_compose_with_transform(prog.u_mat_fns[t - 1], v.transform, t)
              for t in range(1, prog.T + 1)]
-    v_fns = [_compose_with_transform(prog.v_mat_fns[t - 1], record.u_transform, t + 1)
+    v_fns = [_compose_with_transform(prog.v_mat_fns[t - 1], u.transform, t + 1)
              for t in range(1, prog.T + 1)]
     return AmpFromGfom("asymmetric", u_fns=u_fns, v_fns=v_fns,
-                       u_onsager=[np.array(c) for c in record.u_transform.coeffs[:prog.T]],
-                       v_onsager=[np.array(c) for c in record.v_transform.coeffs[:prog.T]])
+                       u_onsager=[np.array(c) for c in u.coeffs[:prog.T]],
+                       v_onsager=[np.array(c) for c in v.coeffs[:prog.T]])
 
 
 def predict_entrywise(record, coords, psi, side="z", t=None,
@@ -713,7 +654,8 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
     records the transform is the identity and the prediction reads the raw
     Gaussian path; otherwise the history transform is applied first.
     """
-    law, transform = record.side(side)
+    track = record.side(side)
+    law, transform = track.law, track.transform
     if t is None:
         t = law.T
     if not 1 <= t <= law.T:
@@ -721,8 +663,7 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
     coords = np.asarray(coords, dtype=int)
     if coords.size and (coords.min() < 0 or coords.max() >= law.coords):
         raise ConfigError("coordinate outside range")
-    collapsed = record.collapsed.get(side, False)
-    sel = np.array([0]) if collapsed else coords
+    sel = np.array([0]) if track.collapsed else coords
     factors = law.factors(t, coords=sel)
     gens = [Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0)))]
     x0 = law.x0[sel]
@@ -739,6 +680,6 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
             acc[i].add(vals[:, i : i + 1])
     means = np.array([a.mean()[0] for a in acc])
     ses = np.array([a.se()[0] for a in acc])
-    if collapsed:
+    if track.collapsed:
         return np.full(len(coords), means[0]), np.full(len(coords), ses[0])
     return means, ses

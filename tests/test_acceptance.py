@@ -65,7 +65,7 @@ def test_criterion_01_plain_vs_corrected_iteration_correspondence():
         a = sample_symmetric(_sym_spec(n), n, seed=200 + seed)
         plain = run_symmetric(a, prog)
         corrected = run_amp_symmetric(a, amp.fns, amp.onsager, prog.z0)
-        out = rec.transform.apply(corrected.z.T)
+        out = rec.side("z").transform.apply(corrected.z.T)
         for t in range(1, T + 1):
             worst = max(worst, float(np.max(np.abs(out[:, t] - plain.z[t]))))
 
@@ -77,8 +77,8 @@ def test_criterion_01_plain_vs_corrected_iteration_correspondence():
         aplain = run_asymmetric(aa, aprog)
         acorr = run_amp_asymmetric(aa, aamp.u_fns, aamp.v_fns, aamp.u_onsager,
                                    aamp.v_onsager, aprog.u0, aprog.v0)
-        u_out = arec.u_transform.apply(acorr.u.T)
-        v_out = arec.v_transform.apply(acorr.v.T)
+        u_out = arec.side("u").transform.apply(acorr.u.T)
+        v_out = arec.side("v").transform.apply(acorr.v.T)
         for t in range(1, T + 1):
             worst = max(worst,
                         float(np.max(np.abs(u_out[:, t] - aplain.u[t]))),

@@ -365,11 +365,9 @@ def test_entrywise_law_guards():
 # ---------------------------------------------------------------------------
 # persistence
 
-def test_state_serialization_round_trip(tmp_path):
+def test_state_serialization_round_trip():
     st = small_state(T=2, seed=22)
-    path = tmp_path / "gd_state.json"
-    st.save(path)
-    data = json.loads(path.read_text())
+    data = json.loads(json.dumps(st.to_json_dict()))
     assert data["T"] == 2 and data["quadratic"] is True
     assert np.allclose(np.array(data["m_matrix"]), st.m_matrix)
     assert np.allclose(np.array(data["v_cov"]), st.v_cov)

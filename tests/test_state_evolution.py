@@ -70,9 +70,10 @@ def test_first_step_variance_is_mean_square_of_start():
     rec = se_symmetric(build_power_iteration(1, z0), constant_profile((n, n)),
                        mc_samples=200, seed=1)
     # one deterministic composite at step 1: no MC error at all
-    assert rec.law.cov[..., 0, 0] == pytest.approx(np.sum(z0 ** 2) / n, rel=1e-13)
-    assert rec.law.cov_se[..., 0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert rec.transform.coeffs[0].shape == (0, n)
+    z = rec.side("z")
+    assert z.law.cov[..., 0, 0] == pytest.approx(np.sum(z0 ** 2) / n, rel=1e-13)
+    assert z.law.cov_se[..., 0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert z.transform.coeffs[0].shape == (0, n)
 
 
 def test_start_vector_override():
@@ -80,8 +81,8 @@ def test_start_vector_override():
     other = np.full(n, 2.0)
     rec = se_symmetric(build_power_iteration(1, np.ones(n)),
                        constant_profile((n, n)), z0=other, mc_samples=200, seed=1)
-    assert rec.law.cov[..., 0, 0] == pytest.approx(4.0, rel=1e-13)
-    assert np.all(rec.law.x0 == 2.0)
+    assert rec.side("z").law.cov[..., 0, 0] == pytest.approx(4.0, rel=1e-13)
+    assert np.all(rec.side("z").law.x0 == 2.0)
 
 
 def test_vanishing_matrix_maps_give_degenerate_law():
@@ -89,10 +90,10 @@ def test_vanishing_matrix_maps_give_degenerate_law():
     vals = np.array([0.5, -1.0, 2.0, 0.0])
     rec = se_symmetric(_zero_fn_program(n, T, vals), constant_profile((n, n)),
                        mc_samples=100, seed=2)
-    assert np.all(rec.law.cov == 0.0)
+    assert np.all(rec.side("z").law.cov == 0.0)
     # transformed columns follow the additive recursion deterministically
     hist = np.zeros((n, T + 1))
-    out = rec.transform.apply(hist)
+    out = rec.side("z").transform.apply(hist)
     for t in range(1, T + 1):
         assert np.allclose(out[:, t], vals, atol=1e-14)
 
@@ -103,7 +104,7 @@ def test_transform_adds_path_column_to_additive_part():
     rec = se_symmetric(_zero_fn_program(n, T, vals), constant_profile((n, n)),
                        mc_samples=100, seed=3)
     hist = np.random.default_rng(4).normal(size=(n, T + 1))
-    out = rec.transform.apply(hist)
+    out = rec.side("z").transform.apply(hist)
     for t in range(1, T + 1):
         assert np.allclose(out[:, t], hist[:, t] + vals, atol=1e-14)
 
@@ -112,7 +113,7 @@ def test_identity_updates_have_unit_memory_coefficient():
     n = 7
     rec = se_symmetric(build_power_iteration(2, np.ones(n)),
                        constant_profile((n, n)), mc_samples=300, seed=5)
-    assert np.allclose(rec.transform.coeffs[1], 1.0, atol=1e-12)
+    assert np.allclose(rec.side("z").transform.coeffs[1], 1.0, atol=1e-12)
 
 
 def test_two_sided_first_step_variance():
@@ -129,9 +130,10 @@ def test_two_sided_first_step_variance():
     )
     rec = se_asymmetric(prog, constant_profile((m, n)), mc_samples=200, seed=7,
                         normalization="inv_sqrt_n")
-    assert rec.u_law.cov[..., 0, 0] == pytest.approx(np.sum(mu0 ** 2) / n, rel=1e-13)
-    assert rec.u_transform.coeffs[0].shape == (0, m)
-    assert rec.v_transform.coeffs[0].shape == (1, n)
+    assert rec.side("u").law.cov[..., 0, 0] == pytest.approx(np.sum(mu0 ** 2) / n,
+                                                             rel=1e-13)
+    assert rec.side("u").transform.coeffs[0].shape == (0, m)
+    assert rec.side("v").transform.coeffs[0].shape == (1, n)
 
 
 def test_two_sided_all_zero_updates_degenerate():
@@ -146,8 +148,8 @@ def test_two_sided_all_zero_updates_degenerate():
         v0=np.zeros(n),
     )
     rec = se_asymmetric(prog, constant_profile((m, n)), mc_samples=100, seed=8)
-    assert np.all(rec.u_law.cov == 0.0)
-    assert np.all(rec.v_law.cov == 0.0)
+    assert np.all(rec.side("u").law.cov == 0.0)
+    assert np.all(rec.side("v").law.cov == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +161,7 @@ def test_linear_update_slope_appears_in_correction_table():
     rec = amp_se_symmetric(fns, constant_profile((n, n)), np.ones(n),
                            mc_samples=300, seed=9)
     for t in range(2, T + 1):
-        assert np.allclose(rec.onsager[t - 1][t - 2], c, atol=1e-12)
+        assert np.allclose(rec.side("z").coeffs[t - 1][t - 2], c, atol=1e-12)
 
 
 def test_zero_updates_zero_law():
@@ -167,7 +169,7 @@ def test_zero_updates_zero_law():
     fns = [zero_row_function(t) for t in range(1, T + 1)]
     rec = amp_se_symmetric(fns, constant_profile((n, n)), np.ones(n),
                            mc_samples=100, seed=10)
-    assert np.all(rec.law.cov == 0.0)
+    assert np.all(rec.side("z").law.cov == 0.0)
 
 
 def test_constant_profile_collapses_to_single_law():
@@ -175,9 +177,9 @@ def test_constant_profile_collapses_to_single_law():
     fns = [tanh_map(t, t - 1) for t in range(1, T + 1)]
     rec = amp_se_symmetric(fns, constant_profile((n, n)), np.ones(n),
                            mc_samples=400, seed=11)
-    assert rec.law.homogeneous
-    assert rec.law.cov.shape == (1, T, T)
-    seen = {tuple(rec.law.coord_cov(k).ravel()) for k in range(n)}
+    assert rec.side("z").law.homogeneous
+    assert rec.side("z").law.cov.shape == (1, T, T)
+    seen = {tuple(rec.side("z").law.coord_cov(k).ravel()) for k in range(n)}
     assert len(seen) == 1
 
 
@@ -187,14 +189,14 @@ def test_corrected_tanh_moments_match_quadrature():
     rec = amp_se_symmetric(fns, constant_profile((n, n)), np.ones(n),
                            mc_samples=40_000, seed=12)
     v1 = np.tanh(1.0) ** 2
-    assert rec.law.cov[0, 0, 0] == pytest.approx(v1, rel=1e-12)
+    assert rec.side("z").law.cov[0, 0, 0] == pytest.approx(v1, rel=1e-12)
     want_b = _gauss_expect(lambda x: 1.0 / np.cosh(x) ** 2, v1)
-    got_b = float(rec.onsager[1][0, 0])
-    se_b = float(rec.onsager_se[1][0, 0])
+    got_b = float(rec.side("z").coeffs[1][0, 0])
+    se_b = float(rec.side("z").coeffs_se[1][0, 0])
     assert abs(got_b - want_b) <= 4.0 * se_b + 1e-6
     want_v2 = _gauss_expect(lambda x: np.tanh(x) ** 2, v1)
-    got_v2 = float(rec.law.cov[0, 1, 1])
-    se_v2 = float(rec.law.cov_se[0, 1, 1])
+    got_v2 = float(rec.side("z").law.cov[0, 1, 1])
+    se_v2 = float(rec.side("z").law.cov_se[0, 1, 1])
     assert abs(got_v2 - want_v2) <= 4.0 * se_v2 + 1e-6
 
 
@@ -207,10 +209,12 @@ def test_two_sided_corrected_tables():
                             np.zeros(m), np.ones(n), mc_samples=300, seed=13)
     for t in range(1, T + 1):
         # v-side update reads the current u-column, so its own-step entry is live
-        assert np.allclose(rec.v_onsager[t - 1][t - 1], c2, atol=1e-12)
+        assert np.allclose(rec.side("v").coeffs[t - 1][t - 1], c2, atol=1e-12)
         if t >= 2:
-            assert np.allclose(rec.u_onsager[t - 1][t - 2], c1 * n / m, atol=1e-12)
-            assert np.allclose(rec.v_onsager[t - 1][: t - 1], 0.0, atol=1e-12)
+            assert np.allclose(rec.side("u").coeffs[t - 1][t - 2], c1 * n / m,
+                               atol=1e-12)
+            assert np.allclose(rec.side("v").coeffs[t - 1][: t - 1], 0.0,
+                               atol=1e-12)
 
 
 def test_two_sided_zero_updates_and_homogeneity():
@@ -219,8 +223,9 @@ def test_two_sided_zero_updates_and_homogeneity():
     v_fns = [zero_row_function(t + 1) for t in range(1, T + 1)]
     rec = amp_se_asymmetric(u_fns, v_fns, constant_profile((m, n)),
                             np.zeros(m), np.zeros(n), mc_samples=100, seed=14)
-    assert np.all(rec.u_law.cov == 0.0) and np.all(rec.v_law.cov == 0.0)
-    assert rec.u_law.homogeneous and rec.v_law.homogeneous
+    assert np.all(rec.side("u").law.cov == 0.0)
+    assert np.all(rec.side("v").law.cov == 0.0)
+    assert rec.side("u").law.homogeneous and rec.side("v").law.homogeneous
 
 
 def test_corrected_paths_do_not_collapse_under_two_block_profile():
@@ -231,16 +236,16 @@ def test_corrected_paths_do_not_collapse_under_two_block_profile():
     prof = two_block_profile(n, n)
     rec = amp_se_symmetric(build_tanh_iteration(T, np.ones(n)).mat_fns, prof,
                            np.ones(n), mc_samples=400, seed=15)
-    assert rec.collapsed == {"z": False}
-    assert np.allclose(rec.law.cov[:, 0, 0],
+    assert not rec.side("z").collapsed
+    assert np.allclose(rec.side("z").law.cov[:, 0, 0],
                        prof.values.sum(axis=1) / n * tanh1_sq, rtol=1e-12)
     prof = two_block_profile(m, n)
     rec = amp_se_asymmetric([tanh_map(t, t - 1) for t in range(1, T + 1)],
                             [tanh_map(t + 1, t) for t in range(1, T + 1)],
                             prof, np.ones(m), np.ones(n), mc_samples=400,
                             seed=16)
-    assert rec.collapsed == {"u": False, "v": False}
-    assert np.allclose(rec.u_law.cov[:, 0, 0],
+    assert not rec.side("u").collapsed and not rec.side("v").collapsed
+    assert np.allclose(rec.side("u").law.cov[:, 0, 0],
                        prof.values.sum(axis=1) / m * tanh1_sq, rtol=1e-12)
 
 
@@ -258,7 +263,7 @@ def test_single_identity_step_correspondence():
     plain = run_symmetric(a, prog)
     corrected = run_amp_symmetric(a, amp.fns, amp.onsager, prog.z0)
     assert np.array_equal(plain.z[1], corrected.z[1])
-    out = rec.transform.apply(corrected.z.T)
+    out = rec.side("z").transform.apply(corrected.z.T)
     assert np.allclose(out[:, 1], plain.z[1], atol=1e-15)
 
 
@@ -273,7 +278,7 @@ def test_correspondence_mixed_symmetric(seed):
     amp = gfom_to_amp(prog, rec)
     plain = run_symmetric(a, prog)
     corrected = run_amp_symmetric(a, amp.fns, amp.onsager, prog.z0)
-    out = rec.transform.apply(corrected.z.T)
+    out = rec.side("z").transform.apply(corrected.z.T)
     for t in range(1, T + 1):
         assert np.max(np.abs(out[:, t] - plain.z[t])) <= 1e-8
 
@@ -290,8 +295,8 @@ def test_correspondence_mixed_asymmetric(seed):
     plain = run_asymmetric(a, prog)
     corrected = run_amp_asymmetric(a, amp.u_fns, amp.v_fns, amp.u_onsager,
                                    amp.v_onsager, prog.u0, prog.v0)
-    u_out = rec.u_transform.apply(corrected.u.T)
-    v_out = rec.v_transform.apply(corrected.v.T)
+    u_out = rec.side("u").transform.apply(corrected.u.T)
+    v_out = rec.side("v").transform.apply(corrected.v.T)
     for t in range(1, T + 1):
         assert np.max(np.abs(u_out[:, t] - plain.u[t])) <= 1e-8
         assert np.max(np.abs(v_out[:, t] - plain.v[t])) <= 1e-8
@@ -369,6 +374,7 @@ def test_horizon_restriction_is_exact_with_same_seed():
                         constant_profile((n, n)), mc_samples=800, seed=29)
     short = se_symmetric(build_tanh_iteration(2, np.ones(n)),
                          constant_profile((n, n)), mc_samples=800, seed=29)
+    long, short = long.side("z"), short.side("z")
     assert np.array_equal(long.law.cov[:, :2, :2], short.law.cov[:, :2, :2])
     for t in range(2):
         assert np.array_equal(long.transform.coeffs[t], short.transform.coeffs[t])
@@ -378,7 +384,8 @@ def test_covariance_matrices_symmetric_exactly():
     n = 5
     rec = se_symmetric(mixed_symmetric_program(n, 3, seed=30),
                        constant_profile((n, n)), mc_samples=600, seed=31)
-    assert np.array_equal(rec.law.cov, np.swapaxes(rec.law.cov, -1, -2))
+    cov = rec.side("z").law.cov
+    assert np.array_equal(cov, np.swapaxes(cov, -1, -2))
 
 
 def test_row_dependent_wrappers_reproduce_shared_law():
@@ -401,10 +408,11 @@ def test_row_dependent_wrappers_reproduce_shared_law():
     rec_f = se_symmetric(forced, constant_profile((n, n)), mc_samples=mc, seed=32)
     rec_c = se_symmetric(build_tanh_iteration(T, np.ones(n)),
                          constant_profile((n, n)), mc_samples=mc, seed=32)
-    seen = {tuple(rec_f.law.coord_cov(k).ravel()) for k in range(n)}
+    seen = {tuple(rec_f.side("z").law.coord_cov(k).ravel()) for k in range(n)}
     assert len(seen) == 1
-    gap = np.abs(rec_f.law.cov - rec_c.law.cov)
-    band = 4.0 * np.hypot(rec_f.law.cov_se, rec_c.law.cov_se)
+    gap = np.abs(rec_f.side("z").law.cov - rec_c.side("z").law.cov)
+    band = 4.0 * np.hypot(rec_f.side("z").law.cov_se,
+                          rec_c.side("z").law.cov_se)
     assert np.all(gap <= band + 1e-12)
 
 
@@ -416,7 +424,8 @@ def test_doubling_samples_shrinks_errors_like_root_two():
                           constant_profile((n, n)), mc_samples=1000, seed=seed)
         r2 = se_symmetric(build_tanh_iteration(T, np.ones(n)),
                           constant_profile((n, n)), mc_samples=2000, seed=seed)
-        ratios.append(r1.law.cov_se[0, T - 1, T - 1] / r2.law.cov_se[0, T - 1, T - 1])
+        ratios.append(r1.side("z").law.cov_se[0, T - 1, T - 1]
+                      / r2.side("z").law.cov_se[0, T - 1, T - 1])
     assert 1.25 <= np.mean(ratios) <= 1.6
 
 
@@ -439,17 +448,43 @@ def test_psd_gate_raises_beyond_floor():
     assert np.all(law.factors(1) == 0.0)
 
 
-def test_record_side_lookup_and_serialization(tmp_path):
-    n = 4
-    rec = se_symmetric(build_tanh_iteration(2, np.ones(n)),
+@pytest.mark.parametrize("kind", ["constant", "two_block"])
+@pytest.mark.parametrize("builder", ["se_symmetric", "se_asymmetric"])
+def test_start_vectors_of_the_wrong_length_are_rejected(builder, kind):
+    m, n = 5, 6
+    prof = (lambda r, c: constant_profile((r, c))) if kind == "constant" \
+        else two_block_profile
+    with pytest.raises(ConfigError, match="profile shape"):
+        if builder == "se_symmetric":
+            se_symmetric(mixed_symmetric_program(n, 2, seed=37), prof(n, n),
+                         z0=np.ones(4), mc_samples=100, seed=38)
+        else:
+            se_asymmetric(mixed_asymmetric_program(m, n, 2, seed=39),
+                          prof(m, n), v0=np.ones(7), mc_samples=100, seed=40)
+
+
+def test_record_side_lookup_and_serialization():
+    n, m, T = 4, 6, 2
+    rec = se_symmetric(build_tanh_iteration(T, np.ones(n)),
                        constant_profile((n, n)), mc_samples=200, seed=34)
     with pytest.raises(ConfigError):
         rec.side("u")
-    law, transform = rec.side("z")
-    assert law is rec.law and transform is rec.transform
-    path = tmp_path / "record.json"
-    rec.save(path)
-    data = json.loads(path.read_text())
-    assert data["mc"] == 200
-    assert len(data["memory_coeffs"]) == 2
-    assert np.allclose(np.array(data["law"]["cov"]), rec.law.cov)
+    z = rec.side("z")
+    assert z is rec.sides["z"] and z.coeffs is z.transform.coeffs
+    data = json.loads(json.dumps(rec.to_json_dict()))
+    assert data["mc"] == 200 and list(data["sides"]) == ["z"]
+    assert len(data["sides"]["z"]["coeffs"]) == T
+    assert np.allclose(np.array(data["sides"]["z"]["cov"]), z.law.cov)
+    # both correction tables of a two-sided record, with their SEs
+    rec = se_asymmetric(mixed_asymmetric_program(m, n, T, seed=35),
+                        constant_profile((m, n)), mc_samples=200, seed=36)
+    with pytest.raises(ConfigError):
+        rec.side("z")
+    data = json.loads(json.dumps(rec.to_json_dict()))
+    for name, lag, width in (("u", 1, m), ("v", 0, n)):
+        side = data["sides"][name]
+        assert len(side["coeffs"]) == len(side["coeffs_se"]) == T
+        for t in range(1, T + 1):
+            for key in ("coeffs", "coeffs_se"):
+                table = np.array(side[key][t - 1]).reshape(t - lag, width)
+                assert np.array_equal(table, getattr(rec.side(name), key)[t - 1])

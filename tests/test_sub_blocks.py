@@ -81,7 +81,7 @@ def test_collapsed_path_bytes_do_not_depend_on_sub_blocks(monkeypatch):
     recs = _under_budgets(monkeypatch, lambda: se.amp_se_symmetric(
         fns, constant_profile((n, n)), np.ones(n), mc_samples=9000,
         seed=44).to_json_dict())
-    assert recs[0]["collapsed"] == {"z": True}
+    assert recs[0]["sides"]["z"]["collapsed"]
     assert recs[0] == recs[1] == recs[2]
 
 
@@ -119,7 +119,7 @@ def test_predict_entrywise_memory_is_bounded():
     z0 = np.random.default_rng(48).normal(size=n)
     rec = se.se_symmetric(build_tanh_iteration(3, z0), constant_profile((n, n)),
                           mc_samples=500, seed=49)
-    assert not rec.collapsed["z"]
+    assert not rec.side("z").collapsed
     # the per-block psi buffer alone is 16384 x 400 floats (52 MB)
     peak = _peak_bytes(lambda: se.predict_entrywise(
         rec, np.arange(n), np.square, t=3, n_paths=20000, seed=50))
