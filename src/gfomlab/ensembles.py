@@ -12,6 +12,7 @@ function of (spec, dims, seed).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,8 +108,9 @@ def constant_profile(shape, value=1.0):
 class EnsembleSpec:
     """Entry law + profile + normalization for one random matrix ensemble.
 
-    ``truncate`` (default None = off) zeroes pre-normalization entries with
-    |A0_ij| > truncate * sqrt(log(max(m, n))); a stress-testing knob only.
+    ``truncate`` (default None = off, else finite and > 0) zeroes
+    pre-normalization entries with |A0_ij| > truncate * sqrt(log(max(m, n)));
+    a stress-testing knob only.
     """
 
     law: EntryLaw
@@ -124,6 +126,16 @@ class EnsembleSpec:
             if self.normalization != "inv_sqrt_n":
                 raise ConfigError("symmetric ensembles use inv_sqrt_n")
             self.profile.require_symmetric()
+        cut = self.truncate
+        if cut is not None and (isinstance(cut, bool) or not isinstance(
+                cut, numbers.Real) or not 0 < cut < math.inf):
+            raise ConfigError(f"truncate must be finite and > 0, got {cut!r}")
+        # sqrt of a constant profile, worked out once: the samplers scale by
+        # this scalar instead of the per-entry sqrt(profile)
+        scale = None
+        if self.profile.values.size and self.profile.is_constant():
+            scale = math.sqrt(self.profile.values.flat[0])
+        object.__setattr__(self, "_scale", scale)
 
     def denominator(self, m, n):
         if self.normalization == "inv_sqrt_n":
@@ -152,16 +164,52 @@ def profile_weights(profile, m, n, normalization):
 def _as_seedseq(seed):
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.SeedSequence(int(seed))
 
 
-def _raw_entries(spec, m, n, seedseq):
-    u = entry_uniforms(seedseq, m * n).reshape(m, n)
-    a0 = spec.law.transform(u) * np.sqrt(spec.profile.values)
+# rows per strip: the scratch of one strip is a few times STRIP_ROWS * n
+# floats, whatever the matrix size
+STRIP_ROWS = 64
+
+
+def _sample_strips(spec, m, n, seed):
+    """The m x n matrix A0 / denominator, filled one strip of rows at a time.
+
+    Entry (i, j) consumes word i*n + j of the Philox stream, as if the whole
+    matrix were drawn at once, and takes the same rounding steps: transform,
+    scale by sqrt(profile), truncate, divide.  A symmetric spec transforms
+    only the entries with j >= i and mirrors them below the diagonal; the
+    ``+ 0.0`` turns -0.0 (a zero profile entry times a negative variate) into
+    +0.0, as the sum of the upper and the mirrored strict upper part did.
+    """
+    seedseq = _as_seedseq(seed)
+    a = np.empty((m, n))
+    denom = spec.denominator(m, n)
+    cut = None
     if spec.truncate is not None:
         cut = spec.truncate * math.sqrt(math.log(max(m, n)))
-        a0 = np.where(np.abs(a0) > cut, 0.0, a0)
-    return a0
+    for r0 in range(0, m, STRIP_ROWS):
+        r1 = min(r0 + STRIP_ROWS, m)
+        u = entry_uniforms(seedseq, (r1 - r0) * n, start=r0 * n).reshape(r1 - r0, n)
+        keep = slice(None)
+        if spec.symmetric:
+            keep = np.arange(n) >= np.arange(r0, r1)[:, None]
+        x = spec.law.transform(u[keep])
+        x *= spec._scale if spec._scale is not None else np.sqrt(
+            spec.profile.values[r0:r1][keep])
+        if cut is not None:
+            x[np.abs(x) > cut] = 0.0
+        if spec.symmetric:
+            x += 0.0
+        x /= denom
+        a[r0:r1][keep] = x
+        if spec.symmetric:
+            a[r1:, r0:r1] = a[r0:r1, r1:].T
+            block = a[r0:r1, r0:r1]
+            np.copyto(block, block.T, where=~keep[:, r0:r1])
+    return a
 
 
 def sample_symmetric(spec, n, seed):
@@ -175,10 +223,7 @@ def sample_symmetric(spec, n, seed):
         raise ConfigError("sample_symmetric needs a symmetric EnsembleSpec")
     if spec.profile.shape != (n, n):
         raise ConfigError(f"profile shape {spec.profile.shape} != ({n}, {n})")
-    a0 = _raw_entries(spec, n, n, _as_seedseq(seed))
-    upper = np.triu(a0)
-    a0 = upper + np.triu(a0, k=1).T
-    return a0 / math.sqrt(n)
+    return _sample_strips(spec, n, n, seed)
 
 
 def sample_asymmetric(spec, m, n, seed):
@@ -187,8 +232,7 @@ def sample_asymmetric(spec, m, n, seed):
         raise ConfigError("sample_asymmetric needs an asymmetric EnsembleSpec")
     if spec.profile.shape != (m, n):
         raise ConfigError(f"profile shape {spec.profile.shape} != ({m}, {n})")
-    a0 = _raw_entries(spec, m, n, _as_seedseq(seed))
-    return a0 / spec.denominator(m, n)
+    return _sample_strips(spec, m, n, seed)
 
 
 def matched_pair(spec_a, law_b, *, n, m=None, seed=0):

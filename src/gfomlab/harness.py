@@ -20,6 +20,7 @@ replicate 0.
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -137,6 +138,14 @@ class ExperimentConfig:
         if self.program not in REGISTRY:
             raise ConfigError(f"unknown program {self.program!r}; "
                               f"choices: {sorted(REGISTRY)}")
+        for key in ("seed", "n", "m", "T", "replicates", "mc_samples"):
+            value = getattr(self, key)
+            if key == "m" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.m is not None and self.m < 1:

@@ -55,12 +55,16 @@ def fixed_child(seq, *path):
     return np.random.SeedSequence(seq.entropy, spawn_key=key)
 
 
-def entry_uniforms(seedseq, count):
-    """``count`` uniforms in [0, 1), one 64-bit word each, counter-indexed.
+def entry_uniforms(seedseq, count, start=0):
+    """Uniforms in [0, 1) for flat indices ``start .. start + count - 1``.
 
-    Philox is counter-based: word k of the keyed stream is a pure function of
-    (key, k), so the value at flat index k never depends on how the block is
-    chunked or ordered.
+    One 64-bit word per index.  Philox is counter-based: word k of the keyed
+    stream is a pure function of (key, k), so the value at flat index k never
+    depends on how the block is chunked or ordered.  One counter step yields
+    four words, so the stream is advanced by ``start // 4`` steps and the
+    first ``start % 4`` words of that step are discarded.
     """
-    gen = np.random.Generator(np.random.Philox(seedseq))
-    return gen.random(int(count))
+    bits = np.random.Philox(seedseq)
+    bits.advance(start // 4)
+    bits.random_raw(start % 4)
+    return np.random.Generator(bits).random(int(count))

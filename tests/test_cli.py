@@ -51,6 +51,19 @@ def test_parse_rejects_bad_values(tmp_path):
         parse_config(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seed", -1), ("seed", 1.5), ("seed", "7"), ("seed", True),
+    ("n", 20.0), ("n", "20"), ("m", 1.5), ("T", True), ("replicates", 4.5),
+    ("mc_samples", "500"),
+])
+def test_main_rejects_non_integer_counts_and_negative_seeds(tmp_path, capsys,
+                                                            key, value):
+    path = write_config(tmp_path, **{key: value})
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 def test_parse_error_reports_line_and_column(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "experiment": ,\n}')

@@ -1,11 +1,13 @@
 """Entry laws, variance profiles, and matrix sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gfomlab.ensembles import (
+    STRIP_ROWS,
     EnsembleSpec,
     EntryLaw,
     VarianceProfile,
@@ -21,6 +23,7 @@ from gfomlab.ensembles import (
     uniform_pm_law,
 )
 from gfomlab.errors import ConfigError
+from gfomlab.seeds import entry_uniforms
 
 
 @pytest.mark.parametrize("law", [
@@ -229,6 +232,55 @@ def test_truncation_zeroes_large_entries():
     assert np.all(b[np.abs(a) > thresh] == 0.0)
     assert np.array_equal(b[np.abs(a) <= thresh], a[np.abs(a) <= thresh])
     assert np.any(b != a)
+
+
+@pytest.mark.parametrize("truncate", [-1.0, 0.0, float("nan"), float("inf"),
+                                      True, "0.5"])
+def test_truncation_must_be_finite_and_positive(truncate):
+    with pytest.raises(ConfigError, match="truncate"):
+        EnsembleSpec(gaussian_law(), constant_profile((4, 4)), "inv_sqrt_n",
+                     symmetric=True, truncate=truncate)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True, None])
+def test_samplers_reject_bad_seeds(seed):
+    sym = EnsembleSpec(gaussian_law(), constant_profile((3, 3)), "inv_sqrt_n",
+                       symmetric=True)
+    asym = EnsembleSpec(gaussian_law(), constant_profile((1, 1)), "inv_sqrt_m",
+                        symmetric=False)
+    with pytest.raises(ConfigError, match="seed"):
+        sample_symmetric(sym, 3, seed)
+    with pytest.raises(ConfigError, match="seed"):
+        sample_asymmetric(asym, 1, 1, seed)
+    with pytest.raises(ConfigError, match="seed"):
+        matched_pair(sym, rademacher_law(), n=3, seed=seed)
+
+
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 401, 4002, 4003,
+                                   STRIP_ROWS * 65, STRIP_ROWS * 65 + 1])
+def test_entry_uniforms_start_continues_the_flat_stream(start):
+    seq = np.random.SeedSequence(31, spawn_key=(0, 2))
+    count = 500
+    whole = entry_uniforms(seq, start + count)
+    assert np.array_equal(entry_uniforms(seq, count, start=start), whole[start:])
+
+
+@pytest.mark.parametrize("symmetric,shape", [(True, (1000, 1000)),
+                                             (False, (800, 400))])
+def test_sampler_scratch_stays_below_half_the_output(symmetric, shape):
+    spec = EnsembleSpec(gaussian_law(), constant_profile(shape),
+                        "inv_sqrt_n" if symmetric else "inv_sqrt_m",
+                        symmetric=symmetric)
+    tracemalloc.start()
+    try:
+        if symmetric:
+            a = sample_symmetric(spec, shape[0], seed=8)
+        else:
+            a = sample_asymmetric(spec, *shape, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * a.nbytes, peak / a.nbytes
 
 
 def test_matrix_csv_round_trips_exactly(tmp_path):

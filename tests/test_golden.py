@@ -4,8 +4,10 @@ Each ``golden/<case>.json`` runs through ``cli.run_experiment``; its
 ``{experiment}.csv`` and ``{experiment}_plot.csv`` must equal the files kept
 in ``golden/<case>/`` byte for byte.  ``golden/records.json`` pins the
 limit-law records of the four builders the same way, as one sha256 digest
-per case over every array of every side and two read-outs.  A change that
-alters them on purpose re-records them with
+per case over every array of every side and two read-outs, and
+``golden/samples.json`` pins the sampled matrices, as one digest per
+sampler, law, profile, truncation and normalization over a grid of sizes
+and seeds.  A change that alters them on purpose re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,6 +15,7 @@ and says in CHANGES.md which bytes moved and why.
 """
 
 import hashlib
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -23,15 +26,20 @@ import pytest
 from conftest import (mixed_asymmetric_program, mixed_symmetric_program,
                       two_block_profile)
 from gfomlab.cli import parse_config, run_experiment
-from gfomlab.ensembles import constant_profile
+from gfomlab.ensembles import (NORMALIZATIONS, EnsembleSpec, VarianceProfile,
+                               constant_profile, gaussian_law, rademacher_law,
+                               sample_asymmetric, sample_symmetric,
+                               shifted_bernoulli_law, uniform_pm_law)
 from gfomlab.programs import build_tanh_iteration, tanh_map
 from gfomlab.state_evolution import (amp_se_asymmetric, amp_se_symmetric,
                                      predict_entrywise, se_asymmetric,
                                      se_symmetric)
 
 GOLDEN = Path(__file__).parent / "golden"
-CASES = sorted(p.stem for p in GOLDEN.glob("*.json") if p.stem != "records")
+CASES = sorted(p.stem for p in GOLDEN.glob("*.json")
+               if p.stem not in ("records", "samples"))
 RECORDS = GOLDEN / "records.json"
+SAMPLES = GOLDEN / "samples.json"
 
 
 def _artifacts(case, out_dir):
@@ -112,6 +120,74 @@ def test_records_match_golden_digests(case):
     assert _record_digest(case) == json.loads(RECORDS.read_text())[case]
 
 
+# ---------------------------------------------------------------------------
+# sampled matrices: sizes on both sides of 64-row boundaries, constant
+# profiles (a zero one among them) and a heterogeneous one with a zero row and
+# column, whose entries are -0.0 times a negative variate before
+# symmetrization.  tobytes() tells -0.0 from +0.0.
+
+SAMPLE_LAWS = {"gaussian": gaussian_law(), "rademacher": rademacher_law(),
+               "uniform_pm": uniform_pm_law(),
+               "shifted_bernoulli": shifted_bernoulli_law(0.3)}
+TRUNCATIONS = {"off": None, "0.5": 0.5}
+SYM_SHAPES = [(n, n) for n in (1, 2, 63, 64, 65, 129)]
+ASYM_SHAPES = [(1, 1), (7, 3), (130, 300)]
+
+
+def _hetero_profile(m, n):
+    values = np.outer(np.arange(m) % 3 + 1, np.arange(n) % 3 + 1) * 0.5
+    k = min(m, n) // 2
+    values[k, :] = 0.0
+    values[:, k] = 0.0
+    return VarianceProfile(values)
+
+
+SAMPLE_PROFILES = {"c1": lambda m, n: constant_profile((m, n), 1.0),
+                   "c2.5": lambda m, n: constant_profile((m, n), 2.5),
+                   "c0": lambda m, n: constant_profile((m, n), 0.0),
+                   "hetero": _hetero_profile}
+
+
+def _sample_cases():
+    cases = {}
+    for law, prof, cut in itertools.product(SAMPLE_LAWS, SAMPLE_PROFILES,
+                                            TRUNCATIONS):
+        cases[f"symmetric/{law}/{prof}/{cut}"] = (
+            law, prof, cut, "inv_sqrt_n", SYM_SHAPES)
+        for norm in NORMALIZATIONS:
+            cases[f"asymmetric/{law}/{prof}/{cut}/{norm}"] = (
+                law, prof, cut, norm, ASYM_SHAPES)
+    for law in ("gaussian", "rademacher"):
+        cases[f"symmetric/{law}/c1/off/n1000"] = (
+            law, "c1", "off", "inv_sqrt_n", [(1000, 1000)])
+    return cases
+
+
+SAMPLE_CASES = _sample_cases()
+
+
+def _sample_digest(case):
+    law, prof, cut, norm, shapes = SAMPLE_CASES[case]
+    symmetric = case.startswith("symmetric")
+    h = hashlib.sha256()
+    for m, n in shapes:
+        spec = EnsembleSpec(SAMPLE_LAWS[law], SAMPLE_PROFILES[prof](m, n), norm,
+                            symmetric=symmetric, truncate=TRUNCATIONS[cut])
+        for seed in (5, np.random.SeedSequence(2024, spawn_key=(3, 7, 0))):
+            if symmetric:
+                a = sample_symmetric(spec, n, seed)
+            else:
+                a = sample_asymmetric(spec, m, n, seed)
+            h.update(repr(a.shape).encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+def test_samples_match_golden_digests(case):
+    assert _sample_digest(case) == json.loads(SAMPLES.read_text())[case]
+
+
 if __name__ == "__main__":
     for case in CASES:
         with tempfile.TemporaryDirectory() as work:
@@ -120,3 +196,5 @@ if __name__ == "__main__":
                 (GOLDEN / case / name).write_bytes(data)
     digests = {case: _record_digest(case) for case in RECORD_CASES}
     RECORDS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    digests = {case: _sample_digest(case) for case in SAMPLE_CASES}
+    SAMPLES.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
