@@ -3,6 +3,7 @@
 import numpy as np
 
 from gfomlab.ensembles import VarianceProfile
+from gfomlab.erm import Loss
 from gfomlab.programs import (
     AsymmetricProgram,
     SymmetricProgram,
@@ -51,3 +52,14 @@ def two_block_profile(m, n):
     v[: m // 2, : n // 2] = 3.0
     v[m // 2 :, n // 2 :] = 0.5
     return VarianceProfile(v)
+
+
+def wavy_loss():
+    """Non-constant curvature, still strongly convex: takes the Monte Carlo
+    route of the gradient-descent limit law."""
+    return Loss(
+        value=lambda x: 0.5 * np.square(x) + 0.1 * np.cos(x),
+        d1=lambda x: np.asarray(x, float) - 0.1 * np.sin(x),
+        d2=lambda x: 1.0 - 0.1 * np.cos(np.asarray(x, float)),
+        quadratic=False,
+    )

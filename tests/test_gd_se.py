@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import wavy_loss
 from gfomlab.ensembles import (
     EnsembleSpec,
     VarianceProfile,
@@ -13,7 +14,7 @@ from gfomlab.ensembles import (
     profile_weights,
     sample_asymmetric,
 )
-from gfomlab.erm import Loss, gradient_descent, squared_loss
+from gfomlab.erm import gradient_descent, squared_loss
 from gfomlab.errors import ConfigError, NumericalError
 from gfomlab.gd_se import (
     g_coefficient_nested_sum,
@@ -25,16 +26,6 @@ from gfomlab.gd_se import (
 )
 from gfomlab.programs import build_gd_ridge
 from gfomlab.state_evolution import predict_entrywise, se_asymmetric
-
-
-def wavy_loss():
-    # non-constant curvature, still strongly convex
-    return Loss(
-        value=lambda x: 0.5 * np.square(x) + 0.1 * np.cos(x),
-        d1=lambda x: np.asarray(x, float) - 0.1 * np.sin(x),
-        d2=lambda x: 1.0 - 0.1 * np.cos(np.asarray(x, float)),
-        quadratic=False,
-    )
 
 
 def small_state(T=3, n=6, m=9, eta=0.3, lam=0.2, seed=0, loss=None, mc=300,

@@ -5,7 +5,8 @@ Each ``golden/<case>.json`` runs through ``cli.run_experiment``; its
 in ``golden/<case>/`` byte for byte.  ``golden/records.json`` pins the
 limit-law records of the four builders the same way, as one sha256 digest
 per case over every array of every side and two read-outs, and
-``golden/samples.json`` pins the sampled matrices, as one digest per
+the gradient-descent limit law of ``gd_se`` over losses, profiles and
+sample masks, and ``golden/samples.json`` pins the sampled matrices, as one digest per
 sampler, law, profile, truncation and normalization over a grid of sizes
 and seeds.  A change that alters them on purpose re-records them with
 
@@ -24,12 +25,14 @@ import numpy as np
 import pytest
 
 from conftest import (mixed_asymmetric_program, mixed_symmetric_program,
-                      two_block_profile)
+                      two_block_profile, wavy_loss)
 from gfomlab.cli import parse_config, run_experiment
 from gfomlab.ensembles import (NORMALIZATIONS, EnsembleSpec, VarianceProfile,
                                constant_profile, gaussian_law, rademacher_law,
                                sample_asymmetric, sample_symmetric,
                                shifted_bernoulli_law, uniform_pm_law)
+from gfomlab.erm import squared_loss
+from gfomlab.gd_se import g_coefficient_nested_sum, gd_key_params, gd_se
 from gfomlab.programs import build_tanh_iteration, tanh_map
 from gfomlab.state_evolution import (amp_se_asymmetric, amp_se_symmetric,
                                      predict_entrywise, se_asymmetric,
@@ -90,28 +93,59 @@ def _build(builder, kind):
 BUILDERS = ("se_symmetric", "se_symmetric_fd", "se_asymmetric",
             "se_asymmetric_fd", "amp_se_symmetric_varying",
             "amp_se_symmetric_constant", "amp_se_asymmetric")
-RECORD_CASES = [f"{b}/{k}" for b in BUILDERS for k in PROFILES]
+
+# gradient descent on 24 samples of 30 signal coordinates, T = 4: a quadratic
+# loss (closed form) and a non-quadratic one (Monte Carlo), on full samples
+# and under random sample masks
+
+GD_M, GD_N, GD_T = 24, 30, 4
+GD_LOSSES = {"quadratic": squared_loss, "wavy": wavy_loss}
+GD_CASES = [f"gd_se/{loss}/{kind}/{masks}" for loss in GD_LOSSES
+            for kind in PROFILES for masks in ("full", "masked")]
+RECORD_CASES = [f"{b}/{k}" for b in BUILDERS for k in PROFILES] + GD_CASES
+
+
+def _put(h, a):
+    a = np.ascontiguousarray(a, dtype=float)
+    h.update(repr(a.shape).encode())
+    h.update(a.tobytes())
+
+
+def _gd_digest(case):
+    _, loss, kind, masks = case.split("/")
+    rng = np.random.default_rng(78)
+    mu0, xi = rng.normal(size=GD_N), 0.5 * rng.normal(size=GD_M)
+    masks = (rng.random((GD_T, GD_M)) < 0.7) * 1.0 if masks == "masked" else None
+    st = gd_se(GD_LOSSES[loss](), 0.3, 0.2, mu0, xi, masks,
+               PROFILES[kind](GD_M, GD_N), GD_T, mc_samples=MC, seed=79)
+    h = hashlib.sha256()
+    for a in (st.m_matrix, st.u_cov, st.v_cov, st.v_cov_se, *st.f_tables,
+              *st.g_tables, *st.g_tables_se):
+        _put(h, a)
+    for t in range(GD_T + 1):
+        law = gd_key_params(st, t)
+        _put(h, law.bias)
+        _put(h, law.variance)
+        for s in range(1, t + 1):
+            _put(h, g_coefficient_nested_sum(st, s, t))
+    return h.hexdigest()
 
 
 def _record_digest(case):
+    if case.startswith("gd_se/"):
+        return _gd_digest(case)
     builder, kind = case.split("/")
     rec = _build(builder, kind)
     h = hashlib.sha256(repr(rec.fd_gap).encode())
-
-    def put(a):
-        a = np.ascontiguousarray(a, dtype=float)
-        h.update(repr(a.shape).encode())
-        h.update(a.tobytes())
-
     for name, side in rec.sides.items():
         h.update(name.encode())
         for a in (side.law.x0, side.law.cov, side.law.cov_se,
                   *side.coeffs, *side.coeffs_se):
-            put(a)
+            _put(h, a)
         for t in (1, T):
             for a in predict_entrywise(rec, np.arange(side.law.coords), np.tanh,
                                        side=name, t=t, n_paths=3000, seed=77):
-                put(a)
+                _put(h, a)
     return h.hexdigest()
 
 
