@@ -1,12 +1,14 @@
 """State evolution specialized to (sub)sampled proximal-free gradient descent.
 
 Tracks ridge-penalized gradient descent on the linear model through its
-Gaussian limit: per-signal-coordinate decomposition matrices M (how the
-centered iterate loads on the signal and on fresh Gaussian innovations),
+Gaussian limit: per-signal-class decomposition matrices M (how the centered
+iterate loads on the signal and on fresh Gaussian innovations),
 per-sample-coordinate covariance tables for the prediction-side process,
-and the correction-coefficient tables coupling the two sides.  For losses
-with constant curvature the whole recursion is closed-form and runs with
-no Monte Carlo at all; otherwise expectations are Monte Carlo averages
+and the correction-coefficient tables coupling the two sides.  A class is a
+group of signal coordinates sharing one law: every coordinate is its own
+class in ``gd_se``, and ``gd_se_homogeneous`` is the one-class case.  For
+losses with constant curvature the whole recursion is closed-form and runs
+with no Monte Carlo at all; otherwise expectations are Monte Carlo averages
 with common random numbers across outer steps.
 """
 
@@ -39,43 +41,46 @@ def _block_sizes(mc):
 
 
 class GdSeState:
-    """Gaussian-limit state for gradient descent, per coordinate.
+    """Gaussian-limit state for gradient descent, per signal class.
 
-    m_matrix[l] decomposes the centered estimate track: column t holds the
+    m_matrix[c] decomposes the centered estimate track: column t holds the
     loadings of iterate t on the signal direction (row 0) and on each fresh
     innovation (rows 1..t); unit diagonal, zero below.  u_cov[k] is the
     covariance of the prediction-side Gaussian path at sample coordinate k;
-    v_cov[l] the innovation covariance (row/col 0 reserved for the signal).
+    v_cov[c] the innovation covariance (row/col 0 reserved for the signal).
+    w_pred (m, C) loads the classes onto the sample coordinates; w_sig
+    (C, m) averages sample coordinates back into classes.  mu0 is None when
+    the classes carry no per-coordinate signal.
     """
 
-    def __init__(self, loss, eta, lam, mu0, xi, masks, weights, T, mc, seed,
-                 homogeneous=False):
+    def __init__(self, loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig,
+                 T, mc, seed):
         self.loss = loss
         self.eta = float(eta)
         self.lam = float(lam)
         self.mu0 = mu0
-        self.xi = np.asarray(xi, dtype=float)
+        self.xi = xi
         self.masks = masks
-        self.weights = weights
+        self.w_pred = w_pred
+        self.w_sig = w_sig
         self.T = int(T)
         self.mc = int(mc)
         self.seed = seed
-        self.homogeneous = homogeneous
         self.quadratic = bool(getattr(loss, "quadratic", False))
-        m = self.xi.shape[0]
-        c = 1 if homogeneous else (None if mu0 is None else len(mu0))
+        m, c = w_pred.shape
         self.m_matrix = np.zeros((c, T + 1, T + 1))
         self.m_matrix[:, 0, 0] = 1.0
         self.v_cov = np.zeros((c, T + 1, T + 1))
+        self.v_cov[:, 0, 0] = mu0_sq
         self.v_cov_se = np.zeros((c, T + 1, T + 1))
-        ck = 1 if homogeneous else m
-        self.u_cov = np.zeros((ck, T, T))
-        self.f_tables = []   # step t -> (t-1,) scalars or (t-1, m)
-        self.g_tables = []   # step t -> (t,) scalars or (t, n)
+        self.u_cov = np.zeros((m, T, T))
+        self.f_tables = []   # step t -> (t-1, m)
+        self.g_tables = []   # step t -> (t, C)
         self.g_tables_se = []
-        self.alphas = None   # quadratic path: per-step loading of Phi on the path
-        self.betas = None
-        self.w_det = None
+        # quadratic path: per-step affine loading of the corrected path
+        self.alphas = [None] if self.quadratic else None
+        self.betas = [None] if self.quadratic else None
+        self.w_det = [None] if self.quadratic else None
 
     @property
     def n_coords(self):
@@ -83,7 +88,7 @@ class GdSeState:
 
     def to_json_dict(self):
         return {
-            "homogeneous": self.homogeneous,
+            "homogeneous": self.mu0 is None,
             "quadratic": self.quadratic,
             "T": self.T,
             "mc": self.mc,
@@ -119,25 +124,35 @@ class GdEntryLaw:
         self.coefficients = coefficients
 
 
-def _phi_pass(u, eta, f_tables, masks, xi, loss):
-    """Correction recursion on sampled paths u (b, m, t) -> per-step
-    corrected values, masked loss slopes P and curvatures W (1-indexed)."""
-    t = u.shape[-1]
-    pvals = [None]
-    wvals = [None]
-    for tau in range(1, t + 1):
-        phi = np.array(u[..., tau - 1])
-        ftab = f_tables[tau - 1]
-        for r in range(1, tau):
-            phi += eta * ftab[r - 1] * pvals[r]
-        pvals.append(masks[tau - 1] * loss.d1(xi - phi))
-        wvals.append(masks[tau - 1] * loss.d2(xi - phi))
-    return pvals, wvals
+def _path_blocks(state, t):
+    """Sampled prediction-side paths through step t, one block at a time.
+
+    Yields (P, W): the masked loss slopes and curvatures of the correction
+    recursion, 1-indexed by step, each (b, m).  Every step and both
+    coefficient routes regenerate the same stream, so they share samples.
+    """
+    eta, f_tables, masks, xi, loss = (state.eta, state.f_tables, state.masks,
+                                      state.xi, state.loss)
+    factors = psd_factors(state.u_cov[:, :t, :t], f"prediction side, step {t}")
+    gen = Generator(Philox(child_sequence(state.seed, DOMAIN_SE, 0)))
+    for b in _block_sizes(state.mc):
+        e = gen.standard_normal((b, xi.shape[0], state.T))[..., :t]
+        u = np.einsum("kij,bkj->bki", factors, e)
+        pvals = [None]
+        wvals = [None]
+        for tau in range(1, t + 1):
+            phi = np.array(u[..., tau - 1])
+            ftab = f_tables[tau - 1]
+            for r in range(1, tau):
+                phi += eta * ftab[r - 1] * pvals[r]
+            pvals.append(masks[tau - 1] * loss.d1(xi - phi))
+            wvals.append(masks[tau - 1] * loss.d2(xi - phi))
+        yield pvals, wvals
 
 
 def _d_recursion(s, t, wvals, f_tables, eta):
     """D[tau] = d(corrected path col tau)/d(raw path col s), tau = s..t."""
-    d = {s: np.ones_like(wvals[t]) if hasattr(wvals[t], "shape") else 1.0}
+    d = {s: np.ones_like(wvals[t])}
     for tau in range(s + 1, t + 1):
         ftab = f_tables[tau - 1]
         acc = 0.0
@@ -149,7 +164,8 @@ def _d_recursion(s, t, wvals, f_tables, eta):
 
 def gd_se(loss, eta, lam, mu0, xi, masks, profile, T, mc_samples=DEFAULT_MC,
           seed=0, normalization="inv_sqrt_n"):
-    """Run the four-stage recursion to horizon T.
+    """Run the four-stage recursion to horizon T, one class per signal
+    coordinate.
 
     masks: None (full sample) or (T, m) 0/1 array; profile: un-normalized
     per-entry second moments of the m x n design.  With constant-curvature
@@ -158,45 +174,58 @@ def gd_se(loss, eta, lam, mu0, xi, masks, profile, T, mc_samples=DEFAULT_MC,
     mu0 = np.asarray(mu0, dtype=float)
     xi = np.asarray(xi, dtype=float)
     n, m = mu0.shape[0], xi.shape[0]
-    if eta < 0 or lam < 0:
-        raise ConfigError("eta and lambda must be >= 0")
-    if T < 1:
-        raise ConfigError("horizon must be >= 1")
-    if masks is None:
-        masks = np.ones((T, m))
-    else:
+    if masks is not None:
         masks = np.asarray(masks, dtype=float)
         if masks.shape != (T, m):
             raise ConfigError(f"masks must have shape ({T}, {m})")
     weights = profile_weights(profile, m, n, normalization)
-    state = GdSeState(loss, eta, lam, mu0, xi, masks, weights, T,
-                      mc_samples, seed)
-    state.v_cov[:, 0, 0] = mu0**2
-    if state.quadratic:
-        state.alphas = [None]
-        state.betas = [None]
-        state.w_det = [None]
-    blocks = _block_sizes(int(mc_samples))
-    seed_seq = child_sequence(seed, DOMAIN_SE, 0)
-    mm, vc, uc = state.m_matrix, state.v_cov, state.u_cov
+    return _run(loss, eta, lam, mu0, mu0**2, xi, masks, weights, weights.T, T,
+                mc_samples, seed)
 
+
+def gd_se_homogeneous(loss, eta, lam, mu0_sq_mean, xi, phi, T,
+                      mc_samples=DEFAULT_MC, seed=0):
+    """One-class recursion: full sample, constant per-entry second moment.
+
+    mu0_sq_mean is the mean squared signal entry; phi the ratio of sample
+    to signal dimensions.  All signal coordinates form one class, so the
+    signal-side tables carry one value per step pair; agrees with gd_se
+    under a constant profile.
+    """
+    xi = np.asarray(xi, dtype=float)
+    m = xi.shape[0]
+    if mu0_sq_mean < 0 or phi <= 0:
+        raise ConfigError("need mu0_sq_mean >= 0 and phi > 0")
+    return _run(loss, eta, lam, None, [mu0_sq_mean], xi, None, np.ones((m, 1)),
+                np.full((1, m), phi / m), T, mc_samples, seed)
+
+
+def _run(loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig, T, mc, seed):
+    """The step loop behind both entry points."""
+    if eta < 0 or lam < 0:
+        raise ConfigError("eta and lambda must be >= 0")
+    if T < 1:
+        raise ConfigError("horizon must be >= 1")
+    m = xi.shape[0]
+    masks = np.ones((T, m)) if masks is None else masks
+    state = GdSeState(loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig,
+                      T, mc, seed)
+    mm, vc, uc = state.m_matrix, state.v_cov, state.u_cov
     for t in range(1, T + 1):
         # prediction-side covariance row t from the iterate decomposition
         for s in range(1, t + 1):
             q = np.einsum("li,lij,lj->l", mm[:, :t, t - 1], vc[:, :t, :t],
                           mm[:, :t, s - 1])
-            col = weights @ q
+            col = w_pred @ q
             uc[:, t - 1, s - 1] = col
             uc[:, s - 1, t - 1] = col
         # coupling coefficients into the prediction side
-        ftab = np.stack([weights @ mm[:, s, t - 1] for s in range(1, t)]) \
+        ftab = np.stack([w_pred @ mm[:, s, t - 1] for s in range(1, t)]) \
             if t > 1 else np.zeros((0, m))
         state.f_tables.append(ftab)
 
-        if state.quadratic:
-            g_t, g_se, v_new = _quadratic_step(state, t)
-        else:
-            g_t, g_se, v_new = _mc_step(state, t, blocks, seed_seq)
+        step = _quadratic_step if state.quadratic else _mc_step
+        g_t, g_se, v_new = step(state, t)
         state.g_tables.append(g_t)
         state.g_tables_se.append(g_se)
         for s in range(1, t + 1):
@@ -233,7 +262,7 @@ def _quadratic_step(state, t):
     state.betas.append(beta)
     w_t = masks[t - 1] * c2
     state.w_det.append(w_t)
-    g_t = np.stack([-eta * (state.weights.T @ (w_t * alpha[s]))
+    g_t = np.stack([-eta * (state.w_sig @ (w_t * alpha[s]))
                     for s in range(1, t + 1)])
     g_se = np.zeros_like(g_t)
     p_det_t = masks[t - 1] * (c1 + c2 * (xi - beta))
@@ -244,28 +273,21 @@ def _quadratic_step(state, t):
         cross = np.einsum("rk,pk,krp->k", alpha[1:], alpha_s[1:],
                           state.u_cov[:, :t, :s])
         ev = p_det_t * p_det_s + c2**2 * masks[t - 1] * masks[s - 1] * cross
-        v_new.append(eta**2 * (state.weights.T @ ev))
+        v_new.append(eta**2 * (state.w_sig @ ev))
     return g_t, g_se, v_new
 
 
-def _mc_step(state, t, blocks, seed_seq):
+def _mc_step(state, t):
     """Monte Carlo step: sample prediction-side paths, run the correction
     recursion, differentiate it, and average.  Standard errors come from
     the spread of per-block means."""
-    eta, masks, xi, loss = state.eta, state.masks, state.xi, state.loss
-    m = xi.shape[0]
-    wts = state.weights
-    factors = psd_factors(state.u_cov[:, :t, :t], f"prediction side, step {t}")
-    gen = Generator(Philox(seed_seq))
+    eta, wts = state.eta, state.w_sig
+    m = state.xi.shape[0]
     g_sum = np.zeros((t, m))
     p_sum = np.zeros((t, m))
     g_blocks = [[] for _ in range(t)]
     p_blocks = [[] for _ in range(t)]
-    count = 0
-    for b in blocks:
-        e = gen.standard_normal((b, m, state.T))[..., :t]
-        u = np.einsum("kij,bkj->bki", factors, e)
-        pvals, wvals = _phi_pass(u, eta, state.f_tables, masks, xi, loss)
+    for pvals, wvals in _path_blocks(state, t):
         for s in range(1, t + 1):
             d_t = _d_recursion(s, t, wvals, state.f_tables, eta)
             gv = wvals[t] * d_t
@@ -274,15 +296,14 @@ def _mc_step(state, t, blocks, seed_seq):
             p_sum[s - 1] += pv.sum(axis=0)
             g_blocks[s - 1].append(gv.mean(axis=0))
             p_blocks[s - 1].append(pv.mean(axis=0))
-        count += b
     g_t, g_se, v_new = [], [], []
-    nb = len(blocks)
+    nb = len(g_blocks[0])
     for s in range(1, t + 1):
-        g_t.append(-eta * (wts.T @ (g_sum[s - 1] / count)))
-        ga = np.stack([-eta * (wts.T @ bm) for bm in g_blocks[s - 1]])
+        g_t.append(-eta * (wts @ (g_sum[s - 1] / state.mc)))
+        ga = np.stack([-eta * (wts @ bm) for bm in g_blocks[s - 1]])
         g_se.append(ga.std(axis=0, ddof=1) / math.sqrt(nb) if nb > 1 else 0 * ga[0])
-        v_new.append(eta**2 * (wts.T @ (p_sum[s - 1] / count)))
-        pa = np.stack([eta**2 * (wts.T @ bm) for bm in p_blocks[s - 1]])
+        v_new.append(eta**2 * (wts @ (p_sum[s - 1] / state.mc)))
+        pa = np.stack([eta**2 * (wts @ bm) for bm in p_blocks[s - 1]])
         state.v_cov_se[:, t, s] = pa.std(axis=0, ddof=1) / math.sqrt(nb) \
             if nb > 1 else 0.0
         state.v_cov_se[:, s, t] = state.v_cov_se[:, t, s]
@@ -293,8 +314,6 @@ def g_coefficient_nested_sum(state, s, t):
     """Coupling coefficient by the explicit chain expansion over index paths
     s = c_0 < c_1 < ... < c_p = t, regenerated on the same sample stream as
     the recursion route (identical samples, different algebra)."""
-    if state.homogeneous:
-        raise ConfigError("nested-sum route needs the per-coordinate state")
     if not 1 <= s <= t <= state.T:
         raise ConfigError(f"need 1 <= s <= t <= {state.T}")
     if t - s > NESTED_SUM_MAX_GAP:
@@ -306,7 +325,7 @@ def g_coefficient_nested_sum(state, s, t):
 
     def braces(wvals):
         if s == t:
-            return 1.0 if np.isscalar(wvals[t]) else np.ones_like(wvals[t])
+            return np.ones_like(wvals[t])
         total = 0.0
         for p_minus_1 in range(t - s):
             for mids in itertools.combinations(range(s + 1, t), p_minus_1):
@@ -320,21 +339,11 @@ def g_coefficient_nested_sum(state, s, t):
 
     if state.quadratic:
         wv = state.w_det
-        return -eta * (state.weights.T @ (wv[t] * braces(wv)))
-    blocks = _block_sizes(state.mc)
-    gen = Generator(Philox(child_sequence(state.seed, DOMAIN_SE, 0)))
-    m = state.xi.shape[0]
-    factors = psd_factors(state.u_cov[:, :t, :t], f"prediction side, step {t}")
-    acc = np.zeros(m)
-    count = 0
-    for b in blocks:
-        e = gen.standard_normal((b, m, state.T))[..., :t]
-        u = np.einsum("kij,bkj->bki", factors, e)
-        _, wvals = _phi_pass(u, state.eta, ftab, state.masks, state.xi,
-                             state.loss)
+        return -eta * (state.w_sig @ (wv[t] * braces(wv)))
+    acc = np.zeros(state.xi.shape[0])
+    for _, wvals in _path_blocks(state, t):
         acc += (wvals[t] * braces(wvals)).sum(axis=0)
-        count += b
-    return -eta * (state.weights.T @ (acc / count))
+    return -eta * (state.w_sig @ (acc / state.mc))
 
 
 def gd_key_params(state, t):
@@ -355,7 +364,7 @@ def gd_key_params(state, t):
 
 def gd_entrywise_law(state, ell, t):
     """Normal descriptor for (estimate - signal) at signal coordinate ell."""
-    if state.homogeneous:
+    if state.mu0 is None:
         raise ConfigError("homogeneous state has no per-coordinate signal")
     if not 0 <= ell < state.n_coords:
         raise ConfigError(f"coordinate {ell} outside range")
@@ -363,98 +372,6 @@ def gd_entrywise_law(state, ell, t):
     return GdEntryLaw(mean=float(law.bias[ell] * state.mu0[ell]),
                       variance=float(law.variance[ell]),
                       coefficients=np.array(state.m_matrix[ell, :, t]))
-
-
-def gd_se_homogeneous(loss, eta, lam, mu0_sq_mean, xi, phi, T,
-                      mc_samples=DEFAULT_MC, seed=0):
-    """Scalarized recursion: full sample, constant per-entry second moment.
-
-    mu0_sq_mean is the mean squared signal entry; phi the ratio of sample
-    to signal dimensions.  Tables carry one value per (step pair) instead
-    of one per coordinate; agrees with gd_se under a constant profile.
-    """
-    xi = np.asarray(xi, dtype=float)
-    m = xi.shape[0]
-    if mu0_sq_mean < 0 or phi <= 0:
-        raise ConfigError("need mu0_sq_mean >= 0 and phi > 0")
-    if eta < 0 or lam < 0:
-        raise ConfigError("eta and lambda must be >= 0")
-    masks = np.ones((T, m))
-    state = GdSeState(loss, eta, lam, None, xi, masks, None, T, mc_samples,
-                      seed, homogeneous=True)
-    state.v_cov[0, 0, 0] = mu0_sq_mean
-    quadratic = state.quadratic
-    if quadratic:
-        state.alphas = [None]
-        state.betas = [None]
-        state.w_det = [None]
-    blocks = _block_sizes(int(mc_samples))
-    seed_seq = child_sequence(seed, DOMAIN_SE, 0)
-    mm = state.m_matrix[0]
-    vc = state.v_cov[0]
-    uc = state.u_cov[0]
-    c1 = float(loss.d1(0.0)) if quadratic else None
-    c2 = float(loss.d2(0.0)) if quadratic else None
-
-    for t in range(1, T + 1):
-        for s in range(1, t + 1):
-            val = mm[:t, t - 1] @ vc[:t, :t] @ mm[:t, s - 1]
-            uc[t - 1, s - 1] = val
-            uc[s - 1, t - 1] = val
-        ftab = np.array([mm[s, t - 1] for s in range(1, t)])
-        state.f_tables.append(ftab)
-        if quadratic:
-            alpha = np.zeros(t + 1)
-            alpha[t] = 1.0
-            beta = np.zeros(m)
-            for r in range(1, t):
-                beta += eta * ftab[r - 1] * (c1 + c2 * (xi - state.betas[r]))
-                alpha[1 : r + 1] += -eta * c2 * ftab[r - 1] * state.alphas[r][1 : r + 1]
-            state.alphas.append(alpha)
-            state.betas.append(beta)
-            state.w_det.append(c2)
-            g_t = np.array([-eta * phi * c2 * alpha[s] for s in range(1, t + 1)])
-            g_se = np.zeros_like(g_t)
-            p_det_t = c1 + c2 * (xi - beta)
-            v_new = []
-            for s in range(1, t + 1):
-                p_det_s = c1 + c2 * (xi - state.betas[s])
-                cross = state.alphas[t][1:] @ uc[:t, :s] @ state.alphas[s][1:]
-                v_new.append(eta**2 * phi * (np.mean(p_det_t * p_det_s) + c2**2 * cross))
-        else:
-            factors = psd_factors(uc[None, :t, :t], f"homogeneous step {t}")[0]
-            gen = Generator(Philox(seed_seq))
-            gb = [[] for _ in range(t)]
-            pb = [[] for _ in range(t)]
-            for b in blocks:
-                e = gen.standard_normal((b, m, T))[..., :t]
-                u = np.einsum("ij,bkj->bki", factors, e)
-                pvals, wvals = _phi_pass(u, eta, state.f_tables, masks, xi, loss)
-                for s in range(1, t + 1):
-                    d_t = _d_recursion(s, t, wvals, state.f_tables, eta)
-                    gb[s - 1].append(float((wvals[t] * d_t).mean()))
-                    pb[s - 1].append(float((pvals[t] * pvals[s]).mean()))
-            nb = len(blocks)
-            g_t = np.array([-eta * phi * np.mean(gb[s - 1]) for s in range(1, t + 1)])
-            g_se = np.array([eta * phi * np.std(gb[s - 1], ddof=1) / math.sqrt(nb)
-                             if nb > 1 else 0.0 for s in range(1, t + 1)])
-            v_new = [eta**2 * phi * np.mean(pb[s - 1]) for s in range(1, t + 1)]
-            for s in range(1, t + 1):
-                state.v_cov_se[0, t, s] = eta**2 * phi * np.std(pb[s - 1], ddof=1) \
-                    / math.sqrt(nb) if nb > 1 else 0.0
-                state.v_cov_se[0, s, t] = state.v_cov_se[0, t, s]
-        state.g_tables.append(g_t)
-        state.g_tables_se.append(g_se)
-        for s in range(1, t + 1):
-            vc[t, s] = v_new[s - 1]
-            vc[s, t] = v_new[s - 1]
-        for r in range(t):
-            acc = (eta * lam if r == 0 else 0.0) + (1.0 - eta * lam) * mm[r, t - 1]
-            for s in range(r + 1, t + 1):
-                acc += g_t[s - 1] * mm[r, s - 1]
-            mm[r, t] = acc
-        mm[t, t] = 1.0
-    return state
 
 
 def gd_law_to_csv(state, path, steps=None):

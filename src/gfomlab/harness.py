@@ -112,6 +112,15 @@ EXPERIMENT_NAMES = ("universality_averaged", "universality_entrywise",
                     "delocalization")
 
 
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value):
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -142,7 +151,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if key == "m" and value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_int(value):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
@@ -157,9 +166,15 @@ class ExperimentConfig:
         if self.mc_samples < 2:
             raise ConfigError("mc_samples must be >= 2")
         resolve_psi(self.psi)
-        for k in self.coordinates:
-            if not 0 <= int(k):
-                raise ConfigError(f"coordinate {k} is negative")
+        coords = self.coordinates
+        if (not isinstance(coords, (list, tuple)) or not coords
+                or not all(_is_int(k) and k >= 0 for k in coords)):
+            raise ConfigError("coordinates must be a non-empty list of "
+                              f"integers >= 0, got {coords!r}")
+        for key in ("law_a_param", "law_b_param"):
+            value = getattr(self, key)
+            if value is not None and not _is_finite_real(value):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
         EntryLaw(self.law_a, p=self.law_a_param)
         if self.law_b is not None:
             EntryLaw(self.law_b, p=self.law_b_param)
@@ -168,8 +183,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown program_params {sorted(unknown)} for "
                               f"{self.program!r}; allowed: {sorted(allowed)}")
-        if self.tolerance is not None and self.tolerance < 0:
-            raise ConfigError("tolerance must be >= 0")
+        tol = self.tolerance
+        if tol is not None and not (_is_finite_real(tol) and tol >= 0):
+            raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
         return self
 
     def to_dict(self):

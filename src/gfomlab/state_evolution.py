@@ -155,12 +155,11 @@ class HistoryTransform:
     """
 
     def __init__(self, inner_fns, outer_fns, inner_uses_current,
-                 corr_includes_current, width, raw=False, coeffs=None):
+                 corr_includes_current, raw=False, coeffs=None):
         self.inner_fns = list(inner_fns)
         self.outer_fns = None if outer_fns is None else list(outer_fns)
         self.inner_uses_current = inner_uses_current
         self.corr_includes_current = corr_includes_current
-        self.width = width
         self.raw = raw
         self.coeffs = [] if coeffs is None else [np.asarray(c, dtype=float) for c in coeffs]
 
@@ -506,7 +505,7 @@ def _sym_record(kind, mat_fns, add_fns, z0, profile, T, mc, seed,
     n = z0.shape[0]
     w = _weights_for(profile, n, n, normalization)
     transform = HistoryTransform(mat_fns, add_fns, inner_uses_current=False,
-                                 corr_includes_current=False, width=n, raw=raw)
+                                 corr_includes_current=False, raw=raw)
     eng = _SideEngine(w, law_x0=z0, path_x0=z0, transform=transform,
                       T=T, mc=mc, seed_seq=child_sequence(seed, DOMAIN_SE, 0),
                       coeffs_constant=_rows_identical(w), fd_check=fd_check)
@@ -526,9 +525,9 @@ def _asym_record(kind, u_inner, u_outer, v_inner, v_outer, u0, v0, profile,
     m, n = u0.shape[0], v0.shape[0]
     w = _weights_for(profile, m, n, normalization)
     v_tr = HistoryTransform(u_inner, v_outer, inner_uses_current=False,
-                            corr_includes_current=True, width=n, raw=raw)
+                            corr_includes_current=True, raw=raw)
     u_tr = HistoryTransform(v_inner, u_outer, inner_uses_current=True,
-                            corr_includes_current=False, width=m, raw=raw)
+                            corr_includes_current=False, raw=raw)
     u_eng = _SideEngine(w, law_x0=u0, path_x0=v0, transform=v_tr, T=T, mc=mc,
                         seed_seq=child_sequence(seed, DOMAIN_SE, 0),
                         coeffs_constant=_rows_identical(w.T), fd_check=fd_check)
@@ -585,20 +584,6 @@ def amp_se_asymmetric(u_fns, v_fns, profile, u0, v0, T=None,
                         normalization, fd_check, raw=True)
 
 
-class AmpFromGfom:
-    """Corrected-iteration ingredients induced by an uncorrected program."""
-
-    def __init__(self, kind, fns=None, onsager=None, u_fns=None, v_fns=None,
-                 u_onsager=None, v_onsager=None):
-        self.kind = kind
-        self.fns = fns
-        self.onsager = onsager
-        self.u_fns = u_fns
-        self.v_fns = v_fns
-        self.u_onsager = u_onsager
-        self.v_onsager = v_onsager
-
-
 def _compose_with_transform(rf, transform, arity):
     """rf applied to the transformed history (partials: central differences;
     these composites drive iterations, they are not state-evolution inputs)."""
@@ -621,29 +606,30 @@ def _compose_with_transform(rf, transform, arity):
 def gfom_to_amp(prog, record):
     """Translate an uncorrected program into the corrected iteration that
     reproduces it pathwise: compose each update with the history transform
-    and reuse the transform's correction vectors as memory coefficients."""
+    and reuse the transform's correction vectors as memory coefficients.
+
+    Returns {side: (update functions, memory coefficients)}, keyed like
+    ``record.sides``.  A side's updates read the history of its source side,
+    whose transform they are composed with.
+    """
     if isinstance(prog, SymmetricProgram):
-        if record.kind != "gfom_symmetric":
-            raise ConfigError("record was not built from a symmetric program")
-        z = record.side("z")
-        if len(z.coeffs) < prog.T:
+        kind, what = "gfom_symmetric", "a symmetric"
+        table = {"z": ("z", prog.mat_fns, 0)}
+    else:
+        kind, what = "gfom_asymmetric", "an asymmetric"
+        table = {"u": ("v", prog.u_mat_fns, 0), "v": ("u", prog.v_mat_fns, 1)}
+    if record.kind != kind:
+        raise ConfigError(f"record was not built from {what} program")
+    amp = {}
+    for name, (source, fns, offset) in table.items():
+        coeffs = record.side(name).coeffs
+        if len(coeffs) < prog.T:
             raise ConfigError("record horizon shorter than the program's")
-        fns = [_compose_with_transform(prog.mat_fns[t - 1], z.transform, t)
-               for t in range(1, prog.T + 1)]
-        return AmpFromGfom("symmetric", fns=fns,
-                           onsager=[np.array(c) for c in z.coeffs[:prog.T]])
-    if record.kind != "gfom_asymmetric":
-        raise ConfigError("record was not built from an asymmetric program")
-    u, v = record.side("u"), record.side("v")
-    if len(u.coeffs) < prog.T:
-        raise ConfigError("record horizon shorter than the program's")
-    u_fns = [_compose_with_transform(prog.u_mat_fns[t - 1], v.transform, t)
-             for t in range(1, prog.T + 1)]
-    v_fns = [_compose_with_transform(prog.v_mat_fns[t - 1], u.transform, t + 1)
-             for t in range(1, prog.T + 1)]
-    return AmpFromGfom("asymmetric", u_fns=u_fns, v_fns=v_fns,
-                       u_onsager=[np.array(c) for c in u.coeffs[:prog.T]],
-                       v_onsager=[np.array(c) for c in v.coeffs[:prog.T]])
+        transform = record.side(source).transform
+        amp[name] = ([_compose_with_transform(fns[t - 1], transform, t + offset)
+                      for t in range(1, prog.T + 1)],
+                     [np.array(c) for c in coeffs[:prog.T]])
+    return amp
 
 
 def predict_entrywise(record, coords, psi, side="z", t=None,

@@ -64,7 +64,7 @@ def test_criterion_01_plain_vs_corrected_iteration_correspondence():
         amp = gfom_to_amp(prog, rec)
         a = sample_symmetric(_sym_spec(n), n, seed=200 + seed)
         plain = run_symmetric(a, prog)
-        corrected = run_amp_symmetric(a, amp.fns, amp.onsager, prog.z0)
+        corrected = run_amp_symmetric(a, *amp["z"], prog.z0)
         out = rec.side("z").transform.apply(corrected.z.T)
         for t in range(1, T + 1):
             worst = max(worst, float(np.max(np.abs(out[:, t] - plain.z[t]))))
@@ -75,8 +75,8 @@ def test_criterion_01_plain_vs_corrected_iteration_correspondence():
         aamp = gfom_to_amp(aprog, arec)
         aa = sample_asymmetric(_asym_spec(n, n), n, n, seed=400 + seed)
         aplain = run_asymmetric(aa, aprog)
-        acorr = run_amp_asymmetric(aa, aamp.u_fns, aamp.v_fns, aamp.u_onsager,
-                                   aamp.v_onsager, aprog.u0, aprog.v0)
+        acorr = run_amp_asymmetric(aa, aamp["u"][0], aamp["v"][0], aamp["u"][1],
+                                   aamp["v"][1], aprog.u0, aprog.v0)
         u_out = arec.side("u").transform.apply(acorr.u.T)
         v_out = arec.side("v").transform.apply(acorr.v.T)
         for t in range(1, T + 1):

@@ -55,6 +55,11 @@ def test_parse_rejects_bad_values(tmp_path):
     ("seed", -1), ("seed", 1.5), ("seed", "7"), ("seed", True),
     ("n", 20.0), ("n", "20"), ("m", 1.5), ("T", True), ("replicates", 4.5),
     ("mc_samples", "500"),
+    ("coordinates", [1.5]), ("coordinates", ["a"]), ("coordinates", 3),
+    ("coordinates", [True]), ("coordinates", []), ("coordinates", [-1]),
+    ("tolerance", "x"), ("tolerance", float("nan")), ("tolerance", True),
+    ("tolerance", -0.1), ("law_a_param", "x"), ("law_b_param", "x"),
+    ("law_b_param", float("inf")), ("law_a_param", False),
 ])
 def test_main_rejects_non_integer_counts_and_negative_seeds(tmp_path, capsys,
                                                             key, value):

@@ -208,10 +208,16 @@ def test_nested_sum_guards():
         g_coefficient_nested_sum(st, 3, 2)
     with pytest.raises(ConfigError):
         g_coefficient_nested_sum(st, 0, 1)
-    hom = gd_se_homogeneous(squared_loss(), 0.3, 0.0, 1.0, np.ones(6), 1.5, 2,
-                            mc_samples=100, seed=12)
-    with pytest.raises(ConfigError):
-        g_coefficient_nested_sum(hom, 1, 1)
+    # a one-class state is an ordinary state: both routes apply to it
+    xi = 0.5 * np.random.default_rng(12).normal(size=6)
+    for loss in (squared_loss(), wavy_loss()):
+        hom = gd_se_homogeneous(loss, 0.3, 0.1, 1.0, xi, 1.5, 4,
+                                mc_samples=400, seed=12)
+        for t in range(1, 5):
+            for s in range(1, t + 1):
+                gap = np.max(np.abs(g_coefficient_nested_sum(hom, s, t)
+                                    - hom.g_tables[t - 1][s - 1]))
+                assert gap <= 1e-10, (s, t, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ def test_single_identity_step_correspondence():
     rec = se_symmetric(prog, constant_profile((n, n)), mc_samples=100, seed=16)
     amp = gfom_to_amp(prog, rec)
     plain = run_symmetric(a, prog)
-    corrected = run_amp_symmetric(a, amp.fns, amp.onsager, prog.z0)
+    corrected = run_amp_symmetric(a, *amp["z"], prog.z0)
     assert np.array_equal(plain.z[1], corrected.z[1])
     out = rec.side("z").transform.apply(corrected.z.T)
     assert np.allclose(out[:, 1], plain.z[1], atol=1e-15)
@@ -277,7 +277,7 @@ def test_correspondence_mixed_symmetric(seed):
     rec = se_symmetric(prog, constant_profile((n, n)), mc_samples=400, seed=17)
     amp = gfom_to_amp(prog, rec)
     plain = run_symmetric(a, prog)
-    corrected = run_amp_symmetric(a, amp.fns, amp.onsager, prog.z0)
+    corrected = run_amp_symmetric(a, *amp["z"], prog.z0)
     out = rec.side("z").transform.apply(corrected.z.T)
     for t in range(1, T + 1):
         assert np.max(np.abs(out[:, t] - plain.z[t])) <= 1e-8
@@ -293,8 +293,8 @@ def test_correspondence_mixed_asymmetric(seed):
     rec = se_asymmetric(prog, constant_profile((m, n)), mc_samples=400, seed=18)
     amp = gfom_to_amp(prog, rec)
     plain = run_asymmetric(a, prog)
-    corrected = run_amp_asymmetric(a, amp.u_fns, amp.v_fns, amp.u_onsager,
-                                   amp.v_onsager, prog.u0, prog.v0)
+    corrected = run_amp_asymmetric(a, amp["u"][0], amp["v"][0], amp["u"][1],
+                                   amp["v"][1], prog.u0, prog.v0)
     u_out = rec.side("u").transform.apply(corrected.u.T)
     v_out = rec.side("v").transform.apply(corrected.v.T)
     for t in range(1, T + 1):
