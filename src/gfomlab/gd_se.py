@@ -48,9 +48,10 @@ class GdSeState:
     innovation (rows 1..t); unit diagonal, zero below.  u_cov[k] is the
     covariance of the prediction-side Gaussian path at sample coordinate k;
     v_cov[c] the innovation covariance (row/col 0 reserved for the signal).
-    w_pred (m, C) loads the classes onto the sample coordinates; w_sig
-    (C, m) averages sample coordinates back into classes.  mu0 is None when
-    the classes carry no per-coordinate signal.
+    w_pred (m, C) loads the classes onto the sample coordinates (through
+    u_cov and the f-tables); w_sig (C, m) averages sample coordinates back
+    into classes (through the g-tables and v_cov).  mu0 is None when the
+    classes carry no per-coordinate signal.
     """
 
     def __init__(self, loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig,
@@ -61,7 +62,6 @@ class GdSeState:
         self.mu0 = mu0
         self.xi = xi
         self.masks = masks
-        self.w_pred = w_pred
         self.w_sig = w_sig
         self.T = int(T)
         self.mc = int(mc)

@@ -4,11 +4,13 @@ Each ``golden/<case>.json`` runs through ``cli.run_experiment``; its
 ``{experiment}.csv`` and ``{experiment}_plot.csv`` must equal the files kept
 in ``golden/<case>/`` byte for byte.  ``golden/records.json`` pins the
 limit-law records of the four builders the same way, as one sha256 digest
-per case over every array of every side and two read-outs, and
-the gradient-descent limit law of ``gd_se`` over losses, profiles and
-sample masks, and ``golden/samples.json`` pins the sampled matrices, as one digest per
-sampler, law, profile, truncation and normalization over a grid of sizes
-and seeds.  A change that alters them on purpose re-records them with
+per case over every array of every side and two read-outs, and the
+gradient-descent limit law of ``gd_se``, as one digest per loss, profile
+and sample mask over every table, the key parameters at every step and the
+nested-sum coefficients.  ``golden/samples.json`` pins the sampled
+matrices, as one digest per sampler, law, profile, truncation and
+normalization over a grid of sizes and seeds.  A change that alters them
+on purpose re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -100,8 +102,8 @@ BUILDERS = ("se_symmetric", "se_symmetric_fd", "se_asymmetric",
 
 GD_M, GD_N, GD_T = 24, 30, 4
 GD_LOSSES = {"quadratic": squared_loss, "wavy": wavy_loss}
-GD_CASES = [f"gd_se/{loss}/{kind}/{masks}" for loss in GD_LOSSES
-            for kind in PROFILES for masks in ("full", "masked")]
+GD_CASES = [f"gd_se/{loss}/{kind}/{sample}" for loss in GD_LOSSES
+            for kind in PROFILES for sample in ("full", "masked")]
 RECORD_CASES = [f"{b}/{k}" for b in BUILDERS for k in PROFILES] + GD_CASES
 
 
@@ -112,10 +114,10 @@ def _put(h, a):
 
 
 def _gd_digest(case):
-    _, loss, kind, masks = case.split("/")
+    _, loss, kind, sample = case.split("/")
     rng = np.random.default_rng(78)
     mu0, xi = rng.normal(size=GD_N), 0.5 * rng.normal(size=GD_M)
-    masks = (rng.random((GD_T, GD_M)) < 0.7) * 1.0 if masks == "masked" else None
+    masks = (rng.random((GD_T, GD_M)) < 0.7) * 1.0 if sample == "masked" else None
     st = gd_se(GD_LOSSES[loss](), 0.3, 0.2, mu0, xi, masks,
                PROFILES[kind](GD_M, GD_N), GD_T, mc_samples=MC, seed=79)
     h = hashlib.sha256()
