@@ -149,10 +149,11 @@ def profile_weights(profile, m, n, normalization):
     """E A_kl^2 matrix for a profile under a named normalization.
 
     ``profile`` may be a VarianceProfile or a raw (m, n) array of
-    un-normalized per-entry second moments.
+    un-normalized per-entry second moments, which is validated as one.
     """
-    values = profile.values if isinstance(profile, VarianceProfile) else np.asarray(
-        profile, dtype=float)
+    if not isinstance(profile, VarianceProfile):
+        profile = VarianceProfile(profile)
+    values = profile.values
     if values.shape != (m, n):
         raise ConfigError(f"profile shape {values.shape} != ({m}, {n})")
     if normalization not in NORMALIZATIONS:

@@ -20,7 +20,7 @@ the budget, not by the coordinate count, up to 2048 path values per
 sample (R (p+1) floats), where one _SUB_ALIGN sub-block fills the budget.
 What still grows with the coordinates is the buffer of per-sample
 statistics of one block: (b, R) per statistic for heterogeneous laws
-((b, 1) for homogeneous ones) and (b, coordinates) in the read-out.  The
+((b, 1) for homogeneous ones) and (coordinates, b) in the read-out.  The
 statistics reach the accumulators exactly as an unsplit block's would:
 normals come sequentially from the same streams, every per-sample
 operation acts row by row, and the one BLAS product whose rows depend on
@@ -268,6 +268,19 @@ class _MeanAccumulator:
         self.sumsq += np.square(dev).sum(axis=0)
         self.count += samples.shape[0]
 
+    def add_rows(self, vals):
+        """add() for samples held one coordinate per row of a C-contiguous
+        (dim, b) buffer, which is overwritten.  Each row sum is numpy's
+        pairwise sum over b contiguous values, the same sum add() takes over
+        a contiguous (b, 1) column, so the bytes match add() per column."""
+        if self.shift is None:
+            self.shift = np.array(vals[:, 0], dtype=float)
+        vals -= self.shift[:, None]
+        self.sum += vals.sum(axis=1)
+        np.square(vals, out=vals)
+        self.sumsq += vals.sum(axis=1)
+        self.count += vals.shape[1]
+
     def mean(self):
         return self.shift + self.sum / self.count
 
@@ -461,13 +474,6 @@ class SeRecord:
         }
 
 
-def _weights_for(profile, m, n, normalization):
-    w = profile_weights(profile, m, n, normalization)
-    if not np.all(np.isfinite(w)) or w.min() < 0:
-        raise ConfigError("profile must be finite and nonnegative")
-    return w
-
-
 def _horizon(T, T_max):
     T = T_max if T is None else int(T)
     if not 1 <= T <= T_max:
@@ -503,7 +509,7 @@ def _sym_record(kind, mat_fns, add_fns, z0, profile, T, mc, seed,
                 normalization, fd_check, raw):
     z0 = np.asarray(z0, dtype=float)
     n = z0.shape[0]
-    w = _weights_for(profile, n, n, normalization)
+    w = profile_weights(profile, n, n, normalization)
     transform = HistoryTransform(mat_fns, add_fns, inner_uses_current=False,
                                  corr_includes_current=False, raw=raw)
     eng = _SideEngine(w, law_x0=z0, path_x0=z0, transform=transform,
@@ -523,7 +529,7 @@ def _asym_record(kind, u_inner, u_outer, v_inner, v_outer, u0, v0, profile,
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     m, n = u0.shape[0], v0.shape[0]
-    w = _weights_for(profile, m, n, normalization)
+    w = profile_weights(profile, m, n, normalization)
     v_tr = HistoryTransform(u_inner, v_outer, inner_uses_current=False,
                             corr_includes_current=True, raw=raw)
     u_tr = HistoryTransform(v_inner, u_outer, inner_uses_current=True,
@@ -653,19 +659,17 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
     factors = law.factors(t, coords=sel)
     gens = [Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0)))]
     x0 = law.x0[sel]
-    acc = [_MeanAccumulator(1) for _ in sel]
+    acc = _MeanAccumulator(len(sel))
     remaining = int(n_paths)
     while remaining > 0:
         b = min(_PREDICT_BLOCK, remaining)
         remaining -= b
-        vals = np.empty((b, len(sel)))
+        vals = np.empty((len(sel), b))
         for lo, hi in _sub_blocks(b, len(sel) * (t + 1)):
             out = transform.apply(_draw_paths(gens, factors, x0, hi - lo), rows=sel)
-            vals[lo:hi] = psi(out[..., t])
-        for i in range(len(sel)):
-            acc[i].add(vals[:, i : i + 1])
-    means = np.array([a.mean()[0] for a in acc])
-    ses = np.array([a.se()[0] for a in acc])
+            vals[:, lo:hi] = psi(out[..., t]).T
+        acc.add_rows(vals)
+    means, ses = acc.mean(), acc.se()
     if track.collapsed:
         return np.full(len(coords), means[0]), np.full(len(coords), ses[0])
     return means, ses

@@ -161,6 +161,19 @@ def test_input_validation():
         gd_se(squared_loss(), 0.1, 0.0, mu0, xi, np.ones((3, m)), prof, 2)
 
 
+@pytest.mark.parametrize("bad", [-5.0, np.nan])
+def test_raw_profile_entries_must_be_finite_and_nonnegative(bad):
+    n, m = 4, 6
+    mu0, xi = np.ones(n), np.ones(m)
+    prof = np.ones((m, n))
+    prof[2, 1] = bad
+    with pytest.raises(ConfigError):
+        gd_se(squared_loss(), 0.3, 0.1, mu0, xi, None, prof, 2)
+    prog = build_gd_ridge(squared_loss(), 0.3, 0.1, mu0, xi, None, 2)
+    with pytest.raises(ConfigError):
+        se_asymmetric(prog, prof, mc_samples=100)
+
+
 # ---------------------------------------------------------------------------
 # coupling coefficients, two routes
 

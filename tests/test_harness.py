@@ -19,6 +19,7 @@ from gfomlab.harness import (
     RegistryEntry,
     Statistic,
     _SymGfomPlan,
+    _ks_statistic,
     build_plan,
     convergence_decay_report,
     default_tolerances,
@@ -436,6 +437,24 @@ def test_gd_gaussianity_first_step_moments():
         assert var_row.estimate_b == pytest.approx(want_var, rel=1e-10)
         assert abs(var_row.gap) <= 0.15 * var_row.estimate_b
         assert report.statistic(f"ks[l={ell}]").estimate_a <= 0.06
+
+
+def _ks_samples():
+    rng = np.random.default_rng(71)
+    yield rng.normal(size=1)
+    yield rng.normal(size=2)
+    yield rng.normal(size=1000)
+    yield np.round(rng.normal(size=500), 1)          # tied values
+    yield 1.7 * rng.normal(size=1000) + 0.4           # shifted and scaled
+    yield 0.3 * rng.normal(size=999) - 2.0
+    yield np.zeros(7)                                 # one value, all tied
+
+
+def test_ks_statistic_is_scipys_bit_for_bit():
+    from scipy import stats
+    for x in _ks_samples():
+        want = stats.kstest(x, "norm").statistic
+        assert np.float64(_ks_statistic(x)).tobytes() == np.float64(want).tobytes()
 
 
 def test_gd_gaussianity_requires_gd_program():

@@ -101,6 +101,25 @@ def test_predict_entrywise_bytes_do_not_depend_on_sub_blocks(monkeypatch, kind):
                 assert np.array_equal(ses, outs[0][1])
 
 
+def test_row_accumulator_matches_one_column_accumulator_per_coordinate():
+    # the read-out's one (coordinates, b) accumulator against the reference
+    # it replaced: one (b, 1) column accumulator per coordinate
+    rng = np.random.default_rng(53)
+    dim = 7
+    rows = se._MeanAccumulator(dim)
+    cols = [se._MeanAccumulator(1) for _ in range(dim)]
+    for b in (16384, 1, 37, 3616):
+        block = 3.0 + rng.standard_t(3, size=(b, dim))
+        block[:, 0] = 2.5                               # a constant coordinate
+        for i in range(dim):
+            cols[i].add(block[:, i : i + 1])
+        rows.add_rows(np.ascontiguousarray(block.T))
+    assert rows.mean().tobytes() == np.concatenate(
+        [a.mean() for a in cols]).tobytes()
+    assert rows.se().tobytes() == np.concatenate([a.se() for a in cols]).tobytes()
+    assert rows.se()[0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # memory bounds; numpy reports its buffers to tracemalloc.  Drawn as whole
 # blocks, these two calls peaked at 1050 MiB and 476 MiB.
