@@ -19,15 +19,22 @@ probe averages over it.  The transform's intermediates are thus sized by
 the budget, not by the coordinate count, up to 2048 path values per
 sample (R (p+1) floats), where one _SUB_ALIGN sub-block fills the budget.
 What still grows with the coordinates is the buffer of per-sample
-statistics of one block: (b, R) per statistic for heterogeneous laws
-((b, 1) for homogeneous ones) and (coordinates, b) in the read-out.  The
-statistics reach the accumulators exactly as an unsplit block's would:
-normals come sequentially from the same streams, every per-sample
-operation acts row by row, and the one BLAS product whose rows depend on
-the shape of the call runs on whole blocks.  So the sub-block size never
-changes the accumulation layout or a single output byte.
+statistics of one recursion block: (b, R) per statistic for heterogeneous
+laws ((b, 1) for homogeneous ones).  The read-out holds no per-block
+buffer.  It walks numpy's pairwise-sum tree over each block: a node of
+more than one leaf of samples splits where numpy splits it (half, rounded
+down to a multiple of 8), left before right, and a leaf of about
+_SUB_BLOCK_BYTES of psi values, and never fewer than numpy's unsplit
+128-sample block, is summed by numpy itself.  So each row total has the
+bytes of numpy's sum over the whole block row.  The statistics reach the
+accumulators exactly as an unsplit block's would: normals come
+sequentially from the same streams, every per-sample operation acts row
+by row, and the one BLAS product whose rows depend on the shape of the
+call runs on whole blocks.  So the sub-block size never changes the
+accumulation layout or a single output byte.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,18 +275,30 @@ class _MeanAccumulator:
         self.sumsq += np.square(dev).sum(axis=0)
         self.count += samples.shape[0]
 
-    def add_rows(self, vals):
-        """add() for samples held one coordinate per row of a C-contiguous
-        (dim, b) buffer, which is overwritten.  Each row sum is numpy's
-        pairwise sum over b contiguous values, the same sum add() takes over
-        a contiguous (b, 1) column, so the bytes match add() per column."""
-        if self.shift is None:
-            self.shift = np.array(vals[:, 0], dtype=float)
-        vals -= self.shift[:, None]
-        self.sum += vals.sum(axis=1)
-        np.square(vals, out=vals)
-        self.sumsq += vals.sum(axis=1)
-        self.count += vals.shape[1]
+    def add_pairwise(self, b, fill, leaf):
+        """add() for b samples that ``fill(n)`` returns n at a time, one
+        coordinate per row of a C-contiguous (dim, n) buffer it may overwrite.
+        The sums walk numpy's pairwise tree down to ``leaf`` >= 128 samples,
+        so each row total has the bytes add() gives a (b, 1) column."""
+
+        def node(n):
+            if n > leaf:
+                n2 = n // 2 - (n // 2) % 8
+                s1, q1 = node(n2)
+                s2, q2 = node(n - n2)
+                return s1 + s2, q1 + q2
+            vals = fill(n)
+            if self.shift is None:
+                self.shift = np.array(vals[:, 0], dtype=float)
+            vals -= self.shift[:, None]
+            total = vals.sum(axis=1)
+            np.square(vals, out=vals)
+            return total, vals.sum(axis=1)
+
+        total, sq = node(b)
+        self.sum += total
+        self.sumsq += sq
+        self.count += b
 
     def mean(self):
         return self.shift + self.sum / self.count
@@ -652,6 +671,9 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
         t = law.T
     if not 1 <= t <= law.T:
         raise ConfigError(f"step {t} outside 1..{law.T}")
+    if (isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral)
+            or n_paths < 2):
+        raise ConfigError(f"n_paths must be an integer >= 2, got {n_paths!r}")
     coords = np.asarray(coords, dtype=int)
     if coords.size and (coords.min() < 0 or coords.max() >= law.coords):
         raise ConfigError("coordinate outside range")
@@ -659,16 +681,24 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
     factors = law.factors(t, coords=sel)
     gens = [Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0)))]
     x0 = law.x0[sel]
-    acc = _MeanAccumulator(len(sel))
+    dim = len(sel)
+
+    def fill(n):
+        vals = np.empty((dim, n))
+        for lo, hi in _sub_blocks(n, dim * (t + 1)):
+            out = transform.apply(_draw_paths(gens, factors, x0, hi - lo), rows=sel)
+            vals[:, lo:hi] = psi(out[..., t]).T
+        return vals
+
+    # about _SUB_BLOCK_BYTES of psi values per leaf, never splitting below
+    # numpy's 128-sample pairwise block
+    leaf = max(128, _SUB_BLOCK_BYTES // (8 * max(1, dim)))
+    acc = _MeanAccumulator(dim)
     remaining = int(n_paths)
     while remaining > 0:
         b = min(_PREDICT_BLOCK, remaining)
         remaining -= b
-        vals = np.empty((len(sel), b))
-        for lo, hi in _sub_blocks(b, len(sel) * (t + 1)):
-            out = transform.apply(_draw_paths(gens, factors, x0, hi - lo), rows=sel)
-            vals[:, lo:hi] = psi(out[..., t]).T
-        acc.add_rows(vals)
+        acc.add_pairwise(b, fill, leaf)
     means, ses = acc.mean(), acc.se()
     if track.collapsed:
         return np.full(len(coords), means[0]), np.full(len(coords), ses[0])

@@ -365,6 +365,23 @@ def test_prediction_side_and_step_validation():
         predict_entrywise(rec, [n + 3], lambda x: x, n_paths=100)
 
 
+@pytest.mark.parametrize("n_paths", [0, -3, 1, 1.7, True])
+def test_prediction_rejects_bad_path_counts(n_paths):
+    n = 4
+    rec = se_symmetric(build_tanh_iteration(2, np.ones(n)),
+                       constant_profile((n, n)), mc_samples=100, seed=28)
+    with pytest.raises(ConfigError, match="n_paths"):
+        predict_entrywise(rec, [0], lambda x: x, n_paths=n_paths)
+
+
+def test_prediction_of_no_coordinates_is_empty():
+    n = 4
+    rec = se_symmetric(build_tanh_iteration(2, np.linspace(0.0, 1.0, n)),
+                       constant_profile((n, n)), mc_samples=100, seed=28)
+    means, ses = predict_entrywise(rec, [], np.tanh, n_paths=300)
+    assert means.shape == ses.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 

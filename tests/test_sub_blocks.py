@@ -101,6 +101,36 @@ def test_predict_entrywise_bytes_do_not_depend_on_sub_blocks(monkeypatch, kind):
                 assert np.array_equal(ses, outs[0][1])
 
 
+def _filler(vals):
+    """fill(n) for add_pairwise: the next n columns of ``vals``, copied into
+    a C-contiguous buffer."""
+    pos = [0]
+
+    def fill(n):
+        lo = pos[0]
+        pos[0] += n
+        return np.array(vals[:, lo:lo + n], order="C")
+
+    return fill
+
+
+@pytest.mark.parametrize("leaf", [128, 300])
+@pytest.mark.parametrize("b", [1, 7, 8, 127, 128, 129, 1000, 3616, 16384])
+def test_pairwise_walk_matches_whole_buffer_row_sums(b, leaf):
+    # the tree walk against numpy's row sums over the whole (coordinates, b)
+    # buffer, the layout it replaced
+    rng = np.random.default_rng(54)
+    vals = 3.0 + rng.standard_t(3, size=(5, b))
+    vals[2] = 2.5                                       # a constant row
+    acc = se._MeanAccumulator(5)
+    acc.add_pairwise(b, _filler(vals), leaf)
+    dev = vals - vals[:, :1]
+    assert acc.sum.tobytes() == dev.sum(axis=1).tobytes()
+    assert acc.sumsq.tobytes() == np.square(dev).sum(axis=1).tobytes()
+    assert acc.count == b
+    assert acc.se()[2] == 0.0
+
+
 def test_row_accumulator_matches_one_column_accumulator_per_coordinate():
     # the read-out's one (coordinates, b) accumulator against the reference
     # it replaced: one (b, 1) column accumulator per coordinate
@@ -113,7 +143,7 @@ def test_row_accumulator_matches_one_column_accumulator_per_coordinate():
         block[:, 0] = 2.5                               # a constant coordinate
         for i in range(dim):
             cols[i].add(block[:, i : i + 1])
-        rows.add_rows(np.ascontiguousarray(block.T))
+        rows.add_pairwise(b, _filler(block.T), 128)
     assert rows.mean().tobytes() == np.concatenate(
         [a.mean() for a in cols]).tobytes()
     assert rows.se().tobytes() == np.concatenate([a.se() for a in cols]).tobytes()
@@ -122,7 +152,9 @@ def test_row_accumulator_matches_one_column_accumulator_per_coordinate():
 
 # ---------------------------------------------------------------------------
 # memory bounds; numpy reports its buffers to tracemalloc.  Drawn as whole
-# blocks, these two calls peaked at 1050 MiB and 476 MiB.
+# blocks, these calls peaked at 1050 MiB and 476 MiB; holding one psi buffer
+# per 16384-sample block, the read-out peaked at 62 MiB (400 coordinates)
+# and 309 MiB (2000 coordinates).
 
 def _peak_bytes(fn):
     tracemalloc.start()
@@ -133,16 +165,23 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_predict_entrywise_memory_is_bounded():
-    n = 400
+def _read_out_peak(n):
     z0 = np.random.default_rng(48).normal(size=n)
     rec = se.se_symmetric(build_tanh_iteration(3, z0), constant_profile((n, n)),
                           mc_samples=500, seed=49)
     assert not rec.side("z").collapsed
-    # the per-block psi buffer alone is 16384 x 400 floats (52 MB)
-    peak = _peak_bytes(lambda: se.predict_entrywise(
+    return _peak_bytes(lambda: se.predict_entrywise(
         rec, np.arange(n), np.square, t=3, n_paths=20000, seed=50))
-    assert peak < 100 * MIB, f"peak {peak / MIB:.0f} MiB"
+
+
+def test_predict_entrywise_memory_is_bounded():
+    peak = _read_out_peak(400)
+    assert peak < 16 * MIB, f"peak {peak / MIB:.0f} MiB"
+
+
+def test_predict_entrywise_memory_does_not_grow_with_a_block_per_coordinate():
+    peak = _read_out_peak(2000)
+    assert peak < 32 * MIB, f"peak {peak / MIB:.0f} MiB"
 
 
 def test_two_sided_engine_memory_is_bounded():
