@@ -9,7 +9,9 @@ gradient-descent limit law of ``gd_se``, as one digest per loss, profile
 and sample mask over every table, the key parameters at every step and the
 nested-sum coefficients.  ``golden/samples.json`` pins the sampled
 matrices, as one digest per sampler, law, profile, truncation and
-normalization over a grid of sizes and seeds.  A change that alters them
+normalization over a grid of sizes and seeds.  ``golden/trajectories.json``
+pins the iterates of every executor on sampled matrices, the corrected
+ones with non-zero memory tables.  A change that alters them
 on purpose re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -29,22 +31,26 @@ import pytest
 from conftest import (mixed_asymmetric_program, mixed_symmetric_program,
                       two_block_profile, wavy_loss)
 from gfomlab.cli import parse_config, run_experiment
+from gfomlab.dynamics import (run_amp_asymmetric, run_amp_symmetric,
+                              run_asymmetric, run_leave_k_out, run_symmetric)
 from gfomlab.ensembles import (NORMALIZATIONS, EnsembleSpec, VarianceProfile,
                                constant_profile, gaussian_law, rademacher_law,
                                sample_asymmetric, sample_symmetric,
                                shifted_bernoulli_law, uniform_pm_law)
-from gfomlab.erm import squared_loss
+from gfomlab.erm import prox_lasso, prox_ridge, squared_loss
 from gfomlab.gd_se import g_coefficient_nested_sum, gd_key_params, gd_se
-from gfomlab.programs import build_tanh_iteration, tanh_map
+from gfomlab.programs import (build_gd_ridge, build_logistic,
+                              build_pgd_linear, build_tanh_iteration, tanh_map)
 from gfomlab.state_evolution import (amp_se_asymmetric, amp_se_symmetric,
-                                     predict_entrywise, se_asymmetric,
-                                     se_symmetric)
+                                     gfom_to_amp, predict_entrywise,
+                                     se_asymmetric, se_symmetric)
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.stem for p in GOLDEN.glob("*.json")
-               if p.stem not in ("records", "samples"))
+               if p.stem not in ("records", "samples", "trajectories"))
 RECORDS = GOLDEN / "records.json"
 SAMPLES = GOLDEN / "samples.json"
+TRAJECTORIES = GOLDEN / "trajectories.json"
 
 
 def _artifacts(case, out_dir):
@@ -224,6 +230,90 @@ def test_samples_match_golden_digests(case):
     assert _sample_digest(case) == json.loads(SAMPLES.read_text())[case]
 
 
+# ---------------------------------------------------------------------------
+# executor trajectories: every executor on Gaussian matrices, 40x40 and
+# 50x40, T = 4; the corrected runs take their memory tables from a limit law
+
+TR_M, TR_N, TR_T, TR_MC = 50, 40, 4, 2000
+TRAJECTORY_CASES = ("run_symmetric/mixed", "run_leave_k_out/mixed",
+                    "run_asymmetric/mixed", "run_asymmetric/gd_ridge_masked",
+                    "run_asymmetric/pgd_lasso", "run_asymmetric/logistic",
+                    "run_amp_symmetric/amp_se", "run_amp_symmetric/gfom_to_amp",
+                    "run_amp_asymmetric/amp_se",
+                    "run_amp_asymmetric/gfom_to_amp")
+
+
+def _gaussian_matrix(m, n, seed):
+    symmetric = m is None
+    spec = EnsembleSpec(gaussian_law(), constant_profile((m or n, n)),
+                        "inv_sqrt_n", symmetric=symmetric)
+    if symmetric:
+        return sample_symmetric(spec, n, seed)
+    return sample_asymmetric(spec, m, n, seed)
+
+
+def _trajectory(case):
+    m, n, T = TR_M, TR_N, TR_T
+    a_sym, a = _gaussian_matrix(None, n, 90), _gaussian_matrix(m, n, 91)
+    rng = np.random.default_rng(92)
+    mu0, xi = rng.normal(size=n), 0.5 * rng.normal(size=m)
+    masks = (rng.random((T, m)) < 0.7) * 1.0
+    sym, asym = mixed_symmetric_program(n, T, 93), mixed_asymmetric_program(m, n, T, 94)
+    executor, what = case.split("/")
+    if case == "run_symmetric/mixed":
+        return run_symmetric(a_sym, sym)
+    if executor == "run_leave_k_out":
+        return run_leave_k_out(a_sym, sym, [3, 17, 38])
+    if case == "run_asymmetric/mixed":
+        return run_asymmetric(a, asym)
+    if what == "gd_ridge_masked":
+        return run_asymmetric(a, build_gd_ridge(squared_loss(), 0.3, 0.2, mu0,
+                                                xi, masks, T))
+    if what == "pgd_lasso":
+        return run_asymmetric(a, build_pgd_linear(squared_loss(), prox_lasso(0.1),
+                                                  0.25, mu0, xi, T))
+    if what == "logistic":
+        return run_asymmetric(a, build_logistic(prox_ridge(0.1), 0.5, 0.2, mu0,
+                                                xi, T))
+    if case == "run_amp_symmetric/amp_se":
+        fns = build_tanh_iteration(T, sym.z0).mat_fns
+        rec = amp_se_symmetric(fns, constant_profile((n, n)), sym.z0,
+                               mc_samples=TR_MC, seed=95)
+        return run_amp_symmetric(a_sym, fns, rec.side("z").coeffs, sym.z0)
+    if case == "run_amp_symmetric/gfom_to_amp":
+        rec = se_symmetric(sym, constant_profile((n, n)), mc_samples=TR_MC,
+                           seed=96)
+        return run_amp_symmetric(a_sym, *gfom_to_amp(sym, rec)["z"], sym.z0)
+    if case == "run_amp_asymmetric/amp_se":
+        u_fns = [tanh_map(t, t - 1) for t in range(1, T + 1)]
+        v_fns = [tanh_map(t + 1, t) for t in range(1, T + 1)]
+        rec = amp_se_asymmetric(u_fns, v_fns, constant_profile((m, n)),
+                                asym.u0, asym.v0, mc_samples=TR_MC, seed=97)
+        return run_amp_asymmetric(a, u_fns, v_fns, rec.side("u").coeffs,
+                                  rec.side("v").coeffs, asym.u0, asym.v0)
+    rec = se_asymmetric(asym, constant_profile((m, n)), mc_samples=TR_MC,
+                        seed=98)
+    amp = gfom_to_amp(asym, rec)
+    return run_amp_asymmetric(a, amp["u"][0], amp["v"][0], amp["u"][1],
+                              amp["v"][1], asym.u0, asym.v0)
+
+
+def _trajectory_digest(case):
+    traj = _trajectory(case)
+    h = hashlib.sha256()
+    for name in ("z", "u", "v"):
+        track = getattr(traj, name)
+        if track is not None:
+            h.update(name.encode())
+            _put(h, track)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", TRAJECTORY_CASES)
+def test_trajectories_match_golden_digests(case):
+    assert _trajectory_digest(case) == json.loads(TRAJECTORIES.read_text())[case]
+
+
 if __name__ == "__main__":
     for case in CASES:
         with tempfile.TemporaryDirectory() as work:
@@ -234,3 +324,5 @@ if __name__ == "__main__":
     RECORDS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     digests = {case: _sample_digest(case) for case in SAMPLE_CASES}
     SAMPLES.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    digests = {case: _trajectory_digest(case) for case in TRAJECTORY_CASES}
+    TRAJECTORIES.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
