@@ -12,7 +12,6 @@ import dataclasses
 import datetime
 import hashlib
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -20,8 +19,7 @@ import numpy as np
 import scipy
 
 from .errors import ConfigError, NumericalError
-from .harness import (ComparisonReport, DecayReport, DelocalizationReport,
-                      ExperimentConfig, list_experiments, list_programs,
+from .harness import (ExperimentConfig, list_experiments, list_programs,
                       run_named_experiment, write_json, write_lines)
 
 
@@ -118,27 +116,6 @@ def run_experiment(config, out_dir, dry_run=False):
     return manifest
 
 
-_T_IN_LABEL = re.compile(r"\bt=(\d+)")
-
-
-def _plot_rows(report):
-    if isinstance(report, ComparisonReport):
-        for i, st in enumerate(report.statistics):
-            hit = _T_IN_LABEL.search(st.label)
-            x = int(hit.group(1)) if hit else i
-            yield (st.label, x, st.gap, st.se)
-    elif isinstance(report, DecayReport):
-        for t, l2, linf in report.rows:
-            yield ("l2_over_sqrt_n", t, l2, 0.0)
-        for t, l2, linf in report.rows:
-            yield ("sup_norm", t, linf, 0.0)
-    elif isinstance(report, DelocalizationReport):
-        for r in report.rows:
-            yield (r["track"], r["t"], r["ratio"], 0.0)
-    else:
-        raise ConfigError(f"cannot plot report of type {type(report).__name__}")
-
-
 def emit_plot_data(report, path):
     """CSV (series, x, y, y_err) for external plotting.
 
@@ -150,9 +127,11 @@ def emit_plot_data(report, path):
         for x, rep in report:
             for st in rep.statistics:
                 lines.append(f"{st.label},{x:.17g},{st.gap:.17g},{st.se:.17g}")
-    else:
-        for series, x, y, yerr in _plot_rows(report):
+    elif hasattr(report, "plot_rows"):
+        for series, x, y, yerr in report.plot_rows():
             lines.append(f"{series},{x},{y:.17g},{yerr:.17g}")
+    else:
+        raise ConfigError(f"cannot plot report of type {type(report).__name__}")
     write_lines(path, lines)
 
 

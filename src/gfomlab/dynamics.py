@@ -1,27 +1,28 @@
 """Run symmetric/asymmetric iterations and their corrected variants.
 
-Histories are stored iterate-major: ``z`` has shape (T+1, n) with row t the
-iterate after step t.  Row functions receive the transposed slice (n, t) so
-the last axis is the iterate index.  Any iterate with a non-finite entry or
-magnitude above 1e12 raises DivergenceError naming the offending step.
+Every executor is one loop over the side table (``programs.Track``).
+Histories are stored iterate-major: a side's track has shape (T+1, width)
+with row t the iterate after step t.  Row functions receive the transposed
+slice (width, t) so the last axis is the iterate index.  Any iterate with a
+non-finite entry or magnitude above 1e12 raises DivergenceError naming the
+offending step and side.
 """
-
-import time
 
 import numpy as np
 
 from .erm import DIVERGENCE_LIMIT
 from .errors import ConfigError, DivergenceError
+from .programs import asymmetric_tracks, check_tracks, symmetric_tracks
 
 
 class Trajectory:
-    """Iterate history plus per-step wall times (timing never hits the CSVs)."""
+    """Iterate history: ``z`` for a symmetric run, ``u`` and ``v`` for a
+    two-sided one."""
 
-    def __init__(self, z=None, u=None, v=None, step_seconds=None):
+    def __init__(self, z=None, u=None, v=None):
         self.z = z
         self.u = u
         self.v = v
-        self.step_seconds = step_seconds
 
     @property
     def symmetric(self):
@@ -35,44 +36,49 @@ def _guard(x, step, track):
         )
 
 
-def run_symmetric(a, prog):
+def _run(a, tracks, T, memory=None):
+    """The iteration loop behind every executor.
+
+    Without ``memory`` a side computes A f + add; with it (one table per
+    side, see ``check_tracks``) the side computes A f and then subtracts
+    memory[t-1][s-1] times the source side's update values of step s, for
+    s = 1..t-1+offset in increasing order.
+    """
     a = np.asarray(a, dtype=float)
-    n = prog.n
-    if a.shape != (n, n):
-        raise ConfigError(f"matrix shape {a.shape} != ({n}, {n})")
-    z = np.zeros((prog.T + 1, n))
-    z[0] = prog.z0
-    _guard(z[0], 0, "z")
-    times = np.zeros(prog.T)
-    for t in range(1, prog.T + 1):
-        tic = time.perf_counter()
-        hist = z[:t].T  # (n, t)
-        z[t] = a @ prog.mat_fns[t - 1](hist) + prog.add_fns[t - 1](hist)
-        _guard(z[t], t, "z")
-        times[t - 1] = time.perf_counter() - tic
-    return Trajectory(z=z, step_seconds=times)
+    memory = check_tracks(tracks, T, memory)
+    first = next(iter(tracks.values()))
+    want = (first.x0.shape[0], tracks[first.source].x0.shape[0])
+    if a.shape != want:
+        raise ConfigError(f"matrix shape {a.shape} != {want}")
+    hist, vals = {}, {}
+    for name, tr in tracks.items():
+        hist[name] = np.zeros((T + 1, tr.x0.shape[0]))
+        hist[name][0] = tr.x0
+        _guard(hist[name][0], 0, name)
+        # the update values of this side, stored at the source's width
+        vals[name] = np.zeros((T + 1, tracks[tr.source].x0.shape[0]))
+    for t in range(1, T + 1):
+        for name, tr in tracks.items():
+            x = hist[name]
+            mat = a.T if tr.offset else a
+            f = tr.mat_fns[t - 1](hist[tr.source][: t + tr.offset].T)
+            if memory is None:
+                x[t] = mat @ f + tr.add_fns[t - 1](x[:t].T)
+            else:
+                vals[name][t] = f
+                x[t] = mat @ vals[name][t]
+                for s in range(1, t + tr.offset):
+                    x[t] -= memory[name][t - 1][s - 1] * vals[tr.source][s]
+            _guard(x[t], t, name)
+    return Trajectory(**hist)
+
+
+def run_symmetric(a, prog):
+    return _run(a, prog.tracks(), prog.T)
 
 
 def run_asymmetric(a, prog):
-    a = np.asarray(a, dtype=float)
-    m, n = prog.m, prog.n
-    if a.shape != (m, n):
-        raise ConfigError(f"matrix shape {a.shape} != ({m}, {n})")
-    u = np.zeros((prog.T + 1, m))
-    v = np.zeros((prog.T + 1, n))
-    u[0] = prog.u0
-    v[0] = prog.v0
-    _guard(u[0], 0, "u")
-    _guard(v[0], 0, "v")
-    times = np.zeros(prog.T)
-    for t in range(1, prog.T + 1):
-        tic = time.perf_counter()
-        u[t] = a @ prog.u_mat_fns[t - 1](v[:t].T) + prog.u_add_fns[t - 1](u[:t].T)
-        _guard(u[t], t, "u")
-        v[t] = a.T @ prog.v_mat_fns[t - 1](u[: t + 1].T) + prog.v_add_fns[t - 1](v[:t].T)
-        _guard(v[t], t, "v")
-        times[t - 1] = time.perf_counter() - tic
-    return Trajectory(u=u, v=v, step_seconds=times)
+    return _run(a, prog.tracks(), prog.T)
 
 
 def run_leave_k_out(a, prog, drop_set):
@@ -93,49 +99,13 @@ def run_leave_k_out(a, prog, drop_set):
     return run_symmetric(masked, prog)
 
 
-def _check_onsager(onsager, T, widths, label):
-    if len(onsager) != T:
-        raise ConfigError(f"need {T} {label} correction rows, got {len(onsager)}")
-    out = []
-    for t in range(1, T + 1):
-        c = np.asarray(onsager[t - 1], dtype=float)
-        want = widths(t)
-        if c.shape != want:
-            raise ConfigError(f"{label} correction for step {t}: shape {c.shape} != {want}")
-        out.append(c)
-    return out
-
-
 def run_amp_symmetric(a, fns, onsager, z0):
     """z^(t) = A f_t(history) - sum_s onsager[t][s] * f_s(history at step s).
 
     ``onsager[t-1]`` has shape (t-1, n): one correction vector per earlier
     step.  Values f_s are the ones computed when step s ran (memory terms).
     """
-    a = np.asarray(a, dtype=float)
-    z0 = np.asarray(z0, dtype=float)
-    n = z0.shape[0]
-    T = len(fns)
-    if a.shape != (n, n):
-        raise ConfigError(f"matrix shape {a.shape} != ({n}, {n})")
-    for t in range(1, T + 1):
-        if fns[t - 1].arity != t:
-            raise ConfigError(f"update function for step {t} must consume columns 0..{t - 1}")
-    ons = _check_onsager(onsager, T, lambda t: (t - 1, n), "memory")
-    z = np.zeros((T + 1, n))
-    z[0] = z0
-    _guard(z[0], 0, "z")
-    vals = np.zeros((T + 1, n))
-    times = np.zeros(T)
-    for t in range(1, T + 1):
-        tic = time.perf_counter()
-        vals[t] = fns[t - 1](z[:t].T)
-        z[t] = a @ vals[t]
-        for s in range(1, t):
-            z[t] -= ons[t - 1][s - 1] * vals[s]
-        _guard(z[t], t, "z")
-        times[t - 1] = time.perf_counter() - tic
-    return Trajectory(z=z, step_seconds=times)
+    return _run(a, symmetric_tracks(fns, None, z0), len(fns), {"z": onsager})
 
 
 def run_amp_asymmetric(a, u_fns, v_fns, u_onsager, v_onsager, u0, v0):
@@ -144,42 +114,8 @@ def run_amp_asymmetric(a, u_fns, v_fns, u_onsager, v_onsager, u0, v0):
     u^(t) = A f_t(v-history)        - sum_{s<t}  u_onsager[t][s] * g_s-values
     v^(t) = A^T g_t(u-hist incl. t) - sum_{s<=t} v_onsager[t][s] * f_s-values
     """
-    a = np.asarray(a, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    m, n = u0.shape[0], v0.shape[0]
-    T = len(u_fns)
-    if len(v_fns) != T:
-        raise ConfigError("update function lists must have equal length")
-    if a.shape != (m, n):
-        raise ConfigError(f"matrix shape {a.shape} != ({m}, {n})")
-    for t in range(1, T + 1):
-        if u_fns[t - 1].arity != t or v_fns[t - 1].arity != t + 1:
-            raise ConfigError(f"step {t} update arities wrong")
-    u_ons = _check_onsager(u_onsager, T, lambda t: (t - 1, m), "u memory")
-    v_ons = _check_onsager(v_onsager, T, lambda t: (t, n), "v memory")
-    u = np.zeros((T + 1, m))
-    v = np.zeros((T + 1, n))
-    u[0], v[0] = u0, v0
-    _guard(u[0], 0, "u")
-    _guard(v[0], 0, "v")
-    f_vals = np.zeros((T + 1, n))
-    g_vals = np.zeros((T + 1, m))
-    times = np.zeros(T)
-    for t in range(1, T + 1):
-        tic = time.perf_counter()
-        f_vals[t] = u_fns[t - 1](v[:t].T)
-        u[t] = a @ f_vals[t]
-        for s in range(1, t):
-            u[t] -= u_ons[t - 1][s - 1] * g_vals[s]
-        _guard(u[t], t, "u")
-        g_vals[t] = v_fns[t - 1](u[: t + 1].T)
-        v[t] = a.T @ g_vals[t]
-        for s in range(1, t + 1):
-            v[t] -= v_ons[t - 1][s - 1] * f_vals[s]
-        _guard(v[t], t, "v")
-        times[t - 1] = time.perf_counter() - tic
-    return Trajectory(u=u, v=v, step_seconds=times)
+    tracks = asymmetric_tracks(u_fns, None, v_fns, None, u0, v0)
+    return _run(a, tracks, len(u_fns), {"u": u_onsager, "v": v_onsager})
 
 
 def trajectory_to_csv(traj, path):

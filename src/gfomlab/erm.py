@@ -36,10 +36,6 @@ def sigmoid(x):
     return expit(x)
 
 
-def log1pexp(x):
-    return np.logaddexp(0.0, x)
-
-
 def smoothed_sign(z, sigma):
     """2 * phi_sigma(z) - 1: the hard sign of z when sigma == 0."""
     z = np.asarray(z, dtype=float)

@@ -21,7 +21,7 @@ from numpy.random import Generator, Philox
 from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
 from .seeds import DOMAIN_SE, child_sequence
-from .state_evolution import psd_factors
+from .state_evolution import check_count, psd_factors
 
 VAR_FLOOR = -1e-10
 DEFAULT_MC = 20000
@@ -206,6 +206,7 @@ def _run(loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig, T, mc, seed):
         raise ConfigError("eta and lambda must be >= 0")
     if T < 1:
         raise ConfigError("horizon must be >= 1")
+    mc = check_count(mc, "mc_samples")
     m = xi.shape[0]
     masks = np.ones((T, m)) if masks is None else masks
     state = GdSeState(loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig,

@@ -21,6 +21,7 @@ replicate 0.
 import json
 import math
 import numbers
+import re
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -221,6 +222,9 @@ class Statistic:
         self.passed = abs(self.gap) <= self.tolerance
 
 
+_T_IN_LABEL = re.compile(r"\bt=(\d+)")
+
+
 class ComparisonReport:
     def __init__(self, name, statistics, divergent=None, runtime_seconds=0.0,
                  details=None):
@@ -239,6 +243,13 @@ class ComparisonReport:
             if st.label == label:
                 return st
         raise KeyError(label)
+
+    def plot_rows(self):
+        """(series, x, y, y_err) per statistic: x is the step in the label,
+        else the row index."""
+        for i, st in enumerate(self.statistics):
+            hit = _T_IN_LABEL.search(st.label)
+            yield (st.label, int(hit.group(1)) if hit else i, st.gap, st.se)
 
     def to_csv(self, path):
         header = "statistic,estimate_a,estimate_b,gap,se,tolerance,passed"
@@ -643,7 +654,7 @@ def se_vs_simulation(config):
                                     "se_vs_simulation")
     rows = []
     for i, (s, t) in enumerate(cells):
-        dim = plan.n if s in ("z", "v") else plan.m
+        dim = record.side(s).law.coords
         est_sim, se_sim = _mean_se(sim[:, i])
         means, ses = predict_entrywise(record, np.arange(dim), psi, side=s, t=t,
                                        n_paths=config.mc_samples,
@@ -732,6 +743,12 @@ class DecayReport:
         return (self.slope is not None and self.slope < 0
                 and self.r_squared >= thresh)
 
+    def plot_rows(self):
+        for t, l2, _ in self.rows:
+            yield ("l2_over_sqrt_n", t, l2, 0.0)
+        for t, _, linf in self.rows:
+            yield ("sup_norm", t, linf, 0.0)
+
     def to_csv(self, path):
         write_lines(path, ["t,l2_over_sqrt_n,sup_norm"] + [
             f"{t},{l2:.17g},{linf:.17g}" for t, l2, linf in self.rows])
@@ -802,6 +819,10 @@ class DelocalizationReport:
                 if track is None or r["track"] == track]
         return max(vals) if vals else 0.0
 
+    def plot_rows(self):
+        for r in self.rows:
+            yield (r["track"], r["t"], r["ratio"], 0.0)
+
     def to_csv(self, path):
         lines = ["track,t,sup_norm,rms_norm,ratio,bound,flagged,loo_gap"]
         for r in self.rows:
@@ -822,14 +843,7 @@ class DelocalizationReport:
 
 def _as_tracks(obj):
     if isinstance(obj, Trajectory):
-        out = {}
-        if obj.z is not None:
-            out["z"] = np.asarray(obj.z)
-        if obj.u is not None:
-            out["u"] = np.asarray(obj.u)
-        if obj.v is not None:
-            out["v"] = np.asarray(obj.v)
-        return out
+        obj = {k: v for k, v in vars(obj).items() if v is not None}
     if isinstance(obj, dict):
         return {k: np.asarray(v) for k, v in obj.items()}
     return {"z": np.asarray(obj)}

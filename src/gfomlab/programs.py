@@ -12,10 +12,13 @@ asymmetric programs update, in order within a step,
 
     u^(t) = A u_mat_fns[t](v-history) + u_add_fns[t](u-history)
     v^(t) = A^T v_mat_fns[t](u-history incl. u^(t)) + v_add_fns[t](v-history).
+
+Both are one recursion over sides; the side table (``Track``) writes that
+wiring once, for the executors and the limit-law builders alike.
 """
 
-import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +45,6 @@ class RowFunction:
     fn: callable
     dfn: callable
     row_constant: bool = True
-    lipschitz_hint: float | None = None
 
     def eval(self, row, history_row):
         h = np.asarray(history_row, dtype=float).reshape(1, self.arity)
@@ -59,16 +61,12 @@ class RowFunction:
     def __call__(self, hist, rows=None):
         return self.fn(np.asarray(hist, dtype=float), rows)
 
-    def d(self, hist, rows=None, which=0):
-        return self.dfn(np.asarray(hist, dtype=float), rows, which)
-
 
 def zero_row_function(arity):
     return RowFunction(
         arity=arity,
         fn=lambda h, rows: np.zeros(h.shape[:-1]),
         dfn=lambda h, rows, which: np.zeros(h.shape[:-1]),
-        lipschitz_hint=0.0,
     )
 
 
@@ -80,7 +78,6 @@ def constant_rows(values, arity):
         fn=lambda h, rows: np.broadcast_to(_sel(values, rows), h.shape[:-1]).copy(),
         dfn=lambda h, rows, which: np.zeros(h.shape[:-1]),
         row_constant=False,
-        lipschitz_hint=0.0,
     )
 
 
@@ -94,11 +91,10 @@ def pick_iterate(arity, col):
         dfn=lambda h, rows, which: (
             np.ones(h.shape[:-1]) if which == col else np.zeros(h.shape[:-1])
         ),
-        lipschitz_hint=1.0,
     )
 
 
-def scalar_map(arity, col, g, dg, lipschitz_hint=None):
+def scalar_map(arity, col, g, dg):
     """g applied to history column ``col`` (g, dg vectorized over arrays)."""
     return RowFunction(
         arity=arity,
@@ -108,12 +104,11 @@ def scalar_map(arity, col, g, dg, lipschitz_hint=None):
             if which == col
             else np.zeros(h.shape[:-1])
         ),
-        lipschitz_hint=lipschitz_hint,
     )
 
 
 def tanh_map(arity, col):
-    return scalar_map(arity, col, np.tanh, lambda x: 1.0 / np.cosh(x) ** 2, lipschitz_hint=1.0)
+    return scalar_map(arity, col, np.tanh, lambda x: 1.0 / np.cosh(x) ** 2)
 
 
 def affine_combination(arity, weights, intercept=0.0):
@@ -133,8 +128,62 @@ def affine_combination(arity, weights, intercept=0.0):
         fn=fn,
         dfn=lambda h, rows, which: np.full(h.shape[:-1], weights[which]),
         row_constant=not per_row,
-        lipschitz_hint=float(np.sum(np.abs(weights))),
     )
+
+
+class Track(NamedTuple):
+    """One side of an iteration.
+
+    At step t the update functions ``mat_fns[t-1]`` read the history of side
+    ``source`` through step t-1+offset (arity t+offset), and their values are
+    multiplied by A, or by A^T when offset is 1; the additive functions
+    ``add_fns[t-1]`` (None for a corrected iteration) read the side's own
+    history through step t-1.  ``x0`` is the side's step-0 value.
+    """
+
+    source: str
+    offset: int
+    mat_fns: list
+    add_fns: list | None
+    x0: np.ndarray
+
+
+def symmetric_tracks(mat_fns, add_fns, z0):
+    """The side table of a one-matrix iteration: z reads itself."""
+    return {"z": Track("z", 0, mat_fns, add_fns, np.asarray(z0, dtype=float))}
+
+
+def asymmetric_tracks(u_mat_fns, u_add_fns, v_mat_fns, v_add_fns, u0, v0):
+    """The side table of a two-sided iteration, in update order: u reads the
+    v-history through A, then v reads the u-history including u^(t) through
+    A^T."""
+    return {"u": Track("v", 0, u_mat_fns, u_add_fns, np.asarray(u0, dtype=float)),
+            "v": Track("u", 1, v_mat_fns, v_add_fns, np.asarray(v0, dtype=float))}
+
+
+def check_tracks(tracks, T, memory=None):
+    """ConfigError unless every side has T functions of each role with the
+    arities its table entry fixes.  ``memory`` (corrected iterations) maps
+    each side to T tables, the one of step t of shape (t-1+offset, the
+    side's width); they are returned as float arrays."""
+    tables = {}
+    for name, tr in tracks.items():
+        for role, fns, offset in (("update", tr.mat_fns, tr.offset),
+                                  ("additive", tr.add_fns, 0)):
+            if fns is None:
+                continue
+            arities = [f.arity for f in fns]
+            if arities != list(range(1 + offset, T + 1 + offset)):
+                raise ConfigError(f"side {name} needs {T} {role} functions of "
+                                  f"arities {1 + offset}..{T + offset}, got {arities}")
+        if memory is not None:
+            tables[name] = [np.asarray(c, dtype=float) for c in memory[name]]
+            shapes = [c.shape for c in tables[name]]
+            want = [(t - 1 + tr.offset, tr.x0.shape[0]) for t in range(1, T + 1)]
+            if shapes != want:
+                raise ConfigError(f"side {name} memory tables have shapes {shapes}, "
+                                  f"not {want}")
+    return None if memory is None else tables
 
 
 @dataclass
@@ -147,11 +196,10 @@ class SymmetricProgram:
 
     def __post_init__(self):
         self.z0 = np.asarray(self.z0, dtype=float)
-        if len(self.mat_fns) != self.T or len(self.add_fns) != self.T:
-            raise ConfigError("need one mat/add function per step")
-        for t in range(1, self.T + 1):
-            if self.mat_fns[t - 1].arity != t or self.add_fns[t - 1].arity != t:
-                raise ConfigError(f"step {t} functions must consume columns 0..{t - 1}")
+        check_tracks(self.tracks(), self.T)
+
+    def tracks(self):
+        return symmetric_tracks(self.mat_fns, self.add_fns, self.z0)
 
     @property
     def n(self):
@@ -172,18 +220,11 @@ class AsymmetricProgram:
     def __post_init__(self):
         self.u0 = np.asarray(self.u0, dtype=float)
         self.v0 = np.asarray(self.v0, dtype=float)
-        lists = (self.u_mat_fns, self.u_add_fns, self.v_mat_fns, self.v_add_fns)
-        if any(len(fns) != self.T for fns in lists):
-            raise ConfigError("need one function of each role per step")
-        for t in range(1, self.T + 1):
-            ok = (
-                self.u_mat_fns[t - 1].arity == t
-                and self.u_add_fns[t - 1].arity == t
-                and self.v_mat_fns[t - 1].arity == t + 1
-                and self.v_add_fns[t - 1].arity == t
-            )
-            if not ok:
-                raise ConfigError(f"step {t} arities wrong (v_mat consumes the current column)")
+        check_tracks(self.tracks(), self.T)
+
+    def tracks(self):
+        return asymmetric_tracks(self.u_mat_fns, self.u_add_fns, self.v_mat_fns,
+                                 self.v_add_fns, self.u0, self.v0)
 
     @property
     def m(self):
@@ -528,17 +569,15 @@ def check_partials(rf, rng, probes=100, rows_count=None, rel_tol=1e-5, scale=1.5
 def validate_program(prog, seed=0, probes=100):
     """FD-check every row function of a program; raises ConfigError on fail."""
     rng = np.random.default_rng(seed)
-    if isinstance(prog, SymmetricProgram):
-        groups = [("mat", prog.mat_fns, prog.n), ("add", prog.add_fns, prog.n)]
-    else:
-        # u_mat and v_add read v-side histories (n rows); u_add and v_mat
-        # read u-side histories (m rows)
-        groups = [
-            ("u_mat", prog.u_mat_fns, prog.n), ("u_add", prog.u_add_fns, prog.m),
-            ("v_mat", prog.v_mat_fns, prog.m), ("v_add", prog.v_add_fns, prog.n),
-        ]
-    for name, fns, rows_count in groups:
-        for t, rf in enumerate(fns, start=1):
-            bad = check_partials(rf, rng, probes=probes, rows_count=rows_count)
-            if bad > 0:
-                raise ConfigError(f"{name}[{t}] partials off by {bad:.3e} beyond tolerance")
+    tracks = prog.tracks()
+    for name, tr in tracks.items():
+        # update functions read the source side's rows, additive ones the
+        # side's own
+        groups = [("mat", tr.mat_fns, tracks[tr.source].x0.shape[0]),
+                  ("add", tr.add_fns, tr.x0.shape[0])]
+        for role, fns, rows_count in groups:
+            for t, rf in enumerate(fns, start=1):
+                bad = check_partials(rf, rng, probes=probes, rows_count=rows_count)
+                if bad > 0:
+                    raise ConfigError(f"{name}_{role}[{t}] partials off by {bad:.3e} "
+                                      "beyond tolerance")

@@ -42,7 +42,8 @@ from numpy.random import Generator, Philox
 
 from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
-from .programs import RowFunction, SymmetricProgram
+from .programs import (RowFunction, SymmetricProgram, asymmetric_tracks,
+                       check_tracks, symmetric_tracks)
 from .seeds import DOMAIN_PREDICT, DOMAIN_SE, child_sequence, fixed_child
 
 PSD_FLOOR = -1e-10
@@ -96,6 +97,30 @@ def _draw_paths(gens, factors, x0, b):
 
 def _rows_identical(w):
     return bool(np.all(w == w[:1, :]))
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(value, name):
+    """``value`` as an int; ConfigError unless it is an integer >= 2 (a bool
+    is not)."""
+    if not _is_int(value) or value < 2:
+        raise ConfigError(f"{name} must be an integer >= 2, got {value!r}")
+    return int(value)
+
+
+def _coordinates(coords, width):
+    """``coords`` as an int array; ConfigError unless it is a 1-D sequence
+    of non-bool integers in 0..width-1."""
+    items = np.asarray(coords, dtype=object)
+    if items.ndim != 1 or not all(_is_int(k) for k in items):
+        raise ConfigError(f"coordinates must be a 1-D list of integers, got {coords!r}")
+    out = items.astype(int)
+    if out.size and (out.min() < 0 or out.max() >= width):
+        raise ConfigError("coordinate outside range")
+    return out
 
 
 def psd_factors(cov_block, context):
@@ -328,9 +353,7 @@ class _SideEngine:
         self.path_x0 = np.asarray(path_x0, dtype=float)
         self.tr = transform
         self.T = T
-        self.mc = int(mc)
-        if self.mc < 2:
-            raise ConfigError("need at least 2 Monte Carlo samples")
+        self.mc = mc
         self.seed_seq = seed_seq
         # one stream per path column: draws for column j never depend on the
         # horizon, so a run at T' <= T reuses exactly the same variates
@@ -500,69 +523,53 @@ def _horizon(T, T_max):
     return T
 
 
-def _drive(kind, mc, seed, fd_check, tracks, T):
-    """The step loop shared by every builder.
+def _record(kind, tracks, profile, T, mc, seed, normalization, fd_check):
+    """Build the limit law of an iteration from its side table.
 
-    A track is (side, engine, transform, lag): at step t the engine averages
-    over t - lag path columns, and its coefficient vectors form the side's
-    table for step t, appended to ``transform`` (unless it is raw) before
-    the next track steps.  A side's paths are drawn by the engine whose path
-    law is that side's law.
+    Side X's transform takes its inner functions from the side that reads X
+    and its outer functions from X's additive functions (identity when it
+    has none, for corrected iterations).  X's engine averages over t-1+offset
+    columns of its source's paths, drawn through the source's transform;
+    its coefficients for step t join X's transform before the next side
+    steps.  The first side weighs by the profile weights, the second by
+    their transpose.
     """
-    engines = [eng for _, eng, _, _ in tracks]
-    sides = {}
-    for name, eng, tr, _ in tracks:
-        drawer = next(e for e in engines if e.path_law is eng.law)
-        sides[name] = Side(eng.law, tr, [] if tr.raw else tr.coeffs, [],
-                           drawer.path_collapsed)
+    first = next(iter(tracks.values()))
+    T_max = len(first.mat_fns)
+    check_tracks(tracks, T_max)
+    T = _horizon(T, T_max)
+    mc = check_count(mc, "mc_samples")
+    raw = first.add_fns is None
+    w = profile_weights(profile, first.x0.shape[0],
+                        tracks[first.source].x0.shape[0], normalization)
+    weights = dict(zip(tracks, (w, w.T)))
+    reader = {tr.source: name for name, tr in tracks.items()}
+    transforms = {
+        name: HistoryTransform(tracks[reader[name]].mat_fns, tr.add_fns,
+                               inner_uses_current=bool(tracks[reader[name]].offset),
+                               corr_includes_current=bool(tr.offset), raw=raw)
+        for name, tr in tracks.items()}
+    engines = {
+        name: _SideEngine(weights[name], law_x0=tr.x0, path_x0=tracks[tr.source].x0,
+                          transform=transforms[tr.source], T=T, mc=mc,
+                          seed_seq=child_sequence(seed, DOMAIN_SE, i),
+                          coeffs_constant=_rows_identical(weights[tr.source]),
+                          fd_check=fd_check)
+        for i, (name, tr) in enumerate(tracks.items())}
+    for name, tr in tracks.items():
+        engines[name].path_law = engines[tr.source].law
+    # a side's paths are drawn by the engine of the side that reads it
+    sides = {name: Side(engines[name].law, transforms[name],
+                        [] if raw else transforms[name].coeffs, [],
+                        engines[reader[name]].path_collapsed)
+             for name in tracks}
     for t in range(1, T + 1):
-        for name, eng, _, lag in tracks:
-            coeffs, ses = eng.step(t, n_path_cols=t - lag)
+        for name, tr in tracks.items():
+            coeffs, ses = engines[name].step(t, n_path_cols=t - 1 + tr.offset)
             sides[name].coeffs.append(coeffs)
             sides[name].coeffs_se.append(ses)
-    fd_gap = max(e.fd_gap for e in engines) if fd_check else None
+    fd_gap = max(e.fd_gap for e in engines.values()) if fd_check else None
     return SeRecord(kind, mc, seed, fd_gap, sides)
-
-
-def _sym_record(kind, mat_fns, add_fns, z0, profile, T, mc, seed,
-                normalization, fd_check, raw):
-    z0 = np.asarray(z0, dtype=float)
-    n = z0.shape[0]
-    w = profile_weights(profile, n, n, normalization)
-    transform = HistoryTransform(mat_fns, add_fns, inner_uses_current=False,
-                                 corr_includes_current=False, raw=raw)
-    eng = _SideEngine(w, law_x0=z0, path_x0=z0, transform=transform,
-                      T=T, mc=mc, seed_seq=child_sequence(seed, DOMAIN_SE, 0),
-                      coeffs_constant=_rows_identical(w), fd_check=fd_check)
-    eng.path_law = eng.law
-    return _drive(kind, mc, seed, fd_check, [("z", eng, transform, 1)], T)
-
-
-def _asym_record(kind, u_inner, u_outer, v_inner, v_outer, u0, v0, profile,
-                 T, mc, seed, normalization, fd_check, raw):
-    """Two-sided engines: the u-engine builds the u law from v-paths pushed
-    through the v transform (correction sum includes the current step,
-    inner functions read strictly earlier columns); the v-engine builds the
-    v law from u-paths pushed through the u transform (corrections exclude
-    the current step, inner functions read through the current column)."""
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    m, n = u0.shape[0], v0.shape[0]
-    w = profile_weights(profile, m, n, normalization)
-    v_tr = HistoryTransform(u_inner, v_outer, inner_uses_current=False,
-                            corr_includes_current=True, raw=raw)
-    u_tr = HistoryTransform(v_inner, u_outer, inner_uses_current=True,
-                            corr_includes_current=False, raw=raw)
-    u_eng = _SideEngine(w, law_x0=u0, path_x0=v0, transform=v_tr, T=T, mc=mc,
-                        seed_seq=child_sequence(seed, DOMAIN_SE, 0),
-                        coeffs_constant=_rows_identical(w.T), fd_check=fd_check)
-    v_eng = _SideEngine(w.T, law_x0=v0, path_x0=u0, transform=u_tr, T=T, mc=mc,
-                        seed_seq=child_sequence(seed, DOMAIN_SE, 1),
-                        coeffs_constant=_rows_identical(w), fd_check=fd_check)
-    u_eng.path_law = v_eng.law
-    v_eng.path_law = u_eng.law
-    return _drive(kind, mc, seed, fd_check,
-                  [("u", u_eng, u_tr, 1), ("v", v_eng, v_tr, 0)], T)
 
 
 def se_symmetric(prog, profile, z0=None, T=None, mc_samples=DEFAULT_MC, seed=0,
@@ -572,41 +579,37 @@ def se_symmetric(prog, profile, z0=None, T=None, mc_samples=DEFAULT_MC, seed=0,
     ``profile`` holds un-normalized per-entry second moments; with the
     default normalization the effective weights are profile / n.
     """
-    return _sym_record("gfom_symmetric", prog.mat_fns, prog.add_fns,
-                       prog.z0 if z0 is None else z0, profile,
-                       _horizon(T, prog.T), mc_samples, seed, normalization,
-                       fd_check, raw=False)
+    tracks = symmetric_tracks(prog.mat_fns, prog.add_fns,
+                              prog.z0 if z0 is None else z0)
+    return _record("gfom_symmetric", tracks, profile, T, mc_samples, seed,
+                   normalization, fd_check)
 
 
 def amp_se_symmetric(fns, profile, z0, T=None, mc_samples=DEFAULT_MC, seed=0,
                      normalization="inv_sqrt_n", fd_check=False):
     """Gaussian law + memory coefficients for a corrected symmetric iteration."""
-    return _sym_record("amp_symmetric", fns, None, z0, profile,
-                       _horizon(T, len(fns)), mc_samples, seed, normalization,
-                       fd_check, raw=True)
+    return _record("amp_symmetric", symmetric_tracks(fns, None, z0), profile, T,
+                   mc_samples, seed, normalization, fd_check)
 
 
 def se_asymmetric(prog, profile, u0=None, v0=None, T=None,
                   mc_samples=DEFAULT_MC, seed=0, normalization="inv_sqrt_m",
                   fd_check=False):
     """Gaussian laws + history transforms for an asymmetric program."""
-    return _asym_record("gfom_asymmetric", prog.u_mat_fns, prog.u_add_fns,
-                        prog.v_mat_fns, prog.v_add_fns,
-                        prog.u0 if u0 is None else u0,
-                        prog.v0 if v0 is None else v0, profile,
-                        _horizon(T, prog.T), mc_samples, seed, normalization,
-                        fd_check, raw=False)
+    tracks = asymmetric_tracks(prog.u_mat_fns, prog.u_add_fns, prog.v_mat_fns,
+                               prog.v_add_fns, prog.u0 if u0 is None else u0,
+                               prog.v0 if v0 is None else v0)
+    return _record("gfom_asymmetric", tracks, profile, T, mc_samples, seed,
+                   normalization, fd_check)
 
 
 def amp_se_asymmetric(u_fns, v_fns, profile, u0, v0, T=None,
                       mc_samples=DEFAULT_MC, seed=0,
                       normalization="inv_sqrt_m", fd_check=False):
     """Laws + memory coefficient tables for a corrected asymmetric iteration."""
-    if len(u_fns) != len(v_fns):
-        raise ConfigError("update function lists must have equal length")
-    return _asym_record("amp_asymmetric", u_fns, None, v_fns, None, u0, v0,
-                        profile, _horizon(T, len(u_fns)), mc_samples, seed,
-                        normalization, fd_check, raw=True)
+    tracks = asymmetric_tracks(u_fns, None, v_fns, None, u0, v0)
+    return _record("amp_asymmetric", tracks, profile, T, mc_samples, seed,
+                   normalization, fd_check)
 
 
 def _compose_with_transform(rf, transform, arity):
@@ -637,22 +640,17 @@ def gfom_to_amp(prog, record):
     ``record.sides``.  A side's updates read the history of its source side,
     whose transform they are composed with.
     """
-    if isinstance(prog, SymmetricProgram):
-        kind, what = "gfom_symmetric", "a symmetric"
-        table = {"z": ("z", prog.mat_fns, 0)}
-    else:
-        kind, what = "gfom_asymmetric", "an asymmetric"
-        table = {"u": ("v", prog.u_mat_fns, 0), "v": ("u", prog.v_mat_fns, 1)}
+    kind = "gfom_symmetric" if isinstance(prog, SymmetricProgram) else "gfom_asymmetric"
     if record.kind != kind:
-        raise ConfigError(f"record was not built from {what} program")
+        raise ConfigError(f"a {record.kind} record does not fit a {kind} program")
     amp = {}
-    for name, (source, fns, offset) in table.items():
+    for name, tr in prog.tracks().items():
         coeffs = record.side(name).coeffs
         if len(coeffs) < prog.T:
             raise ConfigError("record horizon shorter than the program's")
-        transform = record.side(source).transform
-        amp[name] = ([_compose_with_transform(fns[t - 1], transform, t + offset)
-                      for t in range(1, prog.T + 1)],
+        transform = record.side(tr.source).transform
+        amp[name] = ([_compose_with_transform(fn, transform, t + tr.offset)
+                      for t, fn in enumerate(tr.mat_fns, start=1)],
                      [np.array(c) for c in coeffs[:prog.T]])
     return amp
 
@@ -671,12 +669,8 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
         t = law.T
     if not 1 <= t <= law.T:
         raise ConfigError(f"step {t} outside 1..{law.T}")
-    if (isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral)
-            or n_paths < 2):
-        raise ConfigError(f"n_paths must be an integer >= 2, got {n_paths!r}")
-    coords = np.asarray(coords, dtype=int)
-    if coords.size and (coords.min() < 0 or coords.max() >= law.coords):
-        raise ConfigError("coordinate outside range")
+    n_paths = check_count(n_paths, "n_paths")
+    coords = _coordinates(coords, law.coords)
     sel = np.array([0]) if track.collapsed else coords
     factors = law.factors(t, coords=sel)
     gens = [Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0)))]
@@ -694,7 +688,7 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
     # numpy's 128-sample pairwise block
     leaf = max(128, _SUB_BLOCK_BYTES // (8 * max(1, dim)))
     acc = _MeanAccumulator(dim)
-    remaining = int(n_paths)
+    remaining = n_paths
     while remaining > 0:
         b = min(_PREDICT_BLOCK, remaining)
         remaining -= b

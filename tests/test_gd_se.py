@@ -161,6 +161,21 @@ def test_input_validation():
         gd_se(squared_loss(), 0.1, 0.0, mu0, xi, np.ones((3, m)), prof, 2)
 
 
+@pytest.mark.parametrize("mc", [0, 1, True, 2.5, "100"])
+@pytest.mark.parametrize("entry", ["gd_se", "gd_se_homogeneous"])
+def test_sample_count_must_be_an_integer_of_at_least_two(entry, mc):
+    # the Monte Carlo route (wavy loss) used to return NaN tables at 0 and
+    # standard errors of 0 at 1
+    n, m = 4, 6
+    with pytest.raises(ConfigError, match="mc_samples"):
+        if entry == "gd_se":
+            gd_se(wavy_loss(), 0.3, 0.1, np.ones(n), np.ones(m), None,
+                  constant_profile((m, n)), 2, mc_samples=mc)
+        else:
+            gd_se_homogeneous(wavy_loss(), 0.3, 0.1, 1.0, np.ones(m), m / n, 2,
+                              mc_samples=mc)
+
+
 @pytest.mark.parametrize("bad", [-5.0, np.nan])
 def test_raw_profile_entries_must_be_finite_and_nonnegative(bad):
     n, m = 4, 6

@@ -374,6 +374,55 @@ def test_prediction_rejects_bad_path_counts(n_paths):
         predict_entrywise(rec, [0], lambda x: x, n_paths=n_paths)
 
 
+@pytest.mark.parametrize("mc", [2.5, 0, 1, True, "100", np.float64(100.0)])
+@pytest.mark.parametrize("builder", ["se_symmetric", "amp_se_symmetric",
+                                     "se_asymmetric", "amp_se_asymmetric"])
+def test_limit_law_builders_reject_bad_sample_counts(builder, mc):
+    m, n, T = 5, 4, 2
+    with pytest.raises(ConfigError, match="mc_samples"):
+        if builder == "se_symmetric":
+            se_symmetric(build_tanh_iteration(T, np.linspace(0.0, 1.0, n)),
+                         constant_profile((n, n)), mc_samples=mc)
+        elif builder == "amp_se_symmetric":
+            amp_se_symmetric([tanh_map(t, t - 1) for t in range(1, T + 1)],
+                             constant_profile((n, n)), np.ones(n), mc_samples=mc)
+        elif builder == "se_asymmetric":
+            se_asymmetric(mixed_asymmetric_program(m, n, T, seed=41),
+                          constant_profile((m, n)), mc_samples=mc)
+        else:
+            amp_se_asymmetric([tanh_map(t, t - 1) for t in range(1, T + 1)],
+                              [tanh_map(t + 1, t) for t in range(1, T + 1)],
+                              constant_profile((m, n)), np.ones(m), np.ones(n),
+                              mc_samples=mc)
+
+
+def test_sample_count_is_recorded_as_an_integer():
+    n = 4
+    rec = se_symmetric(build_tanh_iteration(2, np.ones(n)),
+                       constant_profile((n, n)), mc_samples=np.int64(100))
+    assert type(rec.mc) is int and rec.to_json_dict()["mc"] == 100
+
+
+@pytest.mark.parametrize("coords", [[1.5], [True], ["1"], [[0, 1]], 1,
+                                    np.ones((2, 2), int)])
+def test_prediction_rejects_non_integer_coordinates(coords):
+    n = 4
+    rec = se_symmetric(build_tanh_iteration(2, np.ones(n)),
+                       constant_profile((n, n)), mc_samples=100, seed=28)
+    with pytest.raises(ConfigError, match="coordinates"):
+        predict_entrywise(rec, coords, lambda x: x, n_paths=100)
+
+
+def test_prediction_accepts_integer_sequences():
+    n = 4
+    rec = se_symmetric(build_tanh_iteration(2, np.linspace(0.0, 1.0, n)),
+                       constant_profile((n, n)), mc_samples=100, seed=28)
+    want = predict_entrywise(rec, [1, 3], np.tanh, n_paths=300)
+    for coords in ((1, 3), np.array([1, 3]), [np.int32(1), np.int64(3)]):
+        got = predict_entrywise(rec, coords, np.tanh, n_paths=300)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_prediction_of_no_coordinates_is_empty():
     n = 4
     rec = se_symmetric(build_tanh_iteration(2, np.linspace(0.0, 1.0, n)),
