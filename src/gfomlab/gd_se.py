@@ -21,10 +21,9 @@ from numpy.random import Generator, Philox
 from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
 from .seeds import DOMAIN_SE, child_sequence
-from .state_evolution import check_count, psd_factors
+from .state_evolution import DEFAULT_MC, _is_int, check_count, psd_factors
 
 VAR_FLOOR = -1e-10
-DEFAULT_MC = 20000
 _N_BLOCKS = 10
 NESTED_SUM_MAX_GAP = 8
 
@@ -204,8 +203,8 @@ def _run(loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig, T, mc, seed):
     """The step loop behind both entry points."""
     if eta < 0 or lam < 0:
         raise ConfigError("eta and lambda must be >= 0")
-    if T < 1:
-        raise ConfigError("horizon must be >= 1")
+    if not _is_int(T) or T < 1:
+        raise ConfigError(f"horizon must be an integer >= 1, got {T!r}")
     mc = check_count(mc, "mc_samples")
     m = xi.shape[0]
     masks = np.ones((T, m)) if masks is None else masks

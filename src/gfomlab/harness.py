@@ -41,7 +41,7 @@ from .programs import (build_gd_ridge, build_logistic, build_pgd_linear,
                        build_power_iteration, build_tanh_iteration, tanh_map)
 from .seeds import (DOMAIN_ENSEMBLE_A, DOMAIN_ENSEMBLE_B, DOMAIN_PROBLEM_DATA,
                     DOMAIN_REPLICATE, child_sequence, generator)
-from .state_evolution import (amp_se_symmetric, predict_entrywise,
+from .state_evolution import (_is_int, amp_se_symmetric, predict_entrywise,
                               se_asymmetric, se_symmetric)
 
 _FIXTURE_PATH = Path(__file__).parent / "data" / "default_tolerances.json"
@@ -111,10 +111,6 @@ def resolve_psi(psi):
 EXPERIMENT_NAMES = ("universality_averaged", "universality_entrywise",
                     "se_vs_simulation", "gd_gaussianity", "decay",
                     "delocalization")
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_finite_real(value):

@@ -10,28 +10,30 @@ averages using common random numbers across outer steps, so runs at
 different horizons agree exactly on the steps they share.
 
 Memory.  The Monte Carlo averages accumulate in fixed blocks (_BLOCK
-samples per step of the recursion, _PREDICT_BLOCK per read-out).  The
-paths of a block are drawn and pushed through the history transform in
-sub-blocks along the sample axis, each a multiple of _SUB_ALIGN samples
-holding at most _SUB_BLOCK_BYTES (1 MiB) of path values; a block that
-fits stays whole, and so does the first block under ``fd_check``, whose
-probe averages over it.  The transform's intermediates are thus sized by
-the budget, not by the coordinate count, up to 2048 path values per
-sample (R (p+1) floats), where one _SUB_ALIGN sub-block fills the budget.
-What still grows with the coordinates is the buffer of per-sample
-statistics of one recursion block: (b, R) per statistic for heterogeneous
-laws ((b, 1) for homogeneous ones).  The read-out holds no per-block
-buffer.  It walks numpy's pairwise-sum tree over each block: a node of
-more than one leaf of samples splits where numpy splits it (half, rounded
-down to a multiple of 8), left before right, and a leaf of about
-_SUB_BLOCK_BYTES of psi values, and never fewer than numpy's unsplit
-128-sample block, is summed by numpy itself.  So each row total has the
-bytes of numpy's sum over the whole block row.  The statistics reach the
-accumulators exactly as an unsplit block's would: normals come
-sequentially from the same streams, every per-sample operation acts row
-by row, and the one BLAS product whose rows depend on the shape of the
-call runs on whole blocks.  So the sub-block size never changes the
-accumulation layout or a single output byte.
+samples per step of the recursion, _PREDICT_BLOCK per read-out), and
+neither the recursion nor the read-out holds a per-block buffer.  Both walk
+numpy's pairwise-sum tree over each block: a node of more than one leaf of
+samples splits where numpy splits it (half, rounded down to a multiple of
+8), left before right, and a leaf of about _SUB_BLOCK_BYTES (1 MiB) of
+statistics, never fewer than numpy's unsplit 128-sample block, is summed by
+numpy itself.  So each row total has the bytes of numpy's sum over the
+whole block row.  The recursion's rows are its statistics per class of
+identical weight rows: a coordinate's law depends on the weights only
+through its own row, so a constant or two-block profile keeps one or two
+rows per statistic, however many coordinates it has.  A leaf's paths are
+drawn and pushed through the history transform in sub-blocks along the
+sample axis, each a multiple of _SUB_ALIGN samples holding at most
+_SUB_BLOCK_BYTES of path values; a leaf that fits stays whole, and so does
+the first block under ``fd_check``, whose probe averages over it.  The
+transform's intermediates are thus sized by the budget, not by the
+coordinate count, up to 2048 path values per sample (R (p+1) floats), where
+one _SUB_ALIGN sub-block fills the budget.  The statistics reach the
+accumulators exactly as an unsplit block's would: normals come sequentially
+from the same streams, every per-sample operation acts row by row, and the
+matrix-vector products that weigh a class run on pieces of a multiple of 8
+samples, save a block's last, so BLAS computes every row the same way.  So
+neither the sub-block nor the leaf size changes an output byte, and neither
+does the BLAS thread count.
 """
 
 import numbers
@@ -42,7 +44,7 @@ from numpy.random import Generator, Philox
 
 from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
-from .programs import (RowFunction, SymmetricProgram, asymmetric_tracks,
+from .programs import (RowFunction, SymmetricProgram, _sel, asymmetric_tracks,
                        check_tracks, symmetric_tracks)
 from .seeds import DOMAIN_PREDICT, DOMAIN_SE, child_sequence, fixed_child
 
@@ -55,10 +57,6 @@ _SUB_BLOCK_BYTES = 1 << 20
 # sub-blocks hold a multiple of this many samples: BLAS matrix-vector
 # kernels treat the last (row count mod 4) rows of a call differently
 _SUB_ALIGN = 64
-
-
-def _sel(param, rows):
-    return param if rows is None else np.asarray(param)[rows]
 
 
 def _sub_blocks(b, row_values):
@@ -292,14 +290,6 @@ class _MeanAccumulator:
         self.sumsq = np.zeros(dim)
         self.count = 0
 
-    def add(self, samples):
-        if self.shift is None:
-            self.shift = np.array(samples[0], dtype=float)
-        dev = samples - self.shift
-        self.sum += dev.sum(axis=0)
-        self.sumsq += np.square(dev).sum(axis=0)
-        self.count += samples.shape[0]
-
     def add_pairwise(self, b, fill, leaf):
         """add() for b samples that ``fill(n)`` returns n at a time, one
         coordinate per row of a C-contiguous (dim, n) buffer it may overwrite.
@@ -339,17 +329,27 @@ class _SideEngine:
     """Monte Carlo driver building one Gaussian law.
 
     ``weights`` rows index this law's coordinates; its columns index the
-    path process the expectations average over.  When the path process
-    collapses (row-constant functions, constant step-0 value, constant
-    correction vectors) a single representative path is simulated.
+    path process the expectations average over.  A coordinate's law depends
+    on the weights only through its own row, so the expectations are taken
+    once per class of identical rows.  When the path process collapses
+    (row-constant functions, constant step-0 value, constant correction
+    vectors) a single representative path is simulated.
     """
 
     def __init__(self, weights, law_x0, path_x0, transform, T, mc,
                  seed_seq, coeffs_constant, fd_check):
-        self.w = np.asarray(weights, dtype=float)
-        self.rowsums = self.w.sum(axis=1)
-        self.hom = _rows_identical(self.w)
-        self.law = GaussianLawTable(law_x0, T, homogeneous=self.hom)
+        w = np.asarray(weights, dtype=float)
+        self.rowsums = w.sum(axis=1)
+        # class of each coordinate, numbered by first occurrence; a dict of
+        # row bytes holds one key per class, where np.unique(axis=0) would
+        # copy and sort the whole table
+        first = {}
+        firsts, self.cls = np.unique(
+            np.array([first.setdefault(row.tobytes(), i)
+                      for i, row in enumerate(w)], dtype=int),
+            return_inverse=True)
+        self.class_rows = w[firsts]
+        self.law = GaussianLawTable(law_x0, T, homogeneous=len(firsts) == 1)
         self.path_x0 = np.asarray(path_x0, dtype=float)
         self.tr = transform
         self.T = T
@@ -368,54 +368,38 @@ class _SideEngine:
         )
         self.path_law = None  # wired by the orchestrator
 
-    def _sample_stat(self, x):
-        # per-sample part of the aggregation of (b, R) row statistics; the
-        # matrix-vector kernels keep rows exact on _SUB_ALIGN multiples
+    def _sample_stat(self, x, out):
+        """Write the (classes, b) statistics of the (b, R) row statistics
+        ``x`` into ``out``: one matrix-vector product per class."""
         if self.path_collapsed:
-            return x[:, :1]
-        if self.hom:
-            return (x @ self.w[0])[:, None]
-        return x
+            out[0] = x[:, 0]
+            return
+        for c, row in enumerate(self.class_rows):
+            out[c] = x @ row
 
-    def _agg(self, stats):
-        # a BLAS matrix product's rows depend on the row count and thread
-        # split of the call, so the heterogeneous product runs on whole blocks
-        if self.path_collapsed or self.hom:
-            return stats
-        return stats @ self.w.T
-
-    def _extract(self, acc):
-        mean, se = acc.mean(), acc.se()
-        k = self.w.shape[0]
+    def _extract(self, stats):
+        """(statistics, classes) table -> (statistics, coordinates)."""
         if self.path_collapsed:
-            return self.rowsums * mean[0], self.rowsums * se[0]
-        if self.hom:
-            return np.full(k, mean[0]), np.full(k, se[0])
-        return mean, se
+            return stats * self.rowsums
+        return stats[:, self.cls]
 
     def step(self, t, n_path_cols):
         """Advance the law to row t; returns the (n_path_cols, coordinates)
         coefficient table for path columns 1..n_path_cols and its SEs."""
         p = n_path_cols
-        r_draw = 1 if self.path_collapsed else self.path_x0.shape[0]
         x0 = self.path_x0[:1] if self.path_collapsed else self.path_x0
         rows = np.array([0]) if self.path_collapsed else None
         factors = self.path_law.factors(p) if p > 0 else None
-        dim = 1 if (self.path_collapsed or self.hom) else self.w.shape[0]
-        coeff_acc = [_MeanAccumulator(dim) for _ in range(p)]
-        prod_acc = [_MeanAccumulator(dim) for _ in range(t)]
+        k = 1 if self.path_collapsed else self.class_rows.shape[0]
         # fresh generators per outer step = common random numbers across steps
         gens = [Generator(Philox(s)) for s in self.col_seqs[:p]]
         probe = self.fd_check and p > 0
-        remaining = self.mc
-        while remaining > 0:
-            b = min(_BLOCK, remaining)
-            remaining -= b
-            # per-sample statistics of the whole block, in accumulator order;
-            # raw row statistics where _agg needs the whole block
-            stats = np.empty((p + t, b, 1 if dim == 1 else r_draw))
+
+        def fill(n):
+            # rows: the p coefficient statistics, then the t products
+            vals = np.empty((p + t, k, n))
             # the finite-difference probe averages over the whole first block
-            pieces = [(0, b)] if probe else _sub_blocks(b, r_draw * (p + 1))
+            pieces = [(0, n)] if probe else _sub_blocks(n, x0.shape[0] * (p + 1))
             for lo, hi in pieces:
                 paths = _draw_paths(gens, factors, x0, hi - lo)
                 _, inner, dinner = _forward(self.tr, paths, rows, inner_upto=t,
@@ -424,26 +408,29 @@ class _SideEngine:
                 for s in range(1, p + 1):
                     d = dinner.get((t, s))
                     d = np.zeros_like(et) if d is None else np.broadcast_to(d, et.shape)
-                    stats[s - 1, lo:hi] = self._sample_stat(d)
+                    self._sample_stat(d, vals[s - 1, :, lo:hi])
                 for tau in range(1, t + 1):
-                    stats[p + tau - 1, lo:hi] = self._sample_stat(et * inner[tau])
+                    self._sample_stat(et * inner[tau], vals[p + tau - 1, :, lo:hi])
                 if probe:
                     self._fd_probe(paths, rows, t, p, dinner)
+            return vals.reshape((p + t) * k, n)
+
+        # about _SUB_BLOCK_BYTES of statistics per leaf, never splitting
+        # below numpy's 128-sample pairwise block
+        leaf = max(128, _SUB_BLOCK_BYTES // (8 * (p + t) * k))
+        acc = _MeanAccumulator((p + t) * k)
+        remaining = self.mc
+        while remaining > 0:
+            b = min(_BLOCK, remaining)
+            remaining -= b
+            acc.add_pairwise(b, fill, b if probe else leaf)
             probe = False
-            for acc, block in zip(coeff_acc + prod_acc, stats):
-                acc.add(self._agg(block))
-        for tau in range(1, t + 1):
-            mvec, svec = self._extract(prod_acc[tau - 1])
-            cm = mvec[:1] if self.hom else mvec
-            cs = svec[:1] if self.hom else svec
-            self.law.cov[:, t - 1, tau - 1] = cm
-            self.law.cov[:, tau - 1, t - 1] = cm
-            self.law.cov_se[:, t - 1, tau - 1] = cs
-            self.law.cov_se[:, tau - 1, t - 1] = cs
-        pairs = [self._extract(acc) for acc in coeff_acc]
-        k = self.w.shape[0]
-        return (np.array([v for v, _ in pairs]).reshape(p, k),
-                np.array([s for _, s in pairs]).reshape(p, k))
+        mean, se = (self._extract(a.reshape(p + t, k))
+                    for a in (acc.mean(), acc.se()))
+        c = self.law.cov.shape[0]
+        self.law.cov[:, t - 1, :t] = self.law.cov[:, :t, t - 1] = mean[p:, :c].T
+        self.law.cov_se[:, t - 1, :t] = self.law.cov_se[:, :t, t - 1] = se[p:, :c].T
+        return mean[:p], se[:p]
 
     def _fd_probe(self, paths, rows, t, p, dinner):
         # cross-check chained partials against central differences on one block
@@ -516,11 +503,13 @@ class SeRecord:
         }
 
 
-def _horizon(T, T_max):
-    T = T_max if T is None else int(T)
-    if not 1 <= T <= T_max:
-        raise ConfigError(f"horizon {T} outside 1..{T_max}")
-    return T
+def _horizon(T, T_max, name="horizon"):
+    """``T`` (T_max when None) as an int; ConfigError unless it is an
+    integer in 1..T_max (a bool is not)."""
+    T = T_max if T is None else T
+    if not _is_int(T) or not 1 <= T <= T_max:
+        raise ConfigError(f"{name} must be an integer in 1..{T_max}, got {T!r}")
+    return int(T)
 
 
 def _record(kind, tracks, profile, T, mc, seed, normalization, fd_check):
@@ -665,10 +654,7 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
     """
     track = record.side(side)
     law, transform = track.law, track.transform
-    if t is None:
-        t = law.T
-    if not 1 <= t <= law.T:
-        raise ConfigError(f"step {t} outside 1..{law.T}")
+    t = _horizon(t, law.T, "step")
     n_paths = check_count(n_paths, "n_paths")
     coords = _coordinates(coords, law.coords)
     sel = np.array([0]) if track.collapsed else coords

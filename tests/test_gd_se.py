@@ -176,6 +176,18 @@ def test_sample_count_must_be_an_integer_of_at_least_two(entry, mc):
                               mc_samples=mc)
 
 
+@pytest.mark.parametrize("T", [2.5, True, "2"])
+@pytest.mark.parametrize("entry", ["gd_se", "gd_se_homogeneous"])
+def test_horizon_must_be_an_integer(entry, T):
+    n, m = 4, 6
+    with pytest.raises(ConfigError, match="horizon"):
+        if entry == "gd_se":
+            gd_se(squared_loss(), 0.3, 0.1, np.ones(n), np.ones(m), None,
+                  constant_profile((m, n)), T)
+        else:
+            gd_se_homogeneous(squared_loss(), 0.3, 0.1, 1.0, np.ones(m), m / n, T)
+
+
 @pytest.mark.parametrize("bad", [-5.0, np.nan])
 def test_raw_profile_entries_must_be_finite_and_nonnegative(bad):
     n, m = 4, 6

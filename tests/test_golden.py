@@ -22,6 +22,9 @@ and says in CHANGES.md which bytes moved and why.
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -160,6 +163,33 @@ def _record_digest(case):
 @pytest.mark.parametrize("case", RECORD_CASES)
 def test_records_match_golden_digests(case):
     assert _record_digest(case) == json.loads(RECORDS.read_text())[case]
+
+
+# a heterogeneous record must not depend on how many threads BLAS splits
+# its products over; a fresh interpreter per thread count, since OpenBLAS
+# reads the setting when it loads
+
+_THREADED_RECORD = """
+import hashlib, json
+from conftest import mixed_asymmetric_program, two_block_profile
+from gfomlab.state_evolution import se_asymmetric
+rec = se_asymmetric(mixed_asymmetric_program(300, 150, 3, seed=80),
+                    two_block_profile(300, 150), mc_samples=5000, seed=81)
+print(hashlib.sha256(json.dumps(rec.to_json_dict()).encode()).hexdigest())
+"""
+
+
+def test_heterogeneous_record_does_not_depend_on_blas_threads():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", _THREADED_RECORD], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------

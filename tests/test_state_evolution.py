@@ -365,6 +365,29 @@ def test_prediction_side_and_step_validation():
         predict_entrywise(rec, [n + 3], lambda x: x, n_paths=100)
 
 
+@pytest.mark.parametrize("t", [1.5, True, np.float64(1.0), "1"])
+def test_prediction_step_must_be_an_integer(t):
+    n = 4
+    rec = se_symmetric(build_tanh_iteration(2, np.ones(n)),
+                       constant_profile((n, n)), mc_samples=100, seed=28)
+    with pytest.raises(ConfigError, match="step"):
+        predict_entrywise(rec, [0], np.tanh, t=t, n_paths=100)
+
+
+@pytest.mark.parametrize("T", [2.5, True, np.float64(2.0), "2"])
+@pytest.mark.parametrize("builder", ["se_symmetric", "se_asymmetric"])
+def test_limit_law_horizon_must_be_an_integer(builder, T):
+    # a float horizon used to be truncated and True read as 1
+    m, n = 5, 4
+    with pytest.raises(ConfigError, match="horizon"):
+        if builder == "se_symmetric":
+            se_symmetric(build_tanh_iteration(3, np.linspace(0.0, 1.0, n)),
+                         constant_profile((n, n)), T=T, mc_samples=100)
+        else:
+            se_asymmetric(mixed_asymmetric_program(m, n, 3, seed=41),
+                          constant_profile((m, n)), T=T, mc_samples=100)
+
+
 @pytest.mark.parametrize("n_paths", [0, -3, 1, 1.7, True])
 def test_prediction_rejects_bad_path_counts(n_paths):
     n = 4

@@ -131,9 +131,19 @@ def test_pairwise_walk_matches_whole_buffer_row_sums(b, leaf):
     assert acc.se()[2] == 0.0
 
 
+def _add_column(acc, samples):
+    """The reference: a whole (b, 1) column of samples added at once."""
+    if acc.shift is None:
+        acc.shift = np.array(samples[0], dtype=float)
+    dev = samples - acc.shift
+    acc.sum += dev.sum(axis=0)
+    acc.sumsq += np.square(dev).sum(axis=0)
+    acc.count += samples.shape[0]
+
+
 def test_row_accumulator_matches_one_column_accumulator_per_coordinate():
-    # the read-out's one (coordinates, b) accumulator against the reference
-    # it replaced: one (b, 1) column accumulator per coordinate
+    # the one (coordinates, b) accumulator against the reference it
+    # replaced: one (b, 1) column accumulator per coordinate
     rng = np.random.default_rng(53)
     dim = 7
     rows = se._MeanAccumulator(dim)
@@ -142,7 +152,7 @@ def test_row_accumulator_matches_one_column_accumulator_per_coordinate():
         block = 3.0 + rng.standard_t(3, size=(b, dim))
         block[:, 0] = 2.5                               # a constant coordinate
         for i in range(dim):
-            cols[i].add(block[:, i : i + 1])
+            _add_column(cols[i], block[:, i : i + 1])
         rows.add_pairwise(b, _filler(block.T), 128)
     assert rows.mean().tobytes() == np.concatenate(
         [a.mean() for a in cols]).tobytes()
@@ -184,12 +194,15 @@ def test_predict_entrywise_memory_does_not_grow_with_a_block_per_coordinate():
     assert peak < 32 * MIB, f"peak {peak / MIB:.0f} MiB"
 
 
-def test_two_sided_engine_memory_is_bounded():
+@pytest.mark.parametrize("kind", ["constant", "two_block"])
+def test_two_sided_engine_memory_is_bounded(kind):
+    # the two-block engine kept a (statistics, block, coordinates) buffer
+    # and peaked at 98 MiB
     m, n = 400, 200
     rng = np.random.default_rng(51)
     prog = build_gd_ridge(squared_loss(), 0.2, 0.1, rng.normal(size=n),
                           rng.normal(size=m), None, 3)
     peak = _peak_bytes(lambda: se.se_asymmetric(
-        prog, constant_profile((m, n)), mc_samples=4096, seed=52,
+        prog, _profile(kind, m, n), mc_samples=4096, seed=52,
         normalization="inv_sqrt_n"))
     assert peak < 32 * MIB, f"peak {peak / MIB:.0f} MiB"
