@@ -8,8 +8,12 @@ and the correction-coefficient tables coupling the two sides.  A class is a
 group of signal coordinates sharing one law: every coordinate is its own
 class in ``gd_se``, and ``gd_se_homogeneous`` is the one-class case.  For
 losses with constant curvature the whole recursion is closed-form and runs
-with no Monte Carlo at all; otherwise expectations are Monte Carlo averages
-with common random numbers across outer steps.
+with no Monte Carlo at all.  Otherwise expectations are Monte Carlo averages
+with common random numbers across outer steps, taken per sample coordinate
+by the averaging driver of ``state_evolution``: paths are drawn in
+sub-blocks of bounded size, and every sample enters the standard errors.
+Sample coordinates draw independent paths, so a class average's standard
+error combines the per-coordinate ones exactly.
 """
 
 import itertools
@@ -21,22 +25,11 @@ from numpy.random import Generator, Philox
 from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
 from .seeds import DOMAIN_SE, child_sequence
-from .state_evolution import DEFAULT_MC, _is_int, check_count, psd_factors
+from .state_evolution import (_BLOCK, DEFAULT_MC, _is_int, _mc_average,
+                              _sub_blocks, check_count, psd_factors)
 
 VAR_FLOOR = -1e-10
-_N_BLOCKS = 10
 NESTED_SUM_MAX_GAP = 8
-
-
-def _block_sizes(mc):
-    # fixed block layout so regenerated streams align sample for sample
-    size = -(-mc // _N_BLOCKS)
-    out = []
-    left = mc
-    while left > 0:
-        out.append(min(size, left))
-        left -= out[-1]
-    return out
 
 
 class GdSeState:
@@ -123,30 +116,42 @@ class GdEntryLaw:
         self.coefficients = coefficients
 
 
-def _path_blocks(state, t):
-    """Sampled prediction-side paths through step t, one block at a time.
+def _average(state, t, n_stats, stat):
+    """Monte Carlo means and SEs, each (n_stats, m), of statistics of the
+    prediction-side paths through step t at every sample coordinate.
 
-    Yields (P, W): the masked loss slopes and curvatures of the correction
-    recursion, 1-indexed by step, each (b, m).  Every step and both
-    coefficient routes regenerate the same stream, so they share samples.
+    ``stat(pvals, wvals)`` yields the n_stats statistics of a piece of b
+    paths, each (b, m), from the masked loss slopes and curvatures of the
+    correction recursion, 1-indexed by step.  The paths are drawn in
+    sub-blocks from one (samples, m, T) stream, so every step and both
+    coefficient routes share samples whatever the sub-block size.
     """
     eta, f_tables, masks, xi, loss = (state.eta, state.f_tables, state.masks,
                                       state.xi, state.loss)
+    m, T = xi.shape[0], state.T
     factors = psd_factors(state.u_cov[:, :t, :t], f"prediction side, step {t}")
     gen = Generator(Philox(child_sequence(state.seed, DOMAIN_SE, 0)))
-    for b in _block_sizes(state.mc):
-        e = gen.standard_normal((b, xi.shape[0], state.T))[..., :t]
-        u = np.einsum("kij,bkj->bki", factors, e)
-        pvals = [None]
-        wvals = [None]
-        for tau in range(1, t + 1):
-            phi = np.array(u[..., tau - 1])
-            ftab = f_tables[tau - 1]
-            for r in range(1, tau):
-                phi += eta * ftab[r - 1] * pvals[r]
-            pvals.append(masks[tau - 1] * loss.d1(xi - phi))
-            wvals.append(masks[tau - 1] * loss.d2(xi - phi))
-        yield pvals, wvals
+
+    def fill(n):
+        vals = np.empty((n_stats, m, n))
+        for lo, hi in _sub_blocks(n, m * T):
+            e = gen.standard_normal((hi - lo, m, T))[..., :t]
+            u = np.einsum("kij,bkj->bki", factors, e)
+            pvals = [None]
+            wvals = [None]
+            for tau in range(1, t + 1):
+                phi = np.array(u[..., tau - 1])
+                ftab = f_tables[tau - 1]
+                for r in range(1, tau):
+                    phi += eta * ftab[r - 1] * pvals[r]
+                pvals.append(masks[tau - 1] * loss.d1(xi - phi))
+                wvals.append(masks[tau - 1] * loss.d2(xi - phi))
+            for i, x in enumerate(stat(pvals, wvals)):
+                vals[i, :, lo:hi] = x.T
+        return vals.reshape(n_stats * m, n)
+
+    mean, se = _mc_average(n_stats * m, state.mc, _BLOCK, fill)
+    return mean.reshape(n_stats, m), se.reshape(n_stats, m)
 
 
 def _d_recursion(s, t, wvals, f_tables, eta):
@@ -279,35 +284,25 @@ def _quadratic_step(state, t):
 
 def _mc_step(state, t):
     """Monte Carlo step: sample prediction-side paths, run the correction
-    recursion, differentiate it, and average.  Standard errors come from
-    the spread of per-block means."""
+    recursion, differentiate it, and average per sample coordinate.  A class
+    average weighs independent coordinates, so its SE combines theirs."""
     eta, wts = state.eta, state.w_sig
-    m = state.xi.shape[0]
-    g_sum = np.zeros((t, m))
-    p_sum = np.zeros((t, m))
-    g_blocks = [[] for _ in range(t)]
-    p_blocks = [[] for _ in range(t)]
-    for pvals, wvals in _path_blocks(state, t):
+    wts_sq = wts**2
+
+    def stat(pvals, wvals):
         for s in range(1, t + 1):
-            d_t = _d_recursion(s, t, wvals, state.f_tables, eta)
-            gv = wvals[t] * d_t
-            pv = pvals[t] * pvals[s]
-            g_sum[s - 1] += gv.sum(axis=0)
-            p_sum[s - 1] += pv.sum(axis=0)
-            g_blocks[s - 1].append(gv.mean(axis=0))
-            p_blocks[s - 1].append(pv.mean(axis=0))
-    g_t, g_se, v_new = [], [], []
-    nb = len(g_blocks[0])
+            yield wvals[t] * _d_recursion(s, t, wvals, state.f_tables, eta)
+        for s in range(1, t + 1):
+            yield pvals[t] * pvals[s]
+
+    mean, se = _average(state, t, 2 * t, stat)
+    g_t = np.stack([-eta * (wts @ mean[s]) for s in range(t)])
+    g_se = np.stack([eta * np.sqrt(wts_sq @ se[s]**2) for s in range(t)])
+    v_new = [eta**2 * (wts @ mean[t + s]) for s in range(t)]
     for s in range(1, t + 1):
-        g_t.append(-eta * (wts @ (g_sum[s - 1] / state.mc)))
-        ga = np.stack([-eta * (wts @ bm) for bm in g_blocks[s - 1]])
-        g_se.append(ga.std(axis=0, ddof=1) / math.sqrt(nb) if nb > 1 else 0 * ga[0])
-        v_new.append(eta**2 * (wts @ (p_sum[s - 1] / state.mc)))
-        pa = np.stack([eta**2 * (wts @ bm) for bm in p_blocks[s - 1]])
-        state.v_cov_se[:, t, s] = pa.std(axis=0, ddof=1) / math.sqrt(nb) \
-            if nb > 1 else 0.0
-        state.v_cov_se[:, s, t] = state.v_cov_se[:, t, s]
-    return np.stack(g_t), np.stack(g_se), v_new
+        state.v_cov_se[:, t, s] = state.v_cov_se[:, s, t] = \
+            eta**2 * np.sqrt(wts_sq @ se[t + s - 1]**2)
+    return g_t, g_se, v_new
 
 
 def g_coefficient_nested_sum(state, s, t):
@@ -340,10 +335,8 @@ def g_coefficient_nested_sum(state, s, t):
     if state.quadratic:
         wv = state.w_det
         return -eta * (state.w_sig @ (wv[t] * braces(wv)))
-    acc = np.zeros(state.xi.shape[0])
-    for _, wvals in _path_blocks(state, t):
-        acc += (wvals[t] * braces(wvals)).sum(axis=0)
-    return -eta * (state.w_sig @ (acc / state.mc))
+    mean, _ = _average(state, t, 1, lambda _, wvals: [wvals[t] * braces(wvals)])
+    return -eta * (state.w_sig @ mean[0])
 
 
 def gd_key_params(state, t):

@@ -108,11 +108,6 @@ def resolve_psi(psi):
 # ---------------------------------------------------------------------------
 # configuration
 
-EXPERIMENT_NAMES = ("universality_averaged", "universality_entrywise",
-                    "se_vs_simulation", "gd_gaussianity", "decay",
-                    "delocalization")
-
-
 def _is_finite_real(value):
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
@@ -909,6 +904,7 @@ EXPERIMENTS = {
     "decay": _run_decay,
     "delocalization": _run_delocalization,
 }
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run_named_experiment(config):

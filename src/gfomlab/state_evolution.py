@@ -9,16 +9,16 @@ applied to the paths.  All expectations over path laws are Monte Carlo
 averages using common random numbers across outer steps, so runs at
 different horizons agree exactly on the steps they share.
 
-Memory.  The Monte Carlo averages accumulate in fixed blocks (_BLOCK
-samples per step of the recursion, _PREDICT_BLOCK per read-out), and
-neither the recursion nor the read-out holds a per-block buffer.  Both walk
-numpy's pairwise-sum tree over each block: a node of more than one leaf of
-samples splits where numpy splits it (half, rounded down to a multiple of
-8), left before right, and a leaf of about _SUB_BLOCK_BYTES (1 MiB) of
-statistics, never fewer than numpy's unsplit 128-sample block, is summed by
-numpy itself.  So each row total has the bytes of numpy's sum over the
-whole block row.  The recursion's rows are its statistics per class of
-identical weight rows: a coordinate's law depends on the weights only
+Memory.  Every Monte Carlo average in the package, here and in ``gd_se``,
+runs through one driver, _mc_average.  It accumulates in fixed blocks
+(_BLOCK samples per step of a recursion, _PREDICT_BLOCK per read-out) and
+holds no per-block buffer.  It walks numpy's pairwise-sum tree over each
+block: a node of more than one leaf of samples splits where numpy splits
+it (half, rounded down to a multiple of 8), left before right, and a leaf
+of about _SUB_BLOCK_BYTES (1 MiB) of statistics, never fewer than numpy's
+unsplit 128-sample block, is summed by numpy itself.  So each row total
+has the bytes of numpy's sum over the whole block row.  The recursion's
+rows are its statistics per class of identical weight rows: a coordinate's law depends on the weights only
 through its own row, so a constant or two-block profile keeps one or two
 rows per statistic, however many coordinates it has.  A leaf's paths are
 drawn and pushed through the history transform in sub-blocks along the
@@ -325,6 +325,24 @@ class _MeanAccumulator:
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
+def _mc_average(dim, total, block, fill, whole_first=False):
+    """(mean, se) of ``dim`` statistics over ``total`` samples that
+    ``fill(n)`` returns n at a time, one statistic per row of a C-contiguous
+    (dim, n) buffer it may overwrite.
+
+    The samples come in blocks of ``block``, each summed down numpy's
+    pairwise tree to leaves of about _SUB_BLOCK_BYTES of statistics, never
+    splitting below numpy's 128-sample block.  With ``whole_first`` the
+    first block is one leaf, a single ``fill`` call.
+    """
+    leaf = max(128, _SUB_BLOCK_BYTES // (8 * max(1, dim)))
+    acc = _MeanAccumulator(dim)
+    for lo in range(0, total, block):
+        b = min(block, total - lo)
+        acc.add_pairwise(b, fill, b if whole_first and lo == 0 else leaf)
+    return acc.mean(), acc.se()
+
+
 class _SideEngine:
     """Monte Carlo driver building one Gaussian law.
 
@@ -396,6 +414,7 @@ class _SideEngine:
         probe = self.fd_check and p > 0
 
         def fill(n):
+            nonlocal probe
             # rows: the p coefficient statistics, then the t products
             vals = np.empty((p + t, k, n))
             # the finite-difference probe averages over the whole first block
@@ -413,20 +432,11 @@ class _SideEngine:
                     self._sample_stat(et * inner[tau], vals[p + tau - 1, :, lo:hi])
                 if probe:
                     self._fd_probe(paths, rows, t, p, dinner)
+            probe = False
             return vals.reshape((p + t) * k, n)
 
-        # about _SUB_BLOCK_BYTES of statistics per leaf, never splitting
-        # below numpy's 128-sample pairwise block
-        leaf = max(128, _SUB_BLOCK_BYTES // (8 * (p + t) * k))
-        acc = _MeanAccumulator((p + t) * k)
-        remaining = self.mc
-        while remaining > 0:
-            b = min(_BLOCK, remaining)
-            remaining -= b
-            acc.add_pairwise(b, fill, b if probe else leaf)
-            probe = False
-        mean, se = (self._extract(a.reshape(p + t, k))
-                    for a in (acc.mean(), acc.se()))
+        avg = _mc_average((p + t) * k, self.mc, _BLOCK, fill, whole_first=probe)
+        mean, se = (self._extract(a.reshape(p + t, k)) for a in avg)
         c = self.law.cov.shape[0]
         self.law.cov[:, t - 1, :t] = self.law.cov[:, :t, t - 1] = mean[p:, :c].T
         self.law.cov_se[:, t - 1, :t] = self.law.cov_se[:, :t, t - 1] = se[p:, :c].T
@@ -670,16 +680,7 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
             vals[:, lo:hi] = psi(out[..., t]).T
         return vals
 
-    # about _SUB_BLOCK_BYTES of psi values per leaf, never splitting below
-    # numpy's 128-sample pairwise block
-    leaf = max(128, _SUB_BLOCK_BYTES // (8 * max(1, dim)))
-    acc = _MeanAccumulator(dim)
-    remaining = n_paths
-    while remaining > 0:
-        b = min(_PREDICT_BLOCK, remaining)
-        remaining -= b
-        acc.add_pairwise(b, fill, leaf)
-    means, ses = acc.mean(), acc.se()
+    means, ses = _mc_average(dim, n_paths, _PREDICT_BLOCK, fill)
     if track.collapsed:
         return np.full(len(coords), means[0]), np.full(len(coords), ses[0])
     return means, ses

@@ -165,17 +165,25 @@ def test_records_match_golden_digests(case):
     assert _record_digest(case) == json.loads(RECORDS.read_text())[case]
 
 
-# a heterogeneous record must not depend on how many threads BLAS splits
-# its products over; a fresh interpreter per thread count, since OpenBLAS
-# reads the setting when it loads
+# a heterogeneous record, of the two-sided engine or of gd_se's Monte Carlo
+# route, must not depend on how many threads BLAS splits its products over;
+# a fresh interpreter per thread count, since OpenBLAS reads the setting
+# when it loads
 
 _THREADED_RECORD = """
 import hashlib, json
-from conftest import mixed_asymmetric_program, two_block_profile
+import numpy as np
+from conftest import mixed_asymmetric_program, two_block_profile, wavy_loss
+from gfomlab.gd_se import gd_se
 from gfomlab.state_evolution import se_asymmetric
 rec = se_asymmetric(mixed_asymmetric_program(300, 150, 3, seed=80),
                     two_block_profile(300, 150), mc_samples=5000, seed=81)
-print(hashlib.sha256(json.dumps(rec.to_json_dict()).encode()).hexdigest())
+rng = np.random.default_rng(82)
+st = gd_se(wavy_loss(), 0.3, 0.2, rng.normal(size=150),
+           0.5 * rng.normal(size=300), None, two_block_profile(300, 150), 3,
+           mc_samples=5000, seed=83)
+for d in (rec.to_json_dict(), st.to_json_dict()):
+    print(hashlib.sha256(json.dumps(d).encode()).hexdigest())
 """
 
 
@@ -188,8 +196,8 @@ def test_heterogeneous_record_does_not_depend_on_blas_threads():
         out = subprocess.run([sys.executable, "-c", _THREADED_RECORD], env=env,
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
-        digests.append(out.stdout.strip())
-    assert digests[0] == digests[1]
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ import pytest
 
 import gfomlab.state_evolution as se
 from conftest import (mixed_asymmetric_program, mixed_symmetric_program,
-                      two_block_profile)
+                      two_block_profile, wavy_loss)
 from gfomlab.ensembles import constant_profile
 from gfomlab.erm import squared_loss
+from gfomlab.gd_se import g_coefficient_nested_sum, gd_se
 from gfomlab.programs import build_gd_ridge, build_tanh_iteration
 
 DEFAULT = se._SUB_BLOCK_BYTES
@@ -99,6 +100,23 @@ def test_predict_entrywise_bytes_do_not_depend_on_sub_blocks(monkeypatch, kind):
             for means, ses in outs[1:]:
                 assert np.array_equal(means, outs[0][0])
                 assert np.array_equal(ses, outs[0][1])
+
+
+@pytest.mark.parametrize("kind", ["constant", "two_block"])
+def test_gd_se_bytes_do_not_depend_on_sub_blocks(monkeypatch, kind):
+    # the Monte Carlo route of the gradient-descent limit law, under masks
+    m, n, T = 48, 40, 3
+    rng = np.random.default_rng(57)
+    mu0, xi = rng.normal(size=n), 0.5 * rng.normal(size=m)
+    masks = (rng.random((T, m)) < 0.7) * 1.0
+
+    def run():
+        st = gd_se(wavy_loss(), 0.3, 0.2, mu0, xi, masks, _profile(kind, m, n),
+                   T, mc_samples=9000, seed=58)
+        return st.to_json_dict(), g_coefficient_nested_sum(st, 1, T).tolist()
+
+    outs = _under_budgets(monkeypatch, run)
+    assert outs[0] == outs[1] == outs[2]
 
 
 def _filler(vals):
@@ -205,4 +223,16 @@ def test_two_sided_engine_memory_is_bounded(kind):
     peak = _peak_bytes(lambda: se.se_asymmetric(
         prog, _profile(kind, m, n), mc_samples=4096, seed=52,
         normalization="inv_sqrt_n"))
+    assert peak < 32 * MIB, f"peak {peak / MIB:.0f} MiB"
+
+
+def test_gd_se_monte_carlo_memory_is_bounded():
+    # drawing a tenth of the paths at once, (mc/10, m, T) normals and 2t
+    # (mc/10, m) statistics, this peaked at 66 MiB
+    m, n = 800, 400
+    rng = np.random.default_rng(55)
+    mu0, xi = rng.normal(size=n), 0.5 * rng.normal(size=m)
+    peak = _peak_bytes(lambda: gd_se(wavy_loss(), 0.2, 0.1, mu0, xi, None,
+                                     constant_profile((m, n)), 3,
+                                     mc_samples=4096, seed=56))
     assert peak < 32 * MIB, f"peak {peak / MIB:.0f} MiB"
