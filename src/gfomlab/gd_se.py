@@ -10,10 +10,11 @@ class in ``gd_se``, and ``gd_se_homogeneous`` is the one-class case.  For
 losses with constant curvature the whole recursion is closed-form and runs
 with no Monte Carlo at all.  Otherwise expectations are Monte Carlo averages
 with common random numbers across outer steps, taken per sample coordinate
-by the averaging driver of ``state_evolution``: paths are drawn in
-sub-blocks of bounded size, and every sample enters the standard errors.
-Sample coordinates draw independent paths, so a class average's standard
-error combines the per-coordinate ones exactly.
+by the averaging driver of ``state_evolution``: its path sampler draws the
+paths in sub-blocks of bounded size, one stream per path column, so a run
+at a shorter horizon repeats the steps it shares, and every sample enters
+the standard errors.  Sample coordinates draw independent paths, so a class
+average's standard error combines the per-coordinate ones exactly.
 """
 
 import itertools
@@ -24,8 +25,8 @@ from numpy.random import Generator, Philox
 
 from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
-from .seeds import DOMAIN_SE, child_sequence
-from .state_evolution import (_BLOCK, DEFAULT_MC, _is_int, _mc_average,
+from .seeds import DOMAIN_SE, child_sequence, fixed_child
+from .state_evolution import (_BLOCK, DEFAULT_MC, _draw_paths, _is_int, _mc_average,
                               _sub_blocks, check_count, psd_factors)
 
 VAR_FLOOR = -1e-10
@@ -122,25 +123,24 @@ def _average(state, t, n_stats, stat):
 
     ``stat(pvals, wvals)`` yields the n_stats statistics of a piece of b
     paths, each (b, m), from the masked loss slopes and curvatures of the
-    correction recursion, 1-indexed by step.  The paths are drawn in
-    sub-blocks from one (samples, m, T) stream, so every step and both
-    coefficient routes share samples whatever the sub-block size.
+    correction recursion, 1-indexed by step.  ``_draw_paths`` draws the
+    paths in sub-blocks, one stream per path column: both coefficient routes
+    share samples whatever the sub-block size, and so do shorter horizons.
     """
     eta, f_tables, masks, xi, loss = (state.eta, state.f_tables, state.masks,
                                       state.xi, state.loss)
-    m, T = xi.shape[0], state.T
+    m = xi.shape[0]
     factors = psd_factors(state.u_cov[:, :t, :t], f"prediction side, step {t}")
-    gen = Generator(Philox(child_sequence(state.seed, DOMAIN_SE, 0)))
+    seq = child_sequence(state.seed, DOMAIN_SE, 0)
+    gens = [Generator(Philox(fixed_child(seq, j))) for j in range(1, t + 1)]
 
     def fill(n):
         vals = np.empty((n_stats, m, n))
-        for lo, hi in _sub_blocks(n, m * T):
-            e = gen.standard_normal((hi - lo, m, T))[..., :t]
-            u = np.einsum("kij,bkj->bki", factors, e)
-            pvals = [None]
-            wvals = [None]
+        for lo, hi in _sub_blocks(n, m * (t + 1)):
+            u = _draw_paths(gens, factors, np.zeros(m), hi - lo)
+            pvals, wvals = [None], [None]
             for tau in range(1, t + 1):
-                phi = np.array(u[..., tau - 1])
+                phi = np.array(u[..., tau])
                 ftab = f_tables[tau - 1]
                 for r in range(1, tau):
                     phi += eta * ftab[r - 1] * pvals[r]

@@ -170,11 +170,21 @@ class ExperimentConfig:
         EntryLaw(self.law_a, p=self.law_a_param)
         if self.law_b is not None:
             EntryLaw(self.law_b, p=self.law_b_param)
+        params = self.program_params
+        if not isinstance(params, dict):
+            raise ConfigError(f"program_params must be an object, got {params!r}")
         allowed = REGISTRY[self.program].param_names
-        unknown = set(self.program_params) - set(allowed)
+        unknown = set(params) - set(allowed)
         if unknown:
             raise ConfigError(f"unknown program_params {sorted(unknown)} for "
                               f"{self.program!r}; allowed: {sorted(allowed)}")
+        for key, value in params.items():
+            if key == "prox":
+                if not (isinstance(value, str) and value in _PROX_KINDS):
+                    raise ConfigError(f"prox must be one of {sorted(_PROX_KINDS)}, "
+                                      f"got {value!r}")
+            elif not _is_finite_real(value):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
         tol = self.tolerance
         if tol is not None and not (_is_finite_real(tol) and tol >= 0):
             raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
@@ -390,16 +400,14 @@ def _problem_data(config, need_m=True):
     return mu0, xi, masks, params
 
 
+_PROX_KINDS = {"zero": prox_zero, "ridge": prox_ridge, "lasso": prox_lasso}
+
+
 def _prox_from_params(params):
     kind = params.get("prox", "zero")
-    lam = float(params.get("prox_lam", 0.1))
     if kind == "zero":
         return prox_zero()
-    if kind == "ridge":
-        return prox_ridge(lam)
-    if kind == "lasso":
-        return prox_lasso(lam)
-    raise ConfigError(f"unknown prox kind {kind!r}")
+    return _PROX_KINDS[kind](float(params.get("prox_lam", 0.1)))
 
 
 def _build_power(config):

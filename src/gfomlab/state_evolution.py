@@ -13,23 +13,27 @@ Memory.  Every Monte Carlo average in the package, here and in ``gd_se``,
 runs through one driver, _mc_average.  It accumulates in fixed blocks
 (_BLOCK samples per step of a recursion, _PREDICT_BLOCK per read-out) and
 holds no per-block buffer.  It walks numpy's pairwise-sum tree over each
-block: a node of more than one leaf of samples splits where numpy splits
-it (half, rounded down to a multiple of 8), left before right, and a leaf
-of about _SUB_BLOCK_BYTES (1 MiB) of statistics, never fewer than numpy's
-unsplit 128-sample block, is summed by numpy itself.  So each row total
-has the bytes of numpy's sum over the whole block row.  The recursion's
-rows are its statistics per class of identical weight rows: a coordinate's law depends on the weights only
-through its own row, so a constant or two-block profile keeps one or two
-rows per statistic, however many coordinates it has.  A leaf's paths are
-drawn and pushed through the history transform in sub-blocks along the
-sample axis, each a multiple of _SUB_ALIGN samples holding at most
-_SUB_BLOCK_BYTES of path values; a leaf that fits stays whole, and so does
-the first block under ``fd_check``, whose probe averages over it.  The
-transform's intermediates are thus sized by the budget, not by the
-coordinate count, up to 2048 path values per sample (R (p+1) floats), where
-one _SUB_ALIGN sub-block fills the budget.  The statistics reach the
-accumulators exactly as an unsplit block's would: normals come sequentially
-from the same streams, every per-sample operation acts row by row, and the
+block: a node of more than one leaf of samples splits where numpy splits it
+(half, rounded down to a multiple of 8), left before right, and a leaf of
+about _SUB_BLOCK_BYTES (1 MiB) of statistics, never fewer than numpy's
+unsplit 128-sample block, is summed by numpy itself.  So each row total has
+the bytes of numpy's sum over the whole block row.  The recursion's rows
+are its statistics per class of identical weight rows: a coordinate's law
+depends on the weights only through its own row, so a constant or two-block
+profile keeps one or two rows per statistic, however many coordinates it
+has.  A leaf's paths are drawn by _draw_paths, the package's one Gaussian
+path sampler (``gd_se`` draws through it too), and pushed through the
+history transform in sub-blocks along the sample axis, each holding at most
+_SUB_BLOCK_BYTES of path values: a multiple of _SUB_ALIGN samples while one
+fits, else of 8 samples.  A leaf that fits stays whole.  The transform's
+intermediates are thus sized by the budget, not by the coordinate count, up
+to 16384 path values per sample (R (p+1) floats), where one 8-sample
+sub-block fills the budget.  The finite-difference probe of ``fd_check`` is
+a pass of its own after a step's average: it redraws the step's first block
+whole from the same column streams, so it sees the variates the average saw
+and changes no byte of the law.  The statistics reach the accumulators
+exactly as an unsplit block's would: normals come sequentially from the
+same streams, every per-sample operation acts row by row, and the
 matrix-vector products that weigh a class run on pieces of a multiple of 8
 samples, save a block's last, so BLAS computes every row the same way.  So
 neither the sub-block nor the leaf size changes an output byte, and neither
@@ -54,17 +58,18 @@ _BLOCK = 4096
 _PREDICT_BLOCK = 16384
 # path values of one sub-block, in bytes
 _SUB_BLOCK_BYTES = 1 << 20
-# sub-blocks hold a multiple of this many samples: BLAS matrix-vector
-# kernels treat the last (row count mod 4) rows of a call differently
+# sub-blocks hold a multiple of this many samples while one fits, else of 8:
+# BLAS matrix-vector kernels treat the last (row count mod 4) rows differently
 _SUB_ALIGN = 64
 
 
 def _sub_blocks(b, row_values):
     """(lo, hi) sample ranges splitting a b-sample block whose paths hold
-    ``row_values`` floats per sample into pieces within the byte budget
-    (or of _SUB_ALIGN samples when a single one exceeds it)."""
+    ``row_values`` floats per sample into pieces within the byte budget:
+    multiples of _SUB_ALIGN samples while one fits, else of 8 (or 8 samples
+    when a single one exceeds it)."""
     size = _SUB_BLOCK_BYTES // (8 * max(1, row_values))
-    size = max(_SUB_ALIGN, size - size % _SUB_ALIGN)
+    size = max(8, size - size % (_SUB_ALIGN if size >= _SUB_ALIGN else 8))
     return [(lo, min(lo + size, b)) for lo in range(0, b, size)]
 
 
@@ -325,21 +330,19 @@ class _MeanAccumulator:
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
-def _mc_average(dim, total, block, fill, whole_first=False):
+def _mc_average(dim, total, block, fill):
     """(mean, se) of ``dim`` statistics over ``total`` samples that
     ``fill(n)`` returns n at a time, one statistic per row of a C-contiguous
     (dim, n) buffer it may overwrite.
 
     The samples come in blocks of ``block``, each summed down numpy's
     pairwise tree to leaves of about _SUB_BLOCK_BYTES of statistics, never
-    splitting below numpy's 128-sample block.  With ``whole_first`` the
-    first block is one leaf, a single ``fill`` call.
+    splitting below numpy's 128-sample block.
     """
     leaf = max(128, _SUB_BLOCK_BYTES // (8 * max(1, dim)))
     acc = _MeanAccumulator(dim)
     for lo in range(0, total, block):
-        b = min(block, total - lo)
-        acc.add_pairwise(b, fill, b if whole_first and lo == 0 else leaf)
+        acc.add_pairwise(min(block, total - lo), fill, leaf)
     return acc.mean(), acc.se()
 
 
@@ -370,15 +373,12 @@ class _SideEngine:
         self.law = GaussianLawTable(law_x0, T, homogeneous=len(firsts) == 1)
         self.path_x0 = np.asarray(path_x0, dtype=float)
         self.tr = transform
-        self.T = T
         self.mc = mc
-        self.seed_seq = seed_seq
         # one stream per path column: draws for column j never depend on the
         # horizon, so a run at T' <= T reuses exactly the same variates
         self.col_seqs = [fixed_child(seed_seq, j) for j in range(1, T + 1)]
         self.fd_check = fd_check
         self.fd_gap = 0.0
-        self.coeffs_constant = coeffs_constant
         self.path_collapsed = bool(
             transform.row_constant()
             and coeffs_constant
@@ -411,15 +411,11 @@ class _SideEngine:
         k = 1 if self.path_collapsed else self.class_rows.shape[0]
         # fresh generators per outer step = common random numbers across steps
         gens = [Generator(Philox(s)) for s in self.col_seqs[:p]]
-        probe = self.fd_check and p > 0
 
         def fill(n):
-            nonlocal probe
             # rows: the p coefficient statistics, then the t products
             vals = np.empty((p + t, k, n))
-            # the finite-difference probe averages over the whole first block
-            pieces = [(0, n)] if probe else _sub_blocks(n, x0.shape[0] * (p + 1))
-            for lo, hi in pieces:
+            for lo, hi in _sub_blocks(n, x0.shape[0] * (p + 1)):
                 paths = _draw_paths(gens, factors, x0, hi - lo)
                 _, inner, dinner = _forward(self.tr, paths, rows, inner_upto=t,
                                             with_partials=True)
@@ -430,20 +426,24 @@ class _SideEngine:
                     self._sample_stat(d, vals[s - 1, :, lo:hi])
                 for tau in range(1, t + 1):
                     self._sample_stat(et * inner[tau], vals[p + tau - 1, :, lo:hi])
-                if probe:
-                    self._fd_probe(paths, rows, t, p, dinner)
-            probe = False
             return vals.reshape((p + t) * k, n)
 
-        avg = _mc_average((p + t) * k, self.mc, _BLOCK, fill, whole_first=probe)
+        avg = _mc_average((p + t) * k, self.mc, _BLOCK, fill)
+        if self.fd_check and p > 0:
+            # the probe redraws the step's first block whole
+            gens = [Generator(Philox(s)) for s in self.col_seqs[:p]]
+            self._fd_probe(_draw_paths(gens, factors, x0, min(_BLOCK, self.mc)),
+                           rows, t, p)
         mean, se = (self._extract(a.reshape(p + t, k)) for a in avg)
         c = self.law.cov.shape[0]
         self.law.cov[:, t - 1, :t] = self.law.cov[:, :t, t - 1] = mean[p:, :c].T
         self.law.cov_se[:, t - 1, :t] = self.law.cov_se[:, :t, t - 1] = se[p:, :c].T
         return mean[:p], se[:p]
 
-    def _fd_probe(self, paths, rows, t, p, dinner):
+    def _fd_probe(self, paths, rows, t, p):
         # cross-check chained partials against central differences on one block
+        _, _, dinner = _forward(self.tr, paths, rows, inner_upto=t,
+                                with_partials=True)
         h = 1e-4
         for s in range(1, p + 1):
             up = np.array(paths)

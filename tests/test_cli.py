@@ -264,6 +264,16 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_main_rejects_bad_program_param_value_exit_2(tmp_path, capsys):
+    # a value the plan builder cannot convert is a configuration error, not
+    # a failed verdict
+    path = write_config(tmp_path, program="gd_ridge", m=16,
+                        program_params={"eta": "x"})
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "eta must be a finite number" in capsys.readouterr().err
+
+
 def test_main_numerical_error_exit_3(tmp_path, capsys):
     path = write_config(tmp_path, experiment="gd_gaussianity",
                         program="gd_ridge", m=16, n=10,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import wavy_loss
+from conftest import two_block_profile, wavy_loss
 from gfomlab.ensembles import (
     EnsembleSpec,
     VarianceProfile,
@@ -260,6 +260,27 @@ def test_monte_carlo_standard_errors_are_stable_and_calibrated():
         assert np.all(spread <= 1.25), (name, spread.max())
         calib = est.std(axis=0, ddof=1) / np.median(ses, axis=0)
         assert np.all((calib >= 0.6) & (calib <= 1.6)), (name, calib)
+
+
+@pytest.mark.parametrize("kind", ["constant", "two_block"])
+def test_horizon_restriction_is_exact_with_same_seed(kind):
+    # one stream per path column: a run at T = 2 repeats the first two steps
+    # of a run at T = 4 bit for bit (5000 paths: two blocks)
+    m, n = 9, 6
+    masks = (np.random.default_rng(19).random((4, m)) < 0.7) * 1.0
+    prof = (constant_profile((m, n)) if kind == "constant"
+            else two_block_profile(m, n))
+    long, short = (small_state(T=T, n=n, m=m, seed=20, loss=wavy_loss(),
+                               mc=5000, masks=masks[:T], profile=prof)
+                   for T in (4, 2))
+    for name in ("g_tables", "g_tables_se"):
+        assert len(getattr(short, name)) == 2
+        for a, b in zip(getattr(short, name), getattr(long, name)):
+            assert np.array_equal(a, b), name
+    assert np.array_equal(short.u_cov, long.u_cov[:, :2, :2])
+    for name in ("v_cov", "v_cov_se", "m_matrix"):
+        lead = getattr(long, name)[:, :3, :3]
+        assert np.array_equal(getattr(short, name), lead), name
 
 
 def test_nested_sum_guards():

@@ -121,6 +121,12 @@ def test_config_round_trip_and_defaults():
     {"law_b": "cauchy"},
     {"tolerance": -0.1},
     {"program_params": {"bogus": 1}},
+    {"program_params": {"eta": "x"}},
+    {"program_params": {"eta": True}},
+    {"program_params": {"lam": float("nan")}},
+    {"program_params": {"subsample": "half"}},
+    {"program": "pgd_linear", "program_params": {"prox": 3}},
+    {"program_params": ["eta"]},
 ])
 def test_config_validation_rejects(patch):
     data = dict(experiment="universality_averaged", program="gd_ridge",

@@ -16,7 +16,7 @@ from gfomlab.programs import build_gd_ridge, build_tanh_iteration
 
 DEFAULT = se._SUB_BLOCK_BYTES
 WHOLE = 1 << 40   # every block in one piece, the layout before sub-blocking
-TINY = 1          # every block in pieces of _SUB_ALIGN samples
+TINY = 1          # every block in pieces of 8 samples
 BUDGETS = (WHOLE, DEFAULT, TINY)
 MIB = 1 << 20
 
@@ -38,14 +38,25 @@ def _under_budgets(monkeypatch, fn):
 def test_sub_blocks_tile_a_block_in_aligned_pieces(monkeypatch):
     monkeypatch.setattr(se, "_SUB_BLOCK_BYTES", TINY)
     pieces = se._sub_blocks(3616, 400)
-    assert pieces[0] == (0, se._SUB_ALIGN) and pieces[-1] == (3584, 3616)
-    assert all(hi - lo == se._SUB_ALIGN for lo, hi in pieces[:-1])
+    assert pieces[0] == (0, 8) and pieces[-1] == (3608, 3616)
+    assert all(hi - lo == 8 for lo, hi in pieces)
     assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
     monkeypatch.setattr(se, "_SUB_BLOCK_BYTES", DEFAULT)
     # a block that fits the budget stays whole
     assert se._sub_blocks(4096, 1) == [(0, 4096)]
     sizes = {hi - lo for lo, hi in se._sub_blocks(4096, 40)[:-1]}
     assert sizes == {3264}
+    # wide paths: multiples of _SUB_ALIGN while one fits, else of 8 (16
+    # samples of 8000 values fill the budget)
+    assert {hi - lo for lo, hi in se._sub_blocks(4096, 1600)} == {64}
+    assert {hi - lo for lo, hi in se._sub_blocks(4096, 8000)} == {16}
+
+
+def _assert_law_ignores_probe(probed, plain):
+    # the finite-difference probe runs its own pass: every array but fd_gap
+    # equals the record built without it
+    assert probed["fd_gap"] is not None and plain["fd_gap"] is None
+    assert {**probed, "fd_gap": None} == plain
 
 
 # mc 9000 = 4096 + 4096 + 808: with the tiny budget every block splits and
@@ -62,6 +73,9 @@ def test_se_symmetric_bytes_do_not_depend_on_sub_blocks(monkeypatch, kind, fd_ch
         prog, prof, mc_samples=9000, seed=41, fd_check=fd_check).to_json_dict())
     assert recs[0] == recs[1] == recs[2]
     assert (recs[0]["fd_gap"] is not None) == fd_check
+    if fd_check:
+        _assert_law_ignores_probe(recs[0], se.se_symmetric(
+            prog, prof, mc_samples=9000, seed=41).to_json_dict())
 
 
 @pytest.mark.parametrize("fd_check", [False, True])
@@ -74,6 +88,9 @@ def test_se_asymmetric_bytes_do_not_depend_on_sub_blocks(monkeypatch, kind, fd_c
         prog, prof, mc_samples=9000, seed=43, fd_check=fd_check).to_json_dict())
     assert recs[0] == recs[1] == recs[2]
     assert (recs[0]["fd_gap"] is not None) == fd_check
+    if fd_check:
+        _assert_law_ignores_probe(recs[0], se.se_asymmetric(
+            prog, prof, mc_samples=9000, seed=43).to_json_dict())
 
 
 def test_collapsed_path_bytes_do_not_depend_on_sub_blocks(monkeypatch):
@@ -212,17 +229,20 @@ def test_predict_entrywise_memory_does_not_grow_with_a_block_per_coordinate():
     assert peak < 32 * MIB, f"peak {peak / MIB:.0f} MiB"
 
 
-@pytest.mark.parametrize("kind", ["constant", "two_block"])
-def test_two_sided_engine_memory_is_bounded(kind):
+@pytest.mark.parametrize("kind,m,n", [
+    pytest.param(kind, m, n, id=kind if m == 400 else f"{kind}-{m}x{n}")
+    for m, n in ((400, 200), (2000, 1000)) for kind in ("constant", "two_block")])
+def test_two_sided_engine_memory_is_bounded(kind, m, n):
     # the two-block engine kept a (statistics, block, coordinates) buffer
-    # and peaked at 98 MiB
-    m, n = 400, 200
+    # and peaked at 98 MiB at 400 x 200.  At 2000 x 1000 a path holds 8000
+    # values per sample, and 64-sample pieces peaked at 53 MiB; of the
+    # bound, 15 MiB are the weights
     rng = np.random.default_rng(51)
     prog = build_gd_ridge(squared_loss(), 0.2, 0.1, rng.normal(size=n),
                           rng.normal(size=m), None, 3)
+    prof = _profile(kind, m, n)
     peak = _peak_bytes(lambda: se.se_asymmetric(
-        prog, _profile(kind, m, n), mc_samples=4096, seed=52,
-        normalization="inv_sqrt_n"))
+        prog, prof, mc_samples=4096, seed=52, normalization="inv_sqrt_n"))
     assert peak < 32 * MIB, f"peak {peak / MIB:.0f} MiB"
 
 
