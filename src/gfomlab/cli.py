@@ -192,3 +192,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

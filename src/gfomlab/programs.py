@@ -111,6 +111,22 @@ def tanh_map(arity, col):
     return scalar_map(arity, col, np.tanh, lambda x: 1.0 / np.cosh(x) ** 2)
 
 
+def fixed_order_sum(cols, coefs, out=None):
+    """sum_j coefs[j] * cols[j], summed in one order whatever the memory
+    layout: the even-indexed terms left to right, then the odd-indexed
+    ones, then the two sums.  Each term is rounded before it is added.
+    ``out``, when given, receives the result."""
+    total = np.multiply(cols[0], coefs[0], out=out)
+    if len(cols) == 1:
+        return total
+    sums = [total, np.multiply(cols[1], coefs[1])]
+    term = np.empty_like(sums[1])
+    for j in range(2, len(cols)):
+        sums[j % 2] += np.multiply(cols[j], coefs[j], out=term)
+    sums[0] += sums[1]
+    return sums[0]
+
+
 def affine_combination(arity, weights, intercept=0.0):
     """sum_j weights[j] * h_j + intercept; intercept may vary per row."""
     weights = np.asarray(weights, dtype=float)
@@ -120,7 +136,7 @@ def affine_combination(arity, weights, intercept=0.0):
     per_row = intercept.ndim > 0
 
     def fn(h, rows):
-        out = np.einsum("...j,j->...", h, weights)
+        out = fixed_order_sum([h[..., j] for j in range(arity)], weights)
         return out + (_sel(intercept, rows) if per_row else float(intercept))
 
     return RowFunction(

@@ -22,7 +22,13 @@ are its statistics per class of identical weight rows: a coordinate's law
 depends on the weights only through its own row, so a constant or two-block
 profile keeps one or two rows per statistic, however many coordinates it
 has.  A leaf's paths are drawn by _draw_paths, the package's one Gaussian
-path sampler (``gd_se`` draws through it too), and pushed through the
+path sampler (``gd_se`` draws through it too).  Every path array and every
+transform history is stored as column planes: one contiguous (samples, R)
+block per path column, handed out as a (samples, R, p+1) view, so each
+per-column operation streams through memory.  The sampler mixes the normal
+draws into the planes with explicit multiply-adds summed in one fixed order
+(``programs.fixed_order_sum``), whatever the layout, which up to 7 columns
+is the order numpy's einsum took here.  The paths are pushed through the
 history transform in sub-blocks along the sample axis, each holding at most
 _SUB_BLOCK_BYTES of path values: a multiple of _SUB_ALIGN samples while one
 fits, else of 8 samples.  A leaf that fits stays whole.  The transform's
@@ -49,7 +55,7 @@ from numpy.random import Generator, Philox
 from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
 from .programs import (RowFunction, SymmetricProgram, _sel, asymmetric_tracks,
-                       check_tracks, symmetric_tracks)
+                       check_tracks, fixed_order_sum, symmetric_tracks)
 from .seeds import DOMAIN_PREDICT, DOMAIN_SE, child_sequence, fixed_child
 
 PSD_FLOOR = -1e-10
@@ -73,28 +79,46 @@ def _sub_blocks(b, row_values):
     return [(lo, min(lo + size, b)) for lo in range(0, b, size)]
 
 
+def _planes(shape):
+    """An uninitialised array of ``shape`` (..., C) stored as C contiguous
+    planes: the (..., C) view of a (C, ...) buffer, so column j is one
+    contiguous block."""
+    return np.moveaxis(np.empty(shape[-1:] + shape[:-1]), 0, -1)
+
+
+def _mix(out, factors, cols):
+    """Write sum_j factors[:, i, j] * cols[j] into out[..., i] for the p
+    (b, R) draws ``cols``, factors (1 or R, p, p) and (b, R, p) planes
+    ``out``, summing through ``fixed_order_sum``.  Up to p = 7 that order is
+    the one numpy's einsum takes on these operands, so the bytes equal
+    ``einsum("rij,brj->bri", factors, cols)``; from p = 8 einsum switches
+    to a fused multiply-add kernel and agrees to rounding only."""
+    fac = np.ascontiguousarray(np.moveaxis(factors, 0, -1))   # (p, p, 1 or R)
+    for i in range(len(cols)):
+        fixed_order_sum(cols, fac[i], out=out[..., i])
+
+
 def _draw_paths(gens, factors, x0, b):
-    """(b, R, p+1) Gaussian paths over the R rows of ``x0``.
+    """(b, R, p+1) Gaussian paths over the R rows of ``x0``, stored as
+    column planes (see _planes).
 
     Column 0 holds x0; columns 1..p hold standard normals mixed by
-    ``factors`` ((1 or R, p, p); None when p = 0).  One generator draws all
-    p columns at once, otherwise generator q draws column q.  Each call
-    continues the streams, so a block drawn in sub-blocks gets the same
-    variates as one drawn whole.
+    ``factors`` ((1 or R, p, p); None when p = 0) through _mix.  One
+    generator draws all p columns at once, otherwise generator q draws
+    column q.  Each call continues the streams, so a block drawn in
+    sub-blocks gets the same variates as one drawn whole.
     """
     r = x0.shape[0]
     p = 0 if factors is None else factors.shape[-1]
-    paths = np.empty((b, r, p + 1))
+    paths = _planes((b, r, p + 1))
     paths[..., 0] = x0
     if p:
         if len(gens) == 1:
             g = gens[0].standard_normal((b, r, p))
+            cols = [g[..., j] for j in range(p)]
         else:
-            g = np.stack([gq.standard_normal((b, r)) for gq in gens], axis=-1)
-        if factors.shape[0] == 1:
-            paths[..., 1:] = np.einsum("ij,brj->bri", factors[0], g)
-        else:
-            paths[..., 1:] = np.einsum("rij,brj->bri", factors, g)
+            cols = [gq.standard_normal((b, r)) for gq in gens]
+        _mix(paths[..., 1:], factors, cols)
     return paths
 
 
@@ -212,7 +236,7 @@ class HistoryTransform:
     def apply(self, hist, rows=None):
         hist = np.asarray(hist, dtype=float)
         if self.raw:
-            return hist.copy()
+            return hist.copy(order="K")
         out, _, _ = _forward(self, hist, rows, inner_upto=0, with_partials=False)
         return out
 
@@ -221,16 +245,16 @@ def _forward(tr, paths, rows, inner_upto, with_partials):
     """Forward pass of a transform on path arrays (..., R, C+1).
 
     Returns (out, inner, dinner): out is the (..., R, C+1) history of
-    output columns, filled column by column; row functions read views of
-    its leading columns.  inner[s] is inner_s evaluated on the transformed
-    history, dinner[(s, q)] its total derivative in path column q obtained
-    by chaining through the recursion.  inner is filled at least up to
-    ``inner_upto``.
+    output columns, stored as column planes (see _planes) and filled column
+    by column; row functions read views of its leading columns.  inner[s]
+    is inner_s evaluated on the transformed history, dinner[(s, q)] its
+    total derivative in path column q obtained by chaining through the
+    recursion.  inner is filled at least up to ``inner_upto``.
     """
     C = paths.shape[-1] - 1
     inc = 1 if tr.inner_uses_current else 0
     base = paths.shape[:-1]
-    out = np.empty(paths.shape)
+    out = _planes(paths.shape)
     out[..., 0] = paths[..., 0]
     inner, dinner, J = {}, {}, {}
 

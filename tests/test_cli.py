@@ -2,6 +2,10 @@
 
 import datetime
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,18 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_module_path_runs_main(tmp_path):
+    # ``python -m gfomlab.cli`` is the same entry point as ``python -m
+    # gfomlab``: a bad config exits 2 instead of skipping the run
+    path = write_config(tmp_path, program="nope")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-m", "gfomlab.cli", "run", "--config",
+                          str(path), "--out", str(tmp_path / "o")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2, out.stderr
+    assert "configuration error" in out.stderr
 
 
 def test_main_rejects_bad_program_param_value_exit_2(tmp_path, capsys):

@@ -180,6 +180,19 @@ def test_affine_combination_rejects_wrong_width():
         affine_combination(3, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("arity", range(1, 11))
+def test_affine_combination_bytes_do_not_depend_on_layout(arity):
+    # the limit-law engines hand row functions column planes, the executors
+    # a transposed (width, t) history; one row function gives one result
+    rng = np.random.default_rng(70 + arity)
+    rf = affine_combination(arity, rng.normal(size=arity), intercept=0.1)
+    hist = rng.normal(size=(6, 30, arity))
+    planes = np.moveaxis(np.ascontiguousarray(np.moveaxis(hist, -1, 0)), 0, -1)
+    assert rf(planes).tobytes() == rf(hist).tobytes()
+    transposed = np.ascontiguousarray(hist[0].T).T
+    assert rf(transposed).tobytes() == rf(hist[0]).tobytes()
+
+
 def test_row_function_partial_matches_finite_differences():
     rng = np.random.default_rng(12)
     for rf in [tanh_map(3, 1), pick_iterate(2, 0),

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 import gfomlab.state_evolution as se
 from conftest import (mixed_asymmetric_program, mixed_symmetric_program,
@@ -134,6 +135,61 @@ def test_gd_se_bytes_do_not_depend_on_sub_blocks(monkeypatch, kind):
 
     outs = _under_budgets(monkeypatch, run)
     assert outs[0] == outs[1] == outs[2]
+
+
+# ---------------------------------------------------------------------------
+# path mixing: _draw_paths against the einsum formula it replaced, with
+# shared (1, p, p) and per-coordinate (R, p, p) factors, one stream for all
+# columns (strided draws) and one stream per column
+
+def _einsum_paths(gens, factors, x0, b):
+    r, p = x0.shape[0], factors.shape[-1]
+    if len(gens) == 1:
+        g = gens[0].standard_normal((b, r, p))
+    else:
+        g = np.stack([gq.standard_normal((b, r)) for gq in gens], axis=-1)
+    paths = np.empty((b, r, p + 1))
+    paths[..., 0] = x0
+    if factors.shape[0] == 1:
+        paths[..., 1:] = np.einsum("ij,brj->bri", factors[0], g)
+    else:
+        paths[..., 1:] = np.einsum("rij,brj->bri", factors, g)
+    return paths
+
+
+def _paths_both_ways(p, shared, per_column):
+    rng = np.random.default_rng(60 + p)
+    r, b = 37, 200
+    factors = rng.normal(size=(1 if shared else r, p, p))
+    x0 = rng.normal(size=r)
+
+    def gens():
+        return [Generator(Philox(61 + q)) for q in range(p if per_column else 1)]
+
+    return _einsum_paths(gens(), factors, x0, b), se._draw_paths(gens(), factors, x0, b)
+
+
+MIXINGS = [pytest.param(shared, per_column, id=f"{fac}-{streams}")
+           for shared, fac in ((True, "shared"), (False, "per_coordinate"))
+           for per_column, streams in ((False, "one_stream"), (True, "column_streams"))]
+
+
+@pytest.mark.parametrize("shared,per_column", MIXINGS)
+@pytest.mark.parametrize("p", range(1, 8))
+def test_draw_paths_mixes_as_einsum_did_bit_for_bit(p, shared, per_column):
+    want, got = _paths_both_ways(p, shared, per_column)
+    assert got.tobytes() == want.tobytes()
+    # every path column is one contiguous plane
+    assert all(got[..., j].flags.c_contiguous for j in range(p + 1))
+
+
+@pytest.mark.parametrize("shared,per_column", MIXINGS)
+@pytest.mark.parametrize("p", range(8, 11))
+def test_draw_paths_mixes_as_einsum_did_to_rounding_from_p_8(p, shared, per_column):
+    # from 8 terms einsum sums with a fused multiply-add kernel, which
+    # separate numpy multiplies and adds cannot reproduce
+    want, got = _paths_both_ways(p, shared, per_column)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _filler(vals):
