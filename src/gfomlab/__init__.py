@@ -37,5 +37,3 @@ from .seeds import child_sequence, generator
 from .state_evolution import (SeRecord, amp_se_asymmetric, amp_se_symmetric,
                               gfom_to_amp, predict_entrywise, se_asymmetric,
                               se_symmetric)
-from .cli import (RunManifest, config_hash, emit_plot_data, parse_config,
-                  run_experiment, serialize_config)

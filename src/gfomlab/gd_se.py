@@ -154,6 +154,14 @@ def _average(state, t, n_stats, stat):
     return mean.reshape(n_stats, m), se.reshape(n_stats, m)
 
 
+def _index(value, lo, hi, name):
+    """``value`` as an int; ConfigError unless it is an integer in lo..hi
+    (a bool is not)."""
+    if not _is_int(value) or not lo <= value <= hi:
+        raise ConfigError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
+    return int(value)
+
+
 def _d_recursion(s, t, wvals, f_tables, eta):
     """D[tau] = d(corrected path col tau)/d(raw path col s), tau = s..t."""
     d = {s: np.ones_like(wvals[t])}
@@ -206,8 +214,9 @@ def gd_se_homogeneous(loss, eta, lam, mu0_sq_mean, xi, phi, T,
 
 def _run(loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig, T, mc, seed):
     """The step loop behind both entry points."""
-    if eta < 0 or lam < 0:
-        raise ConfigError("eta and lambda must be >= 0")
+    if not all(math.isfinite(x) and x >= 0 for x in (eta, lam)):
+        raise ConfigError(f"eta and lambda must be finite numbers >= 0, "
+                          f"got {eta!r} and {lam!r}")
     if not _is_int(T) or T < 1:
         raise ConfigError(f"horizon must be an integer >= 1, got {T!r}")
     mc = check_count(mc, "mc_samples")
@@ -309,8 +318,8 @@ def g_coefficient_nested_sum(state, s, t):
     """Coupling coefficient by the explicit chain expansion over index paths
     s = c_0 < c_1 < ... < c_p = t, regenerated on the same sample stream as
     the recursion route (identical samples, different algebra)."""
-    if not 1 <= s <= t <= state.T:
-        raise ConfigError(f"need 1 <= s <= t <= {state.T}")
+    t = _index(t, 1, state.T, "step t")
+    s = _index(s, 1, t, "step s")
     if t - s > NESTED_SUM_MAX_GAP:
         raise ConfigError(
             f"t - s = {t - s} exceeds the combinatorial cost guard "
@@ -341,8 +350,7 @@ def g_coefficient_nested_sum(state, s, t):
 
 def gd_key_params(state, t):
     """Bias factor and innovation variance of the centered estimate at step t."""
-    if not 0 <= t <= state.T:
-        raise ConfigError(f"step {t} outside 0..{state.T}")
+    t = _index(t, 0, state.T, "step")
     bias = -state.m_matrix[:, 0, t]
     if t == 0:
         return GdLaw(0, bias, np.zeros_like(bias))
@@ -359,8 +367,7 @@ def gd_entrywise_law(state, ell, t):
     """Normal descriptor for (estimate - signal) at signal coordinate ell."""
     if state.mu0 is None:
         raise ConfigError("homogeneous state has no per-coordinate signal")
-    if not 0 <= ell < state.n_coords:
-        raise ConfigError(f"coordinate {ell} outside range")
+    ell = _index(ell, 0, state.n_coords - 1, "coordinate")
     law = gd_key_params(state, t)
     return GdEntryLaw(mean=float(law.bias[ell] * state.mu0[ell]),
                       variance=float(law.variance[ell]),

@@ -11,11 +11,11 @@ All four replicate experiments run one loop, ``_replicates``, with a
 per-experiment statistic.  Its seed contract: replicate r draws law A's
 matrix from the stream ``(seed, REPLICATE, r, ENSEMBLE_A)`` and law B's
 from ``(seed, REPLICATE, r, ENSEMBLE_B)``, the streams that
-``ensembles.matched_pair`` derives from ``(seed, REPLICATE, r)``.  Both
-matrices of a replicate are drawn before either runs; a divergence under
-either law drops the whole replicate and is counted against that law.  The
-decay and delocalization diagnostics draw their one matrix as law A of
-replicate 0.
+``ensembles.matched_pair`` derives from ``(seed, REPLICATE, r)``.  Law A's
+matrix is drawn and run, then law B's, so a replicate holds one matrix at a
+time; a divergence under either law drops the whole replicate and is counted
+against that law, and law B is not drawn when law A diverges.  The decay and
+delocalization diagnostics draw their one matrix as law A of replicate 0.
 """
 
 import json
@@ -139,6 +139,10 @@ class ExperimentConfig:
         if self.program not in REGISTRY:
             raise ConfigError(f"unknown program {self.program!r}; "
                               f"choices: {sorted(REGISTRY)}")
+        programs = _EXPERIMENT_PROGRAMS.get(self.experiment)
+        if programs is not None and self.program not in programs:
+            raise ConfigError(f"{self.experiment} needs program "
+                              f"{' or '.join(programs)}, got {self.program!r}")
         for key in ("seed", "n", "m", "T", "replicates", "mc_samples"):
             value = getattr(self, key)
             if key == "m" and value is None:
@@ -151,6 +155,8 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if self.m is not None and self.m < 1:
             raise ConfigError("m must be >= 1")
+        if self.m is None and REGISTRY[self.program].two_sided:
+            raise ConfigError(f"program {self.program!r} needs m")
         if self.T < 1:
             raise ConfigError("T must be >= 1")
         if self.replicates < 2:
@@ -158,11 +164,15 @@ class ExperimentConfig:
         if self.mc_samples < 2:
             raise ConfigError("mc_samples must be >= 2")
         resolve_psi(self.psi)
+        # coordinates index z, v or the estimate, all of width n
         coords = self.coordinates
         if (not isinstance(coords, (list, tuple)) or not coords
-                or not all(_is_int(k) and k >= 0 for k in coords)):
+                or not all(_is_int(k) and 0 <= k < self.n for k in coords)):
             raise ConfigError("coordinates must be a non-empty list of "
-                              f"integers >= 0, got {coords!r}")
+                              f"integers in 0..{self.n - 1}, got {coords!r}")
+        if self.experiment == "universality_entrywise" and len(coords) > 10:
+            raise ConfigError("universality_entrywise is limited to 10 "
+                              "coordinates")
         for key in ("law_a_param", "law_b_param"):
             value = getattr(self, key)
             if value is not None and not _is_finite_real(value):
@@ -185,6 +195,8 @@ class ExperimentConfig:
                                       f"got {value!r}")
             elif not _is_finite_real(value):
                 raise ConfigError(f"{key} must be a finite number, got {value!r}")
+            elif key == "subsample" and not 0.0 < value <= 1.0:
+                raise ConfigError(f"subsample must be in (0, 1], got {value!r}")
         tol = self.tolerance
         if tol is not None and not (_is_finite_real(tol) and tol >= 0):
             raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
@@ -281,11 +293,15 @@ class ComparisonReport:
 # program registry
 
 class RegistryEntry:
-    def __init__(self, name, description, param_names, build):
+    """A named program: its config parameters, its plan builder, and
+    whether it runs on an m x n design (two-sided, so the config needs m)."""
+
+    def __init__(self, name, description, param_names, build, two_sided=False):
         self.name = name
         self.description = description
         self.param_names = param_names
         self.build = build
+        self.two_sided = two_sided
 
 
 class _Plan:
@@ -351,53 +367,26 @@ class _AsymGfomPlan(_Plan):
 
     def simulate(self, a):
         traj = run_asymmetric(a, self.prog)
-        mu_from_v = self.prog.meta.get("mu_from_v")
-        out = {"u": traj.u, "v": traj.v}
-        if mu_from_v is not None:
-            out["mu"] = np.stack([mu_from_v(v) for v in traj.v])
-        return out
+        return {"u": traj.u, "v": traj.v}
 
     def se_record(self, mc, seed):
         return se_asymmetric(self.prog, self.profile, mc_samples=mc, seed=seed,
                              normalization="inv_sqrt_n")
 
 
-class _GdPlan(_AsymGfomPlan):
-    def __init__(self, prog, data):
-        super().__init__(prog, data)
-        self.loss = squared_loss()
-        self.eta = data["eta"]
-        self.lam = data["lam"]
-        self.mu0 = data["mu0"]
-        self.xi = data["xi"]
-        self.masks = data["masks"]
-
-    def gd_mu(self, a):
-        y = a @ self.mu0 + self.xi
-        return gradient_descent(a, y, self.loss, self.eta, self.lam,
-                                self.masks, self.prog.T)
-
-    def gd_state(self, mc, seed):
-        return gd_se(self.loss, self.eta, self.lam, self.mu0, self.xi,
-                     self.masks, self.profile, self.prog.T,
-                     mc_samples=mc, seed=seed)
-
-
-def _problem_data(config, need_m=True):
-    if need_m and config.m is None:
-        raise ConfigError(f"program {config.program!r} needs m")
+def _problem_data(config, **fields):
+    """The problem record of a two-sided program: signal ``mu0``, noise
+    ``xi``, subsampling ``masks`` (None for the full sample) and the
+    builder's own ``fields``; the plan keeps it as ``plan.data``."""
     rng = generator(config.seed, DOMAIN_PROBLEM_DATA, 0)
-    params = dict(config.program_params)
-    noise = float(params.get("noise", 1.0))
+    params = config.program_params
     mu0 = rng.standard_normal(config.n)
-    xi = noise * rng.standard_normal(config.m)
+    xi = float(params.get("noise", 1.0)) * rng.standard_normal(config.m)
     subsample = float(params.get("subsample", 1.0))
-    if not 0.0 < subsample <= 1.0:
-        raise ConfigError("subsample must be in (0, 1]")
     masks = None
     if subsample < 1.0:
         masks = (rng.random((config.T, config.m)) < subsample).astype(float)
-    return mu0, xi, masks, params
+    return dict(mu0=mu0, xi=xi, masks=masks, **fields)
 
 
 _PROX_KINDS = {"zero": prox_zero, "ridge": prox_ridge, "lasso": prox_lasso}
@@ -424,31 +413,30 @@ def _build_tanh_amp(config):
 
 
 def _build_pgd_linear(config):
-    mu0, xi, _, params = _problem_data(config)
-    eta = float(params.get("eta", 0.25))
-    prox = _prox_from_params(params)
-    prog = build_pgd_linear(squared_loss(), prox, eta, mu0, xi, config.T)
-    return _AsymGfomPlan(prog, {"mu0": mu0, "xi": xi, "eta": eta,
-                                "prox": prox})
+    params = config.program_params
+    d = _problem_data(config, loss=squared_loss(),
+                      eta=float(params.get("eta", 0.25)),
+                      prox=_prox_from_params(params))
+    return _AsymGfomPlan(build_pgd_linear(d["loss"], d["prox"], d["eta"],
+                                          d["mu0"], d["xi"], config.T), d)
 
 
 def _build_gd_ridge(config):
-    mu0, xi, masks, params = _problem_data(config)
-    eta = float(params.get("eta", 0.2))
-    lam = float(params.get("lam", 0.1))
-    prog = build_gd_ridge(squared_loss(), eta, lam, mu0, xi, masks, config.T)
-    return _GdPlan(prog, {"mu0": mu0, "xi": xi, "masks": masks,
-                          "eta": eta, "lam": lam})
+    params = config.program_params
+    d = _problem_data(config, loss=squared_loss(),
+                      eta=float(params.get("eta", 0.2)),
+                      lam=float(params.get("lam", 0.1)))
+    return _AsymGfomPlan(build_gd_ridge(d["loss"], d["eta"], d["lam"], d["mu0"],
+                                        d["xi"], d["masks"], config.T), d)
 
 
 def _build_logistic(config):
-    mu0, xi, _, params = _problem_data(config)
-    eta = float(params.get("eta", 0.05))
-    sigma = float(params.get("sigma", 0.0))
-    prog = build_logistic(_prox_from_params(params), eta, sigma, mu0, xi,
-                          config.T)
-    return _AsymGfomPlan(prog, {"mu0": mu0, "xi": xi, "eta": eta,
-                                "sigma": sigma})
+    params = config.program_params
+    d = _problem_data(config, eta=float(params.get("eta", 0.05)),
+                      sigma=float(params.get("sigma", 0.0)))
+    return _AsymGfomPlan(build_logistic(_prox_from_params(params), d["eta"],
+                                        d["sigma"], d["mu0"], d["xi"],
+                                        config.T), d)
 
 
 REGISTRY = {
@@ -462,13 +450,21 @@ REGISTRY = {
         (), _build_tanh_amp),
     "pgd_linear": RegistryEntry(
         "pgd_linear", "asymmetric: proximal gradient on the linear model",
-        ("eta", "prox", "prox_lam", "noise"), _build_pgd_linear),
+        ("eta", "prox", "prox_lam", "noise"), _build_pgd_linear, two_sided=True),
     "gd_ridge": RegistryEntry(
         "gd_ridge", "asymmetric: ridge gradient descent, optional subsampling",
-        ("eta", "lam", "noise", "subsample"), _build_gd_ridge),
+        ("eta", "lam", "noise", "subsample"), _build_gd_ridge, two_sided=True),
     "logistic": RegistryEntry(
         "logistic", "asymmetric: smoothed-sign logistic regression PGD",
-        ("eta", "sigma", "prox", "prox_lam", "noise"), _build_logistic),
+        ("eta", "sigma", "prox", "prox_lam", "noise"), _build_logistic,
+        two_sided=True),
+}
+
+# experiments that read one program's problem record; the rest run any program
+_EXPERIMENT_PROGRAMS = {
+    "gd_gaussianity": ("gd_ridge",),
+    # PGD with the ridge prox has gd_ridge's minimizer
+    "decay": ("pgd_linear", "gd_ridge"),
 }
 
 
@@ -508,13 +504,12 @@ def _replicates(config, plan, laws, stat, label):
     kept = [[] for _ in laws]
     divergent = dict.fromkeys(names, 0)
     for r in range(config.replicates):
-        mats = [plan.sample(law, child_sequence(config.seed, DOMAIN_REPLICATE,
-                                                r, dom))
-                for law, dom in zip(laws, domains)]
         row = []
-        for name, a in zip(names, mats):
+        for name, law, dom in zip(names, laws, domains):
+            # the matrix is an argument only, so it dies when stat returns
             try:
-                row.append(stat(a))
+                row.append(stat(plan.sample(law, child_sequence(
+                    config.seed, DOMAIN_REPLICATE, r, dom))))
             except DivergenceError:
                 divergent[name] += 1
                 break
@@ -605,19 +600,13 @@ def universality_averaged(config):
                  "replicates_used": len(vals_a)})
 
 
-def universality_entrywise(config, coords=None, psi=None):
+def universality_entrywise(config, psi=None):
     """Entrywise moments at selected coordinates under two matched laws."""
     tic = time.perf_counter()
     plan = build_plan(config)
-    coords = list(config.coordinates if coords is None else coords)
-    if len(coords) > 10:
-        raise ConfigError("entrywise comparison is limited to 10 coordinates")
+    coords = list(config.coordinates)
     psi = resolve_psi(config.psi if psi is None else psi)
-    # entrywise statistics live on z (symmetric) or v (asymmetric), both width n
-    dim = plan.n
-    for k in coords:
-        if not 0 <= k < dim:
-            raise ConfigError(f"coordinate {k} outside 0..{dim - 1}")
+    # entrywise statistics live on z (symmetric) or v (asymmetric)
     track_key = "z" if plan.kind == "symmetric" else "v"
 
     def stat(a):
@@ -678,23 +667,25 @@ def gd_gaussianity_test(config):
     gap, and Kolmogorov-Smirnov distance after standardizing."""
     tic = time.perf_counter()
     plan = build_plan(config)
-    if not isinstance(plan, _GdPlan):
-        raise ConfigError("gd_gaussianity needs the gd_ridge program")
+    d, T = plan.data, config.T
     coords = [int(k) for k in config.coordinates]
-    for k in coords:
-        if not 0 <= k < plan.n:
-            raise ConfigError(f"coordinate {k} outside 0..{plan.n - 1}")
-    state = plan.gd_state(config.mc_samples, config.seed)
-    law = gd_key_params(state, config.T)
-    (devs,), divergent = _replicates(
-        config, plan, _laws(config)[:1],
-        lambda a: plan.gd_mu(a)[config.T][coords] - plan.mu0[coords],
-        "gd_gaussianity")
+    state = gd_se(d["loss"], d["eta"], d["lam"], d["mu0"], d["xi"], d["masks"],
+                  plan.profile, T, mc_samples=config.mc_samples,
+                  seed=config.seed)
+    law = gd_key_params(state, T)
+
+    def stat(a):
+        mu = gradient_descent(a, a @ d["mu0"] + d["xi"], d["loss"], d["eta"],
+                              d["lam"], d["masks"], T)
+        return mu[T][coords] - d["mu0"][coords]
+
+    (devs,), divergent = _replicates(config, plan, _laws(config)[:1], stat,
+                                     "gd_gaussianity")
     tols = default_tolerances()["gd_gaussianity"]
     rows = []
     rep = devs.shape[0]
     for i, ell in enumerate(coords):
-        pred_mean = float(law.bias[ell] * plan.mu0[ell])
+        pred_mean = float(law.bias[ell] * d["mu0"][ell])
         sigma2 = float(law.variance[ell])
         col = devs[:, i]
         est_mean, se_mean = _mean_se(col)
@@ -712,7 +703,7 @@ def gd_gaussianity_test(config):
     return ComparisonReport(
         "gd_gaussianity", rows, divergent,
         runtime_seconds=time.perf_counter() - tic,
-        details={"t": config.T, "coordinates": coords,
+        details={"t": T, "coordinates": coords,
                  "predicted_bias": [float(law.bias[k]) for k in coords],
                  "predicted_variance": [float(law.variance[k]) for k in coords],
                  "replicates_used": rep})
@@ -879,19 +870,15 @@ def delocalization_report(trajectory, loo=None, prefactor=None):
 
 def _run_decay(config):
     plan = build_plan(config)
-    if isinstance(plan, _GdPlan):
-        # ridge decay: PGD with the ridge prox has the same minimizer
-        lam = plan.data["lam"]
-        prox = prox_ridge(lam) if lam > 0 else prox_zero()
-    elif isinstance(plan, _AsymGfomPlan) and "prox" in plan.data:
-        prox = plan.data["prox"]
-    else:
-        raise ConfigError("decay experiment needs pgd_linear or gd_ridge")
+    d = plan.data
+    prox = d.get("prox")
+    if prox is None:
+        # ridge decay: PGD with the ridge prox has gd_ridge's minimizer
+        prox = prox_ridge(d["lam"]) if d["lam"] > 0 else prox_zero()
     a = plan.sample(_laws(config)[0], child_sequence(
         config.seed, DOMAIN_REPLICATE, 0, DOMAIN_ENSEMBLE_A))
-    problem = ErmProblem(a=a, prox=prox, eta=plan.data["eta"],
-                         loss=squared_loss(), mu0=plan.data["mu0"],
-                         xi=plan.data["xi"])
+    problem = ErmProblem(a=a, prox=prox, eta=d["eta"], loss=d["loss"],
+                         mu0=d["mu0"], xi=d["xi"])
     return convergence_decay_report(problem, config.T)
 
 
@@ -899,9 +886,7 @@ def _run_delocalization(config):
     plan = build_plan(config)
     a = plan.sample(_laws(config)[0], child_sequence(
         config.seed, DOMAIN_REPLICATE, 0, DOMAIN_ENSEMBLE_A))
-    tracks = plan.simulate(a)
-    tracks.pop("mu", None)
-    return delocalization_report(tracks)
+    return delocalization_report(plan.simulate(a))
 
 
 EXPERIMENTS = {

@@ -17,6 +17,7 @@ Both are one recursion over sides; the side table (``Track``) writes that
 wiring once, for the executors and the limit-law builders alike.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -284,8 +285,8 @@ def build_pgd_linear(loss, prox, eta, mu0, xi, T):
     v^(t) = A^T [eta L'(xi - u^(t))] + mu^(t-1).
     The estimate is recovered through meta["mu_from_v"].
     """
-    if eta <= 0:
-        raise ConfigError("eta must be > 0")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ConfigError(f"eta must be a finite number > 0, got {eta!r}")
     mu0 = np.asarray(mu0, dtype=float)
     xi = np.asarray(xi, dtype=float)
     m, n = xi.shape[0], mu0.shape[0]
@@ -339,11 +340,10 @@ def build_gd_ridge(loss, eta, lam, mu0, xi, subsample_masks, T):
             - eta lam mu0.
     subsample_masks: None (full sample) or (T, m) 0/1 array.
     """
-    if eta < 0:
-        # eta = 0 freezes every track; allowed for degenerate-law checks
-        raise ConfigError("eta must be >= 0")
-    if lam < 0:
-        raise ConfigError("lambda must be >= 0")
+    # eta = 0 freezes every track; allowed for degenerate-law checks
+    for name, value in (("eta", eta), ("lambda", lam)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
     mu0 = np.asarray(mu0, dtype=float)
     xi = np.asarray(xi, dtype=float)
     m, n = xi.shape[0], mu0.shape[0]

@@ -278,6 +278,8 @@ def test_cli_module_path_runs_main(tmp_path):
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 2, out.stderr
     assert "configuration error" in out.stderr
+    # the module runs once, not as a second copy after the package import
+    assert "RuntimeWarning" not in out.stderr
 
 
 def test_main_rejects_bad_program_param_value_exit_2(tmp_path, capsys):
@@ -314,6 +316,13 @@ def test_main_validate(tmp_path, capsys):
     assert "config ok" in capsys.readouterr().out
     bad = write_config(tmp_path, name="bad.json", replicates=1)
     assert main(["validate", "--config", str(bad)]) == 2
+
+
+def test_main_validate_rejects_program_the_experiment_cannot_read(tmp_path, capsys):
+    # caught before any plan is built, so tanh_amp's limit law never runs
+    path = write_config(tmp_path, experiment="gd_gaussianity", program="tanh_amp")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "gd_gaussianity needs program gd_ridge" in capsys.readouterr().err
 
 
 def test_main_listings(capsys):

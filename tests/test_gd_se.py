@@ -14,7 +14,7 @@ from gfomlab.ensembles import (
     profile_weights,
     sample_asymmetric,
 )
-from gfomlab.erm import gradient_descent, squared_loss
+from gfomlab.erm import gradient_descent, prox_zero, squared_loss
 from gfomlab.errors import ConfigError, NumericalError
 from gfomlab.gd_se import (
     g_coefficient_nested_sum,
@@ -24,7 +24,7 @@ from gfomlab.gd_se import (
     gd_se,
     gd_se_homogeneous,
 )
-from gfomlab.programs import build_gd_ridge
+from gfomlab.programs import build_gd_ridge, build_pgd_linear
 from gfomlab.state_evolution import predict_entrywise, se_asymmetric
 
 
@@ -159,6 +159,27 @@ def test_input_validation():
         gd_se(squared_loss(), 0.1, 0.0, mu0, xi, None, prof, 0)
     with pytest.raises(ConfigError):
         gd_se(squared_loss(), 0.1, 0.0, mu0, xi, np.ones((3, m)), prof, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry,rate", [
+    ("build_pgd_linear", "eta"), ("build_gd_ridge", "eta"),
+    ("build_gd_ridge", "lam"), ("gd_se", "eta"), ("gd_se", "lam"),
+])
+def test_non_finite_rates_are_config_errors(entry, rate, bad):
+    n, m = 4, 6
+    mu0, xi = np.ones(n), np.ones(m)
+    r = {"eta": 0.1, "lam": 0.1, rate: bad}
+    calls = {
+        "build_pgd_linear": lambda: build_pgd_linear(
+            squared_loss(), prox_zero(), r["eta"], mu0, xi, 2),
+        "build_gd_ridge": lambda: build_gd_ridge(
+            squared_loss(), r["eta"], r["lam"], mu0, xi, None, 2),
+        "gd_se": lambda: gd_se(squared_loss(), r["eta"], r["lam"], mu0, xi,
+                               None, constant_profile((m, n)), 2),
+    }
+    with pytest.raises(ConfigError):
+        calls[entry]()
 
 
 @pytest.mark.parametrize("mc", [0, 1, True, 2.5, "100"])
@@ -440,6 +461,30 @@ def test_entrywise_law_guards():
                             seed=21)
     with pytest.raises(ConfigError):
         gd_entrywise_law(hom, 0, 1)
+
+
+_READ_OUTS = {"gd_key_params": gd_key_params,
+              "gd_entrywise_law": gd_entrywise_law,
+              "g_coefficient_nested_sum": g_coefficient_nested_sum}
+
+
+@pytest.mark.parametrize("name,args", [
+    ("gd_key_params", (True,)),
+    ("gd_key_params", (1.0,)),
+    ("gd_key_params", ("1",)),
+    ("gd_entrywise_law", (True, 2)),
+    ("gd_entrywise_law", (1.5, 2)),
+    ("gd_entrywise_law", (0, 2.0)),
+    ("g_coefficient_nested_sum", (True, 2)),
+    ("g_coefficient_nested_sum", (1, True)),
+    ("g_coefficient_nested_sum", (1, 2.0)),
+])
+def test_read_outs_reject_non_integer_steps_and_coordinates(name, args):
+    # a bool or float index is a configuration error, as at every other
+    # step argument; numpy would read True as 1 or reject it with its own error
+    st = small_state(T=3, seed=5)
+    with pytest.raises(ConfigError):
+        _READ_OUTS[name](st, *args)
 
 
 # ---------------------------------------------------------------------------

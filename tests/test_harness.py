@@ -3,12 +3,14 @@
 import contextlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from gfomlab.ensembles import EnsembleSpec, constant_profile, gaussian_law, sample_asymmetric
-from gfomlab.erm import ErmProblem, prox_lasso, prox_ridge, solve_fixed_point, squared_loss
+from gfomlab.erm import (ErmProblem, gradient_descent, prox_lasso, prox_ridge,
+                         solve_fixed_point, squared_loss)
 from gfomlab.errors import ConfigError, DivergenceError, NumericalError
 from gfomlab.harness import (
     EXPERIMENT_NAMES,
@@ -20,6 +22,8 @@ from gfomlab.harness import (
     Statistic,
     _SymGfomPlan,
     _ks_statistic,
+    _laws,
+    _replicates,
     build_plan,
     convergence_decay_report,
     default_tolerances,
@@ -127,6 +131,12 @@ def test_config_round_trip_and_defaults():
     {"program_params": {"subsample": "half"}},
     {"program": "pgd_linear", "program_params": {"prox": 3}},
     {"program_params": ["eta"]},
+    {"m": None},
+    {"program_params": {"subsample": 2.0}},
+    {"experiment": "universality_entrywise", "coordinates": [40]},
+    {"experiment": "universality_entrywise", "coordinates": list(range(11))},
+    {"experiment": "gd_gaussianity", "program": "tanh_amp"},
+    {"experiment": "decay", "program": "logistic"},
 ])
 def test_config_validation_rejects(patch):
     data = dict(experiment="universality_averaged", program="gd_ridge",
@@ -177,9 +187,12 @@ def test_gd_plan_tracks_match_direct_descent():
     cfg = base_config(program="gd_ridge", m=30, n=20, T=3,
                       program_params={"eta": 0.1, "lam": 0.2})
     plan = build_plan(cfg)
+    d = plan.data
     a = plan.sample(gaussian_law(), seed=5)
-    mu_track = plan.simulate(a)["mu"]
-    mu_direct = plan.gd_mu(a)
+    mu_from_v = plan.prog.meta["mu_from_v"]
+    mu_track = np.stack([mu_from_v(v) for v in plan.simulate(a)["v"]])
+    mu_direct = gradient_descent(a, a @ d["mu0"] + d["xi"], d["loss"], d["eta"],
+                                 d["lam"], d["masks"], cfg.T)
     assert np.max(np.abs(mu_track - mu_direct)) <= 1e-12
 
 
@@ -297,6 +310,37 @@ def test_divergent_replicates_counted_not_dropped_silently():
     assert skipped >= 1
     assert report.details["replicates_used"] == 12 - skipped
     assert report.details["replicates_used"] >= 2
+
+
+def test_replicates_hold_one_matrix_and_skip_law_b_after_law_a_diverges():
+    cfg = base_config(law_b="rademacher", n=12, replicates=6)
+    plan = build_plan(cfg)
+    draw = plan.sample
+    refs, drawn = [], []
+
+    def sample(law, seed):
+        assert all(ref() is None for ref in refs), "earlier matrix alive"
+        a = draw(law, seed)
+        refs.append(weakref.ref(a))
+        drawn.append(law.kind)
+        return a
+
+    def stat(a):
+        assert refs[-1]() is a
+        assert all(ref() is None for ref in refs[:-1]), "earlier matrix alive"
+        if drawn[-1] == "gaussian" and drawn.count("gaussian") in (2, 5):
+            raise DivergenceError("law A of replicates 1 and 4")
+        return [float(a[0, 0])]
+
+    plan.sample = sample
+    (vals_a, vals_b), divergent = _replicates(cfg, plan, _laws(cfg), stat,
+                                              "one matrix")
+    want = []
+    for r in range(6):
+        want += ["gaussian"] if r in (1, 4) else ["gaussian", "rademacher"]
+    assert drawn == want
+    assert divergent == {"a": 2, "b": 0}
+    assert len(vals_a) == len(vals_b) == 4
 
 
 def test_all_divergent_raises_numerical_error():
