@@ -123,9 +123,10 @@ def _average(state, t, n_stats, stat):
 
     ``stat(pvals, wvals)`` yields the n_stats statistics of a piece of b
     paths, each (b, m), from the masked loss slopes and curvatures of the
-    correction recursion, 1-indexed by step.  ``_draw_paths`` draws the
-    paths in sub-blocks, one stream per path column: both coefficient routes
-    share samples whatever the sub-block size, and so do shorter horizons.
+    correction recursion, 1-indexed by step.  The paths are drawn in
+    sub-blocks, one stream per path column, and mixed by ``_draw_paths``:
+    both coefficient routes share samples whatever the sub-block size, and
+    so do shorter horizons.
     """
     eta, f_tables, masks, xi, loss = (state.eta, state.f_tables, state.masks,
                                       state.xi, state.loss)
@@ -137,7 +138,8 @@ def _average(state, t, n_stats, stat):
     def fill(n):
         vals = np.empty((n_stats, m, n))
         for lo, hi in _sub_blocks(n, m * (t + 1)):
-            u = _draw_paths(gens, factors, np.zeros(m), hi - lo)
+            u = _draw_paths([g.standard_normal((hi - lo, m)) for g in gens],
+                            factors, np.zeros(m), hi - lo)
             pvals, wvals = [None], [None]
             for tau in range(1, t + 1):
                 phi = np.array(u[..., tau])

@@ -640,13 +640,12 @@ def se_vs_simulation(config):
 
     (sim,), divergent = _replicates(config, plan, _laws(config)[:1], stat,
                                     "se_vs_simulation")
+    preds = predict_entrywise(record, None, psi, cells=cells,
+                              n_paths=config.mc_samples, seed=config.seed)
     rows = []
-    for i, (s, t) in enumerate(cells):
+    for i, ((s, t), (means, ses)) in enumerate(zip(cells, preds)):
         dim = record.side(s).law.coords
         est_sim, se_sim = _mean_se(sim[:, i])
-        means, ses = predict_entrywise(record, np.arange(dim), psi, side=s, t=t,
-                                       n_paths=config.mc_samples,
-                                       seed=config.seed)
         est_pred = float(means.mean())
         if record.sides[s].collapsed:
             se_pred = float(ses[0])

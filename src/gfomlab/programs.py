@@ -399,15 +399,16 @@ def build_logistic(prox, eta, sigma, mu0, xi, T, clamp=None):
     score (first loss argument) is clamped to [-clamp, clamp], default
     20 log n.
     """
-    if sigma < 0:
-        raise ConfigError("sigma must be >= 0")
+    for name, value in (("eta", eta), ("sigma", sigma)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
     mu0 = np.asarray(mu0, dtype=float)
     xi = np.asarray(xi, dtype=float)
     m, n = xi.shape[0], mu0.shape[0]
     if clamp is None:
         clamp = default_logit_clamp(n)
-    if clamp <= 0:
-        raise ConfigError("clamp must be > 0")
+    if not clamp > 0:
+        raise ConfigError(f"clamp must be > 0, got {clamp!r}")
 
     def estimate(t):
         return scalar_map(t, t - 1, lambda v: prox.apply(eta, v), lambda v: prox.dapply(eta, v))

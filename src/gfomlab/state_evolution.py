@@ -10,19 +10,27 @@ averages using common random numbers across outer steps, so runs at
 different horizons agree exactly on the steps they share.
 
 Memory.  Every Monte Carlo average in the package, here and in ``gd_se``,
-runs through one driver, _mc_average.  It accumulates in fixed blocks
-(_BLOCK samples per step of a recursion, _PREDICT_BLOCK per read-out) and
-holds no per-block buffer.  It walks numpy's pairwise-sum tree over each
-block: a node of more than one leaf of samples splits where numpy splits it
-(half, rounded down to a multiple of 8), left before right, and a leaf of
-about _SUB_BLOCK_BYTES (1 MiB) of statistics, never fewer than numpy's
-unsplit 128-sample block, is summed by numpy itself.  So each row total has
-the bytes of numpy's sum over the whole block row.  The recursion's rows
-are its statistics per class of identical weight rows: a coordinate's law
-depends on the weights only through its own row, so a constant or two-block
-profile keeps one or two rows per statistic, however many coordinates it
-has.  A leaf's paths are drawn by _draw_paths, the package's one Gaussian
-path sampler (``gd_se`` draws through it too).  Every path array and every
+sums its samples one way.  It accumulates in fixed blocks (_BLOCK samples
+per step of a recursion, _PREDICT_BLOCK per read-out) and holds no
+per-block buffer.  _leaf_schedule lists the leaves of numpy's pairwise-sum
+tree over each block: a node of more than one leaf of samples splits where
+numpy splits it (half, rounded down to a multiple of 8), left before right,
+and a leaf of about _SUB_BLOCK_BYTES (1 MiB) of statistics (in the
+read-out, of normals), never fewer than numpy's unsplit 128-sample block,
+is summed by numpy itself.  _MeanAccumulator.fold adds a leaf and closes
+the nodes it completes, so only the open nodes' sums are held, and each row
+total has the bytes of numpy's sum over the whole block row.  The
+recursions and ``gd_se`` run one average at a time through _mc_average.
+The read-out runs all the (side, step) cells it is asked for in one pass
+over its stream, always advancing the cell furthest behind, so a bounded
+tape of normals serves them all (see predict_entrywise).  The recursion's
+rows are its statistics per class of identical weight rows: a coordinate's
+law depends on the weights only through its own row, so a constant or
+two-block profile keeps one or two rows per statistic, however many
+coordinates it has.  A leaf's paths are mixed by _draw_paths, the package's
+one Gaussian path sampler (``gd_se`` uses it too), from the normal columns
+it is handed: one stream per column in the engines, strided columns of the
+one prediction stream in the read-out.  Every path array and every
 transform history is stored as column planes: one contiguous (samples, R)
 block per path column, handed out as a (samples, R, p+1) view, so each
 per-column operation streams through memory.  The sampler mixes the normal
@@ -98,26 +106,20 @@ def _mix(out, factors, cols):
         fixed_order_sum(cols, fac[i], out=out[..., i])
 
 
-def _draw_paths(gens, factors, x0, b):
+def _draw_paths(cols, factors, x0, b):
     """(b, R, p+1) Gaussian paths over the R rows of ``x0``, stored as
     column planes (see _planes).
 
-    Column 0 holds x0; columns 1..p hold standard normals mixed by
-    ``factors`` ((1 or R, p, p); None when p = 0) through _mix.  One
-    generator draws all p columns at once, otherwise generator q draws
-    column q.  Each call continues the streams, so a block drawn in
-    sub-blocks gets the same variates as one drawn whole.
+    Column 0 holds x0; columns 1..p hold the p (b, R) standard-normal
+    arrays ``cols`` mixed by ``factors`` ((1 or R, p, p); None when p = 0)
+    through _mix.  The engines hand it one stream's draws per column, the
+    read-out strided columns of one stream's draws.
     """
     r = x0.shape[0]
     p = 0 if factors is None else factors.shape[-1]
     paths = _planes((b, r, p + 1))
     paths[..., 0] = x0
     if p:
-        if len(gens) == 1:
-            g = gens[0].standard_normal((b, r, p))
-            cols = [g[..., j] for j in range(p)]
-        else:
-            cols = [gq.standard_normal((b, r)) for gq in gens]
         _mix(paths[..., 1:], factors, cols)
     return paths
 
@@ -306,6 +308,26 @@ def _forward(tr, paths, rows, inner_upto, with_partials):
     return out, inner, dinner
 
 
+def _leaf_schedule(b, leaf, closes=1):
+    """The leaves of numpy's pairwise-sum tree over a b-sample block, left
+    to right, as (samples, closes) pairs.
+
+    A node of more than ``leaf`` samples splits where numpy splits it (half,
+    rounded down to a multiple of 8); ``closes`` counts the nodes a leaf
+    completes, the block's root (its addition to the running sums) included.
+    """
+    if b <= leaf:
+        return [(b, closes)]
+    half = b // 2 - (b // 2) % 8
+    return _leaf_schedule(half, leaf, 0) + _leaf_schedule(b - half, leaf, closes + 1)
+
+
+def _leaves(total, block, leaf):
+    """_leaf_schedule over every ``block``-sample block of ``total`` samples."""
+    for lo in range(0, total, block):
+        yield from _leaf_schedule(min(block, total - lo), leaf)
+
+
 class _MeanAccumulator:
     """Streaming mean/SE around a first-batch shift.
 
@@ -318,31 +340,32 @@ class _MeanAccumulator:
         self.sum = np.zeros(dim)
         self.sumsq = np.zeros(dim)
         self.count = 0
+        self._open = []   # (sum, sumsq, samples) of the open tree nodes
 
-    def add_pairwise(self, b, fill, leaf):
-        """add() for b samples that ``fill(n)`` returns n at a time, one
-        coordinate per row of a C-contiguous (dim, n) buffer it may overwrite.
-        The sums walk numpy's pairwise tree down to ``leaf`` >= 128 samples,
-        so each row total has the bytes add() gives a (b, 1) column."""
+    def fold(self, vals, closes):
+        """Add one leaf of a _leaf_schedule: the C-contiguous (dim, n)
+        statistics ``vals``, one coordinate per row, which it overwrites.
 
-        def node(n):
-            if n > leaf:
-                n2 = n // 2 - (n // 2) % 8
-                s1, q1 = node(n2)
-                s2, q2 = node(n - n2)
-                return s1 + s2, q1 + q2
-            vals = fill(n)
-            if self.shift is None:
-                self.shift = np.array(vals[:, 0], dtype=float)
-            vals -= self.shift[:, None]
-            total = vals.sum(axis=1)
-            np.square(vals, out=vals)
-            return total, vals.sum(axis=1)
-
-        total, sq = node(b)
-        self.sum += total
-        self.sumsq += sq
-        self.count += b
+        Numpy sums the leaf's rows; then each of the ``closes`` nodes adds
+        its left sum to its right one, and the block's root adds into the
+        running sums.  So each row total has the bytes a (b, 1) column's
+        sums would have.
+        """
+        if self.shift is None:
+            self.shift = np.array(vals[:, 0], dtype=float)
+        vals -= self.shift[:, None]
+        total = vals.sum(axis=1)
+        np.square(vals, out=vals)
+        node = (total, vals.sum(axis=1), vals.shape[1])
+        for _ in range(closes):
+            if not self._open:
+                self.sum += node[0]
+                self.sumsq += node[1]
+                self.count += node[2]
+                return
+            left = self._open.pop()
+            node = tuple(x + y for x, y in zip(left, node))
+        self._open.append(node)
 
     def mean(self):
         return self.shift + self.sum / self.count
@@ -354,19 +377,24 @@ class _MeanAccumulator:
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
+def _leaf_size(row_values):
+    """Samples per leaf whose statistics or normals hold ``row_values``
+    floats per sample: about _SUB_BLOCK_BYTES, never fewer than numpy's
+    unsplit 128-sample block."""
+    return max(128, _SUB_BLOCK_BYTES // (8 * max(1, row_values)))
+
+
 def _mc_average(dim, total, block, fill):
     """(mean, se) of ``dim`` statistics over ``total`` samples that
     ``fill(n)`` returns n at a time, one statistic per row of a C-contiguous
     (dim, n) buffer it may overwrite.
 
     The samples come in blocks of ``block``, each summed down numpy's
-    pairwise tree to leaves of about _SUB_BLOCK_BYTES of statistics, never
-    splitting below numpy's 128-sample block.
+    pairwise tree (_leaf_schedule) to leaves of _leaf_size(dim) samples.
     """
-    leaf = max(128, _SUB_BLOCK_BYTES // (8 * max(1, dim)))
     acc = _MeanAccumulator(dim)
-    for lo in range(0, total, block):
-        acc.add_pairwise(min(block, total - lo), fill, leaf)
+    for n, closes in _leaves(total, block, _leaf_size(dim)):
+        acc.fold(fill(n), closes)
     return acc.mean(), acc.se()
 
 
@@ -440,7 +468,8 @@ class _SideEngine:
             # rows: the p coefficient statistics, then the t products
             vals = np.empty((p + t, k, n))
             for lo, hi in _sub_blocks(n, x0.shape[0] * (p + 1)):
-                paths = _draw_paths(gens, factors, x0, hi - lo)
+                paths = _draw_paths([g.standard_normal((hi - lo, x0.shape[0]))
+                                     for g in gens], factors, x0, hi - lo)
                 _, inner, dinner = _forward(self.tr, paths, rows, inner_upto=t,
                                             with_partials=True)
                 et = inner[t]
@@ -455,9 +484,10 @@ class _SideEngine:
         avg = _mc_average((p + t) * k, self.mc, _BLOCK, fill)
         if self.fd_check and p > 0:
             # the probe redraws the step's first block whole
-            gens = [Generator(Philox(s)) for s in self.col_seqs[:p]]
-            self._fd_probe(_draw_paths(gens, factors, x0, min(_BLOCK, self.mc)),
-                           rows, t, p)
+            b = min(_BLOCK, self.mc)
+            cols = [Generator(Philox(s)).standard_normal((b, x0.shape[0]))
+                    for s in self.col_seqs[:p]]
+            self._fd_probe(_draw_paths(cols, factors, x0, b), rows, t, p)
         mean, se = (self._extract(a.reshape(p + t, k)) for a in avg)
         c = self.law.cov.shape[0]
         self.law.cov[:, t - 1, :t] = self.law.cov[:, :t, t - 1] = mean[p:, :c].T
@@ -678,33 +708,118 @@ def gfom_to_amp(prog, record):
     return amp
 
 
-def predict_entrywise(record, coords, psi, side="z", t=None,
-                      n_paths=DEFAULT_MC, seed=0):
-    """Predicted E[psi(iterate_coordinate)] at step t with MC standard errors.
+class _Tape:
+    """A window of one Gaussian stream in a preallocated buffer: ``buf``
+    holds the normals at stream positions base .. base + filled - 1."""
 
-    Returns (means, ses) aligned with ``coords``.  For corrected-iteration
-    records the transform is the identity and the prediction reads the raw
-    Gaussian path; otherwise the history transform is applied first.
-    """
-    track = record.side(side)
-    law, transform = track.law, track.transform
-    t = _horizon(t, law.T, "step")
-    n_paths = check_count(n_paths, "n_paths")
-    coords = _coordinates(coords, law.coords)
-    sel = np.array([0]) if track.collapsed else coords
-    factors = law.factors(t, coords=sel)
-    gens = [Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0)))]
-    x0 = law.x0[sel]
-    dim = len(sel)
+    def __init__(self, gen, size):
+        self.gen = gen
+        self.buf = np.empty(size)
+        self.base = self.filled = 0
 
-    def fill(n):
+    def read(self, lo, hi):
+        """The normals at positions lo .. hi - 1 (lo >= base), drawing those
+        past the window."""
+        if hi - self.base > self.filled:
+            self.gen.standard_normal(out=self.buf[self.filled:hi - self.base])
+            self.filled = hi - self.base
+        return self.buf[lo - self.base:hi - self.base]
+
+    def trim(self, lo):
+        """Drop the normals before position lo."""
+        k = lo - self.base
+        if k:
+            self.buf[:self.filled - k] = self.buf[k:self.filled]
+            self.base, self.filled = lo, self.filled - k
+
+
+class _Cell:
+    """One (side, step) cell of a read-out: the mean of psi at step t of the
+    side's iterate over ``n_paths`` Gaussian paths at the chosen coordinates
+    (every coordinate when ``coords`` is None).  Each sample reads
+    ``width`` = coordinates x t normals of the prediction stream; ``cursor``
+    is the stream position of the cell's next sample."""
+
+    def __init__(self, record, side, t, coords, psi, n_paths):
+        track = record.side(side)
+        law = track.law
+        self.t = _horizon(t, law.T, "step")
+        self.coords = (np.arange(law.coords) if coords is None
+                       else _coordinates(coords, law.coords))
+        self.collapsed = track.collapsed
+        self.sel = np.array([0]) if track.collapsed else self.coords
+        self.factors = law.factors(self.t, coords=self.sel)
+        self.x0 = law.x0[self.sel]
+        self.transform = track.transform
+        self.psi = psi
+        dim = len(self.sel)
+        self.width = dim * self.t
+        leaf = _leaf_size(self.width)
+        self.leaves = _leaves(n_paths, _PREDICT_BLOCK, leaf)
+        # the most normals one leaf reads
+        self.span = self.width * min(leaf, _PREDICT_BLOCK, n_paths)
+        self.cursor = 0
+        self.acc = _MeanAccumulator(dim)
+
+    def run_leaf(self, tape):
+        """Add the cell's next leaf, its normals read from ``tape``; False
+        when no leaf is left."""
+        n, closes = next(self.leaves, (0, 0))
+        if not n:
+            return False
+        dim, t, w = len(self.sel), self.t, self.width
+        normals = tape.read(self.cursor, self.cursor + n * w)
+        self.cursor += n * w
         vals = np.empty((dim, n))
         for lo, hi in _sub_blocks(n, dim * (t + 1)):
-            out = transform.apply(_draw_paths(gens, factors, x0, hi - lo), rows=sel)
-            vals[:, lo:hi] = psi(out[..., t]).T
-        return vals
+            g = normals[lo * w:hi * w].reshape(hi - lo, dim, t)
+            paths = _draw_paths([g[..., j] for j in range(t)], self.factors,
+                                self.x0, hi - lo)
+            out = self.transform.apply(paths, rows=self.sel)
+            vals[:, lo:hi] = self.psi(out[..., t]).T
+        self.acc.fold(vals, closes)
+        return True
 
-    means, ses = _mc_average(dim, n_paths, _PREDICT_BLOCK, fill)
-    if track.collapsed:
-        return np.full(len(coords), means[0]), np.full(len(coords), ses[0])
-    return means, ses
+    def result(self):
+        means, ses = self.acc.mean(), self.acc.se()
+        if self.collapsed:
+            k = len(self.coords)
+            return np.full(k, means[0]), np.full(k, ses[0])
+        return means, ses
+
+
+def predict_entrywise(record, coords, psi, side="z", t=None,
+                      n_paths=DEFAULT_MC, seed=0, cells=None):
+    """Predicted E[psi(iterate_coordinate)] at step t with MC standard errors.
+
+    Returns (means, ses) aligned with ``coords`` (every coordinate of the
+    side when None).  For corrected-iteration records the transform is the
+    identity and the prediction reads the raw Gaussian path; otherwise the
+    history transform is applied first.
+
+    ``cells``, a list of (side, t) pairs, replaces ``side`` and ``t``: the
+    call then returns one (means, ses) per cell, each with the bytes of its
+    own single-cell call, from one pass over the prediction stream.  Every
+    cell reads the same normals in the same order, coordinates x t per
+    sample; a cell's leaves are those _mc_average would walk, of
+    _leaf_size(coordinates x t) samples, and the next leaf to run is always
+    that of the cell furthest behind in the stream.  So each normal is
+    drawn once, and a tape of normals between the slowest and fastest
+    cells, trimmed after every leaf, never holds more than the largest
+    leaf's: about _SUB_BLOCK_BYTES (more only where 128 samples exceed it),
+    whatever the path count.
+    """
+    n_paths = check_count(n_paths, "n_paths")
+    reads = [_Cell(record, s, step, coords, psi, n_paths)
+             for s, step in ([(side, t)] if cells is None else cells)]
+    tape = _Tape(Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0))),
+                 max((c.span for c in reads), default=0))
+    pending = list(reads)
+    while pending:
+        cell = min(pending, key=lambda c: c.cursor)
+        if not cell.run_leaf(tape):
+            pending.remove(cell)
+        if pending:
+            tape.trim(min(c.cursor for c in pending))
+    out = [c.result() for c in reads]
+    return out[0] if cells is None else out

@@ -63,3 +63,19 @@ def wavy_loss():
         d2=lambda x: 1.0 - 0.1 * np.cos(np.asarray(x, float)),
         quadratic=False,
     )
+
+
+def counting_generator(drawn):
+    """A stand-in for numpy's Generator class whose instances add the count
+    of every normal they draw to drawn[0]."""
+
+    class CountingGenerator:
+        def __init__(self, bit_generator):
+            self.gen = np.random.Generator(bit_generator)
+
+        def standard_normal(self, size=None, dtype=np.float64, out=None):
+            got = self.gen.standard_normal(size, dtype=dtype, out=out)
+            drawn[0] += got.size
+            return got
+
+    return CountingGenerator

@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import counting_generator
 from gfomlab.ensembles import EnsembleSpec, constant_profile, gaussian_law, sample_asymmetric
 from gfomlab.erm import (ErmProblem, gradient_descent, prox_lasso, prox_ridge,
                          solve_fixed_point, squared_loss)
@@ -450,6 +451,32 @@ def test_se_vs_simulation_tanh_amp():
     for st in report.statistics:
         assert abs(st.gap) <= 0.03
     assert report.passed
+
+
+def test_se_vs_simulation_reads_every_cell_in_one_pass(monkeypatch):
+    # one read-out call for all 2 T (side, step) cells, drawing each
+    # prediction normal once: the longest cell's n_paths x m x T, where one
+    # call per cell drew every cell's
+    import gfomlab.harness as harness
+    import gfomlab.state_evolution as se
+    calls, drawn = [], [0]
+    real = harness.predict_entrywise
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("cells"))
+        with monkeypatch.context() as mp:
+            mp.setattr(se, "Generator", counting_generator(drawn))
+            return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "predict_entrywise", counted)
+    m, n, T, mc = 40, 30, 3, 3000
+    cfg = ExperimentConfig(experiment="se_vs_simulation", program="gd_ridge",
+                           n=n, m=m, T=T, replicates=4, seed=5, mc_samples=mc)
+    report = se_vs_simulation(cfg)
+    assert calls == [[(s, t) for s in ("u", "v") for t in range(1, T + 1)]]
+    assert drawn[0] == mc * m * T
+    assert [st.label for st in report.statistics] == [
+        f"psi_avg[{s},t={t}]" for s, t in calls[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Row functions, named program builders, and the two-sided embedding."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,24 @@ def test_logistic_program_validates_partials():
     prog = build_logistic(prox_ridge(0.5), 0.2, 0.3, rng.normal(size=4),
                           rng.normal(size=6), T=3)
     validate_program(prog, seed=0, probes=60)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("eta", math.nan), ("eta", -1.0), ("eta", math.inf),
+    ("sigma", math.nan), ("sigma", math.inf), ("clamp", math.nan),
+    ("clamp", 0.0)])
+def test_logistic_program_rejects_bad_rates(name, value):
+    # a negative rate used to surface only at the prox's first step, a
+    # non-finite rate or width, or a NaN clamp, not at all
+    args = {"eta": 0.2, "sigma": 0.3, "clamp": None, name: value}
+    with pytest.raises(ConfigError, match=name):
+        build_logistic(prox_ridge(0.5), args["eta"], args["sigma"], np.ones(4),
+                       np.ones(6), T=2, clamp=args["clamp"])
+
+
+def test_logistic_program_accepts_zero_rate_and_width():
+    prog = build_logistic(prox_ridge(0.5), 0.0, 0.0, np.ones(4), np.ones(6), T=2)
+    assert prog.T == 2
 
 
 # ---------------------------------------------------------------------------

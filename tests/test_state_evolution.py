@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (mixed_asymmetric_program, mixed_symmetric_program,
-                      two_block_profile)
+from conftest import (counting_generator, mixed_asymmetric_program,
+                      mixed_symmetric_program, two_block_profile)
+from gfomlab import state_evolution
 from gfomlab.dynamics import (
     run_amp_asymmetric,
     run_amp_symmetric,
@@ -444,6 +445,25 @@ def test_prediction_accepts_integer_sequences():
     for coords in ((1, 3), np.array([1, 3]), [np.int32(1), np.int64(3)]):
         got = predict_entrywise(rec, coords, np.tanh, n_paths=300)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("coords,count", [(None, 6), ([4, 1], 2), ([], 0)])
+def test_prediction_draws_paths_times_coordinates_times_step(monkeypatch, coords, count):
+    # one normal per path, coordinate and step, each drawn once; a
+    # collapsed law draws one coordinate's
+    n, T = 6, 2
+    rec = se_symmetric(build_tanh_iteration(T, np.linspace(0.0, 1.0, n)),
+                       constant_profile((n, n)), mc_samples=100, seed=28)
+    amp = amp_se_symmetric([tanh_map(t, t - 1) for t in range(1, T + 1)],
+                           constant_profile((n, n)), np.ones(n), mc_samples=100)
+    assert amp.side("z").collapsed
+    for record, dim in ((rec, count), (amp, 1)):
+        drawn = [0]
+        with monkeypatch.context() as mp:
+            mp.setattr(state_evolution, "Generator", counting_generator(drawn))
+            means, _ = predict_entrywise(record, coords, np.tanh, t=T, n_paths=300)
+        assert drawn[0] == 300 * dim * T
+        assert means.shape == (n if coords is None else len(coords),)
 
 
 def test_prediction_of_no_coordinates_is_empty():

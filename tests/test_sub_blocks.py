@@ -13,7 +13,7 @@ from conftest import (mixed_asymmetric_program, mixed_symmetric_program,
 from gfomlab.ensembles import constant_profile
 from gfomlab.erm import squared_loss
 from gfomlab.gd_se import g_coefficient_nested_sum, gd_se
-from gfomlab.programs import build_gd_ridge, build_tanh_iteration
+from gfomlab.programs import build_gd_ridge, build_tanh_iteration, tanh_map
 
 DEFAULT = se._SUB_BLOCK_BYTES
 WHOLE = 1 << 40   # every block in one piece, the layout before sub-blocking
@@ -120,6 +120,48 @@ def test_predict_entrywise_bytes_do_not_depend_on_sub_blocks(monkeypatch, kind):
                 assert np.array_equal(ses, outs[0][1])
 
 
+def _read_out_records(kind):
+    """Records the read-out serves: two-sided gd_ridge, symmetric tanh_gfom
+    and a collapsed corrected iteration."""
+    m, n, T = 48, 40, 3
+    rng = np.random.default_rng(62)
+    gd = se.se_asymmetric(build_gd_ridge(squared_loss(), 0.2, 0.1, rng.normal(size=n),
+                                         rng.normal(size=m), None, T),
+                          _profile(kind, m, n), mc_samples=2000, seed=63,
+                          normalization="inv_sqrt_n")
+    sym = se.se_symmetric(build_tanh_iteration(T, rng.normal(size=n)),
+                          _profile(kind, n, n), mc_samples=2000, seed=64)
+    amp = se.amp_se_symmetric([tanh_map(t, t - 1) for t in range(1, T + 1)],
+                              constant_profile((n, n)), np.ones(n),
+                              mc_samples=2000, seed=65)
+    assert amp.side("z").collapsed and not sym.side("z").collapsed
+    return gd, sym, amp
+
+
+@pytest.mark.parametrize("coords", [None, [17, 0, 5, 39], []],
+                         ids=["every", "subset", "empty"])
+@pytest.mark.parametrize("kind", ["constant", "two_block"])
+def test_multi_cell_read_out_equals_single_cell_calls(monkeypatch, kind, coords):
+    # 17000 paths = one 16384-sample block plus a 616 remainder; each cell
+    # of the one-pass call, under the default and the tiny budget, against
+    # its own call under the default budget
+    rng = np.random.default_rng(66)
+    for rec in _read_out_records(kind):
+        cells = [(s, t) for s in rec.sides for t in range(1, 4)]
+        cells = [cells[i] for i in rng.permutation(len(cells))]
+        want = [se.predict_entrywise(rec, coords, np.tanh, side=s, t=t,
+                                     n_paths=17000, seed=67) for s, t in cells]
+        for budget in (DEFAULT, TINY):
+            monkeypatch.setattr(se, "_SUB_BLOCK_BYTES", budget)
+            got = se.predict_entrywise(rec, coords, np.tanh, cells=cells,
+                                       n_paths=17000, seed=67)
+            monkeypatch.setattr(se, "_SUB_BLOCK_BYTES", DEFAULT)
+            assert len(got) == len(cells)
+            for (means, ses), (w_means, w_ses) in zip(got, want):
+                assert means.tobytes() == w_means.tobytes()
+                assert ses.tobytes() == w_ses.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["constant", "two_block"])
 def test_gd_se_bytes_do_not_depend_on_sub_blocks(monkeypatch, kind):
     # the Monte Carlo route of the gradient-descent limit law, under masks
@@ -142,12 +184,19 @@ def test_gd_se_bytes_do_not_depend_on_sub_blocks(monkeypatch, kind):
 # shared (1, p, p) and per-coordinate (R, p, p) factors, one stream for all
 # columns (strided draws) and one stream per column
 
-def _einsum_paths(gens, factors, x0, b):
+def _normal_columns(p, b, r, per_column):
+    """p (b, r) normal columns: one stream each, as the engines draw them,
+    or strided columns of one stream's (b, r, p) draws, as the read-out
+    takes them."""
+    if per_column:
+        return [Generator(Philox(61 + q)).standard_normal((b, r)) for q in range(p)]
+    g = Generator(Philox(61)).standard_normal((b, r, p))
+    return [g[..., j] for j in range(p)]
+
+
+def _einsum_paths(cols, factors, x0, b):
     r, p = x0.shape[0], factors.shape[-1]
-    if len(gens) == 1:
-        g = gens[0].standard_normal((b, r, p))
-    else:
-        g = np.stack([gq.standard_normal((b, r)) for gq in gens], axis=-1)
+    g = np.stack(cols, axis=-1)
     paths = np.empty((b, r, p + 1))
     paths[..., 0] = x0
     if factors.shape[0] == 1:
@@ -162,11 +211,8 @@ def _paths_both_ways(p, shared, per_column):
     r, b = 37, 200
     factors = rng.normal(size=(1 if shared else r, p, p))
     x0 = rng.normal(size=r)
-
-    def gens():
-        return [Generator(Philox(61 + q)) for q in range(p if per_column else 1)]
-
-    return _einsum_paths(gens(), factors, x0, b), se._draw_paths(gens(), factors, x0, b)
+    cols = _normal_columns(p, b, r, per_column)
+    return _einsum_paths(cols, factors, x0, b), se._draw_paths(cols, factors, x0, b)
 
 
 MIXINGS = [pytest.param(shared, per_column, id=f"{fac}-{streams}")
@@ -192,9 +238,15 @@ def test_draw_paths_mixes_as_einsum_did_to_rounding_from_p_8(p, shared, per_colu
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _add_pairwise(acc, b, fill, leaf):
+    """One b-sample block into ``acc``, leaf by leaf down numpy's tree."""
+    for n, closes in se._leaf_schedule(b, leaf):
+        acc.fold(fill(n), closes)
+
+
 def _filler(vals):
-    """fill(n) for add_pairwise: the next n columns of ``vals``, copied into
-    a C-contiguous buffer."""
+    """fill(n) for _add_pairwise: the next n columns of ``vals``, copied
+    into a C-contiguous buffer."""
     pos = [0]
 
     def fill(n):
@@ -214,7 +266,7 @@ def test_pairwise_walk_matches_whole_buffer_row_sums(b, leaf):
     vals = 3.0 + rng.standard_t(3, size=(5, b))
     vals[2] = 2.5                                       # a constant row
     acc = se._MeanAccumulator(5)
-    acc.add_pairwise(b, _filler(vals), leaf)
+    _add_pairwise(acc, b, _filler(vals), leaf)
     dev = vals - vals[:, :1]
     assert acc.sum.tobytes() == dev.sum(axis=1).tobytes()
     assert acc.sumsq.tobytes() == np.square(dev).sum(axis=1).tobytes()
@@ -244,7 +296,7 @@ def test_row_accumulator_matches_one_column_accumulator_per_coordinate():
         block[:, 0] = 2.5                               # a constant coordinate
         for i in range(dim):
             _add_column(cols[i], block[:, i : i + 1])
-        rows.add_pairwise(b, _filler(block.T), 128)
+        _add_pairwise(rows, b, _filler(block.T), 128)
     assert rows.mean().tobytes() == np.concatenate(
         [a.mean() for a in cols]).tobytes()
     assert rows.se().tobytes() == np.concatenate([a.se() for a in cols]).tobytes()
@@ -283,6 +335,23 @@ def test_predict_entrywise_memory_is_bounded():
 def test_predict_entrywise_memory_does_not_grow_with_a_block_per_coordinate():
     peak = _read_out_peak(2000)
     assert peak < 32 * MIB, f"peak {peak / MIB:.0f} MiB"
+
+
+def test_one_pass_read_out_memory_does_not_grow_with_the_path_count():
+    # every (side, step) cell of a 400 x 200 gd_ridge record in one pass:
+    # the tape between the slowest and fastest cell holds at most one leaf
+    # of normals, so doubling the paths leaves the peak where it was
+    m, n, T = 400, 200, 3
+    rng = np.random.default_rng(68)
+    rec = se.se_asymmetric(build_gd_ridge(squared_loss(), 0.2, 0.1, rng.normal(size=n),
+                                          rng.normal(size=m), None, T),
+                           constant_profile((m, n)), mc_samples=2000, seed=69)
+    cells = [(s, t) for s in ("u", "v") for t in range(1, T + 1)]
+    peaks = [_peak_bytes(lambda: se.predict_entrywise(
+        rec, None, np.square, cells=cells, n_paths=n_paths, seed=70))
+        for n_paths in (20000, 40000)]
+    assert peaks[0] < 16 * MIB, f"peak {peaks[0] / MIB:.1f} MiB"
+    assert peaks[1] <= 1.1 * peaks[0], [p / MIB for p in peaks]
 
 
 @pytest.mark.parametrize("kind,m,n", [
