@@ -10,10 +10,9 @@ from .dynamics import (Trajectory, run_amp_asymmetric, run_amp_symmetric,
                        run_asymmetric, run_leave_k_out, run_symmetric,
                        trajectory_to_csv)
 from .ensembles import (EnsembleSpec, EntryLaw, VarianceProfile,
-                        constant_profile, gaussian_law, matched_pair,
-                        matrix_to_csv, profile_weights, rademacher_law,
-                        sample_asymmetric, sample_symmetric,
-                        shifted_bernoulli_law, uniform_pm_law)
+                        constant_profile, gaussian_law, matrix_to_csv,
+                        profile_weights, rademacher_law, sample_asymmetric,
+                        sample_symmetric, shifted_bernoulli_law, uniform_pm_law)
 from .erm import (ErmProblem, FixedPointResult, Loss, ProxSpec, default_eta,
                   gradient_descent, leave_one_out_run, logistic_objective_check,
                   pgd_linear, pgd_logistic, prox_eval, prox_lasso, prox_ridge,

@@ -13,16 +13,20 @@ function of (spec, dims, seed).
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConfigError
-from .seeds import DOMAIN_ENSEMBLE_A, DOMAIN_ENSEMBLE_B, entry_uniforms
+from .seeds import entry_uniforms
 
 LAW_KINDS = ("gaussian", "rademacher", "uniform_pm", "shifted_bernoulli")
-NORMALIZATIONS = ("inv_sqrt_n", "inv_sqrt_m", "inv_sqrt_m_plus_n")
+# each normalization's divisor of the second moments, as a function of the
+# dimensions (m, n); entries are divided by its square root
+_NORM_SIZE = {"inv_sqrt_n": lambda m, n: n, "inv_sqrt_m": lambda m, n: m,
+              "inv_sqrt_m_plus_n": lambda m, n: m + n}
+NORMALIZATIONS = tuple(_NORM_SIZE)
 
 
 @dataclass(frozen=True)
@@ -138,11 +142,7 @@ class EnsembleSpec:
         object.__setattr__(self, "_scale", scale)
 
     def denominator(self, m, n):
-        if self.normalization == "inv_sqrt_n":
-            return math.sqrt(n)
-        if self.normalization == "inv_sqrt_m":
-            return math.sqrt(m)
-        return math.sqrt(m + n)
+        return math.sqrt(_NORM_SIZE[self.normalization](m, n))
 
 
 def profile_weights(profile, m, n, normalization):
@@ -158,8 +158,7 @@ def profile_weights(profile, m, n, normalization):
         raise ConfigError(f"profile shape {values.shape} != ({m}, {n})")
     if normalization not in NORMALIZATIONS:
         raise ConfigError(f"unknown normalization {normalization!r}")
-    denom = {"inv_sqrt_n": n, "inv_sqrt_m": m, "inv_sqrt_m_plus_n": m + n}[normalization]
-    return values / denom
+    return values / _NORM_SIZE[normalization](m, n)
 
 
 def _as_seedseq(seed):
@@ -234,23 +233,6 @@ def sample_asymmetric(spec, m, n, seed):
     if spec.profile.shape != (m, n):
         raise ConfigError(f"profile shape {spec.profile.shape} != ({m}, {n})")
     return _sample_strips(spec, m, n, seed)
-
-
-def matched_pair(spec_a, law_b, *, n, m=None, seed=0):
-    """(A, B): same profile and normalization, laws spec_a.law vs law_b.
-
-    Seeds for the two draws are derived independently from ``seed``, so the
-    matrices are independent while their second moments match exactly.
-    """
-    root = _as_seedseq(seed)
-    seed_a = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (DOMAIN_ENSEMBLE_A,))
-    seed_b = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (DOMAIN_ENSEMBLE_B,))
-    spec_b = replace(spec_a, law=law_b)
-    if spec_a.symmetric:
-        return sample_symmetric(spec_a, n, seed_a), sample_symmetric(spec_b, n, seed_b)
-    if m is None:
-        raise ConfigError("matched_pair needs m for rectangular ensembles")
-    return sample_asymmetric(spec_a, m, n, seed_a), sample_asymmetric(spec_b, m, n, seed_b)
 
 
 def matrix_to_csv(a, path):

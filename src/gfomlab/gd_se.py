@@ -15,21 +15,26 @@ paths in sub-blocks of bounded size, one stream per path column, so a run
 at a shorter horizon repeats the steps it shares, and every sample enters
 the standard errors.  Sample coordinates draw independent paths, so a class
 average's standard error combines the per-coordinate ones exactly.
+
+Only the algebra is this module's own, as it cross-checks the general
+engine: the column-stream keys, the PSD floor (plain, as ``u_cov`` has no
+standard errors) and the range checks come from ``state_evolution``, the
+rate and mask checks from ``programs.gd_inputs``, as for ``build_gd_ridge``.
 """
 
 import itertools
 import math
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
-from .seeds import DOMAIN_SE, child_sequence, fixed_child
-from .state_evolution import (_BLOCK, DEFAULT_MC, _draw_paths, _is_int, _mc_average,
-                              _sub_blocks, check_count, psd_factors)
+from .programs import gd_inputs
+from .seeds import DOMAIN_SE, child_sequence
+from .state_evolution import (_BLOCK, DEFAULT_MC, PSD_FLOOR, _column_generators,
+                              _draw_paths, _int_in, _mc_average, _sub_blocks,
+                              psd_factors)
 
-VAR_FLOOR = -1e-10
 NESTED_SUM_MAX_GAP = 8
 
 
@@ -131,9 +136,9 @@ def _average(state, t, n_stats, stat):
     eta, f_tables, masks, xi, loss = (state.eta, state.f_tables, state.masks,
                                       state.xi, state.loss)
     m = xi.shape[0]
+    # no standard errors enter u_cov, so the plain PSD floor applies
     factors = psd_factors(state.u_cov[:, :t, :t], f"prediction side, step {t}")
-    seq = child_sequence(state.seed, DOMAIN_SE, 0)
-    gens = [Generator(Philox(fixed_child(seq, j))) for j in range(1, t + 1)]
+    gens = _column_generators(child_sequence(state.seed, DOMAIN_SE, 0), t)
 
     def fill(n):
         vals = np.empty((n_stats, m, n))
@@ -154,14 +159,6 @@ def _average(state, t, n_stats, stat):
 
     mean, se = _mc_average(n_stats * m, state.mc, _BLOCK, fill)
     return mean.reshape(n_stats, m), se.reshape(n_stats, m)
-
-
-def _index(value, lo, hi, name):
-    """``value`` as an int; ConfigError unless it is an integer in lo..hi
-    (a bool is not)."""
-    if not _is_int(value) or not lo <= value <= hi:
-        raise ConfigError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
-    return int(value)
 
 
 def _d_recursion(s, t, wvals, f_tables, eta):
@@ -187,12 +184,7 @@ def gd_se(loss, eta, lam, mu0, xi, masks, profile, T, mc_samples=DEFAULT_MC,
     """
     mu0 = np.asarray(mu0, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    n, m = mu0.shape[0], xi.shape[0]
-    if masks is not None:
-        masks = np.asarray(masks, dtype=float)
-        if masks.shape != (T, m):
-            raise ConfigError(f"masks must have shape ({T}, {m})")
-    weights = profile_weights(profile, m, n, normalization)
+    weights = profile_weights(profile, xi.shape[0], mu0.shape[0], normalization)
     return _run(loss, eta, lam, mu0, mu0**2, xi, masks, weights, weights.T, T,
                 mc_samples, seed)
 
@@ -215,15 +207,12 @@ def gd_se_homogeneous(loss, eta, lam, mu0_sq_mean, xi, phi, T,
 
 
 def _run(loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig, T, mc, seed):
-    """The step loop behind both entry points."""
-    if not all(math.isfinite(x) and x >= 0 for x in (eta, lam)):
-        raise ConfigError(f"eta and lambda must be finite numbers >= 0, "
-                          f"got {eta!r} and {lam!r}")
-    if not _is_int(T) or T < 1:
-        raise ConfigError(f"horizon must be an integer >= 1, got {T!r}")
-    mc = check_count(mc, "mc_samples")
+    """The step loop behind both entry points; ``masks`` as for
+    ``build_gd_ridge``, whose input checks it shares."""
+    T = _int_in(T, 1, None, "horizon")
+    mc = _int_in(mc, 2, None, "mc_samples")
     m = xi.shape[0]
-    masks = np.ones((T, m)) if masks is None else masks
+    masks = gd_inputs(eta, lam, masks, T, m)
     state = GdSeState(loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig,
                       T, mc, seed)
     mm, vc, uc = state.m_matrix, state.v_cov, state.u_cov
@@ -320,8 +309,8 @@ def g_coefficient_nested_sum(state, s, t):
     """Coupling coefficient by the explicit chain expansion over index paths
     s = c_0 < c_1 < ... < c_p = t, regenerated on the same sample stream as
     the recursion route (identical samples, different algebra)."""
-    t = _index(t, 1, state.T, "step t")
-    s = _index(s, 1, t, "step s")
+    t = _int_in(t, 1, state.T, "step t")
+    s = _int_in(s, 1, t, "step s")
     if t - s > NESTED_SUM_MAX_GAP:
         raise ConfigError(
             f"t - s = {t - s} exceeds the combinatorial cost guard "
@@ -352,7 +341,7 @@ def g_coefficient_nested_sum(state, s, t):
 
 def gd_key_params(state, t):
     """Bias factor and innovation variance of the centered estimate at step t."""
-    t = _index(t, 0, state.T, "step")
+    t = _int_in(t, 0, state.T, "step")
     bias = -state.m_matrix[:, 0, t]
     if t == 0:
         return GdLaw(0, bias, np.zeros_like(bias))
@@ -360,7 +349,7 @@ def gd_key_params(state, t):
     var = np.einsum("ls,lsr,lr->l", load, state.v_cov[:, 1 : t + 1, 1 : t + 1],
                     load)
     low = float(var.min(initial=0.0))
-    if low < VAR_FLOOR:
+    if low < PSD_FLOOR:
         raise NumericalError(f"variance {low:.3e} below floor at step {t}")
     return GdLaw(t, bias, np.clip(var, 0.0, None))
 
@@ -369,7 +358,7 @@ def gd_entrywise_law(state, ell, t):
     """Normal descriptor for (estimate - signal) at signal coordinate ell."""
     if state.mu0 is None:
         raise ConfigError("homogeneous state has no per-coordinate signal")
-    ell = _index(ell, 0, state.n_coords - 1, "coordinate")
+    ell = _int_in(ell, 0, state.n_coords - 1, "coordinate")
     law = gd_key_params(state, t)
     return GdEntryLaw(mean=float(law.bias[ell] * state.mu0[ell]),
                       variance=float(law.variance[ell]),

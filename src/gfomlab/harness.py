@@ -10,12 +10,13 @@ artifacts are byte-stable under reruns.
 All four replicate experiments run one loop, ``_replicates``, with a
 per-experiment statistic.  Its seed contract: replicate r draws law A's
 matrix from the stream ``(seed, REPLICATE, r, ENSEMBLE_A)`` and law B's
-from ``(seed, REPLICATE, r, ENSEMBLE_B)``, the streams that
-``ensembles.matched_pair`` derives from ``(seed, REPLICATE, r)``.  Law A's
-matrix is drawn and run, then law B's, so a replicate holds one matrix at a
-time; a divergence under either law drops the whole replicate and is counted
-against that law, and law B is not drawn when law A diverges.  The decay and
-delocalization diagnostics draw their one matrix as law A of replicate 0.
+from ``(seed, REPLICATE, r, ENSEMBLE_B)``, so the two matrices are
+independent while the shared profile and normalization match their second
+moments exactly.  Law A's matrix is drawn and run, then law B's, so a
+replicate holds one matrix at a time; a divergence under either law drops
+the whole replicate and is counted against that law, and law B is not
+drawn when law A diverges.  The decay and delocalization diagnostics draw
+their one matrix as law A of replicate 0.
 """
 
 import json

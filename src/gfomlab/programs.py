@@ -332,6 +332,27 @@ def build_pgd_linear(loss, prox, eta, mu0, xi, T):
     )
 
 
+def check_rates(*rates):
+    """ConfigError unless each (name, value) pair holds a finite number
+    >= 0."""
+    for name, value in rates:
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def gd_inputs(eta, lam, masks, T, m):
+    """Check gradient descent's rates (eta = 0 freezes every track, which
+    degenerate-law checks use) and return its (T, m) subsample masks as
+    floats: all ones when ``masks`` is None."""
+    check_rates(("eta", eta), ("lambda", lam))
+    if masks is None:
+        return np.ones((T, m))
+    masks = np.asarray(masks, dtype=float)
+    if masks.shape != (T, m):
+        raise ConfigError(f"masks must have shape ({T}, {m})")
+    return masks
+
+
 def build_gd_ridge(loss, eta, lam, mu0, xi, subsample_masks, T):
     """(Stochastic) gradient descent with ridge penalty, centered tracks.
 
@@ -340,19 +361,9 @@ def build_gd_ridge(loss, eta, lam, mu0, xi, subsample_masks, T):
             - eta lam mu0.
     subsample_masks: None (full sample) or (T, m) 0/1 array.
     """
-    # eta = 0 freezes every track; allowed for degenerate-law checks
-    for name, value in (("eta", eta), ("lambda", lam)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
     mu0 = np.asarray(mu0, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    m, n = xi.shape[0], mu0.shape[0]
-    if subsample_masks is None:
-        masks = np.ones((T, m))
-    else:
-        masks = np.asarray(subsample_masks, dtype=float)
-        if masks.shape != (T, m):
-            raise ConfigError(f"masks must have shape ({T}, {m})")
+    masks = gd_inputs(eta, lam, subsample_masks, T, xi.shape[0])
 
     def grad_rows(t):
         mask = masks[t - 1]
@@ -378,7 +389,7 @@ def build_gd_ridge(loss, eta, lam, mu0, xi, subsample_masks, T):
         u_add_fns=[zero_row_function(t) for t in range(1, T + 1)],
         v_mat_fns=[grad_rows(t) for t in range(1, T + 1)],
         v_add_fns=[decay(t) for t in range(1, T + 1)],
-        u0=np.zeros(m),
+        u0=np.zeros_like(xi),
         v0=-mu0,
         meta={"mu_from_v": lambda v: v + mu0, "eta": eta, "masks": masks},
     )
@@ -399,9 +410,7 @@ def build_logistic(prox, eta, sigma, mu0, xi, T, clamp=None):
     score (first loss argument) is clamped to [-clamp, clamp], default
     20 log n.
     """
-    for name, value in (("eta", eta), ("sigma", sigma)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+    check_rates(("eta", eta), ("sigma", sigma))
     mu0 = np.asarray(mu0, dtype=float)
     xi = np.asarray(xi, dtype=float)
     m, n = xi.shape[0], mu0.shape[0]

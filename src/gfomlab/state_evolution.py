@@ -7,7 +7,10 @@ transform.  Corrected iterations read their entrywise limits directly off
 the Gaussian paths; uncorrected iterations read them off the transform
 applied to the paths.  All expectations over path laws are Monte Carlo
 averages using common random numbers across outer steps, so runs at
-different horizons agree exactly on the steps they share.
+different horizons agree exactly on the steps they share.  Paths are drawn
+through factors of the covariance blocks (psd_factors), which clip negative
+eigenvalues down to min(PSD_FLOOR, -4 ||SE||_F) per coordinate slot: Monte
+Carlo noise in a nearly singular law is clipped, a larger deficit raises.
 
 Memory.  Every Monte Carlo average in the package, here and in ``gd_se``,
 sums its samples one way.  It accumulates in fixed blocks (_BLOCK samples
@@ -29,11 +32,12 @@ law depends on the weights only through its own row, so a constant or
 two-block profile keeps one or two rows per statistic, however many
 coordinates it has.  A leaf's paths are mixed by _draw_paths, the package's
 one Gaussian path sampler (``gd_se`` uses it too), from the normal columns
-it is handed: one stream per column in the engines, strided columns of the
-one prediction stream in the read-out.  Every path array and every
-transform history is stored as column planes: one contiguous (samples, R)
-block per path column, handed out as a (samples, R, p+1) view, so each
-per-column operation streams through memory.  The sampler mixes the normal
+it is handed: in the engines and ``gd_se``, one stream per column from
+_column_generators, the one owner of the column-stream keys; in the
+read-out, strided columns of the one prediction stream.  Every path array
+and every transform history is stored as column planes: one contiguous
+(samples, R) block per path column, handed out as a (samples, R, p+1) view,
+so each per-column operation streams through memory.  The sampler mixes the normal
 draws into the planes with explicit multiply-adds summed in one fixed order
 (``programs.fixed_order_sum``), whatever the layout, which up to 7 columns
 is the order numpy's einsum took here.  The paths are pushed through the
@@ -124,19 +128,23 @@ def _draw_paths(cols, factors, x0, b):
     return paths
 
 
-def _rows_identical(w):
-    return bool(np.all(w == w[:1, :]))
+def _column_generators(seq, p):
+    """One Philox generator per path column j = 1..p, keyed
+    ``fixed_child(seq, j)``: column j's draws never depend on the horizon,
+    so a run at T' <= T reuses exactly the same variates."""
+    return [Generator(Philox(fixed_child(seq, j))) for j in range(1, p + 1)]
 
 
 def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_count(value, name):
-    """``value`` as an int; ConfigError unless it is an integer >= 2 (a bool
-    is not)."""
-    if not _is_int(value) or value < 2:
-        raise ConfigError(f"{name} must be an integer >= 2, got {value!r}")
+def _int_in(value, lo, hi, name):
+    """``value`` as an int; ConfigError unless it is an integer in lo..hi,
+    or >= lo when ``hi`` is None (a bool is not)."""
+    if not _is_int(value) or value < lo or (hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ConfigError(f"{name} must be an integer {span}, got {value!r}")
     return int(value)
 
 
@@ -152,19 +160,27 @@ def _coordinates(coords, width):
     return out
 
 
-def psd_factors(cov_block, context):
+def psd_factors(cov_block, context, se_block=None):
     """(C, t, t) matrices M with M M^T = each (t, t) slice of ``cov_block``.
 
-    Eigenvalues in [PSD_FLOOR, 0) are clipped to 0; anything below the
-    floor raises NumericalError naming ``context`` and the coordinate slot.
+    Negative eigenvalues at or above a slot's floor are clipped to 0;
+    anything below it raises NumericalError naming ``context`` and the
+    coordinate slot.  The floor is PSD_FLOOR, lowered to -4 ||SE||_F when
+    ``se_block`` gives the slot's Monte Carlo standard errors, so sampling
+    noise in a nearly singular law is clipped, not fatal.
     """
     vals, vecs = np.linalg.eigh(cov_block)
-    low = float(vals.min(initial=0.0))
-    if low < PSD_FLOOR:
-        where = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    floor = PSD_FLOOR
+    if se_block is not None:
+        floor = np.minimum(PSD_FLOOR, -4.0 * np.linalg.norm(
+            se_block, axis=(-2, -1)))[..., None]
+    bad = vals < floor
+    if bad.any():
+        where = np.unravel_index(int(np.argmin(np.where(bad, vals, np.inf))),
+                                 vals.shape)
         raise NumericalError(
-            f"{context}: covariance eigenvalue {low:.3e} below the PSD floor "
-            f"(coordinate slot {where[0]})")
+            f"{context}: covariance eigenvalue {vals[where]:.3e} below the PSD "
+            f"floor (coordinate slot {where[0]})")
     return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
 
 
@@ -192,13 +208,12 @@ class GaussianLawTable:
         return self.cov[0 if self.homogeneous else k]
 
     def factors(self, t, coords=None):
-        """(C', t, t) matrices M with M M^T = leading covariance block
-        (see ``psd_factors``)."""
-        if self.homogeneous or coords is None:
-            block = self.cov[:, :t, :t]
-        else:
-            block = self.cov[np.asarray(coords), :t, :t]
-        return psd_factors(block, f"covariance block through step {t}")
+        """(C', t, t) matrices M with M M^T = leading covariance block,
+        floored by its standard errors (see ``psd_factors``)."""
+        sel = slice(None) if self.homogeneous or coords is None else np.asarray(coords)
+        return psd_factors(self.cov[sel, :t, :t],
+                           f"covariance block through step {t}",
+                           self.cov_se[sel, :t, :t])
 
 
 class HistoryTransform:
@@ -405,38 +420,42 @@ class _SideEngine:
     path process the expectations average over.  A coordinate's law depends
     on the weights only through its own row, so the expectations are taken
     once per class of identical rows.  When the path process collapses
-    (row-constant functions, constant step-0 value, constant correction
-    vectors) a single representative path is simulated.
+    (row-constant functions, a path law of one class, constant step-0
+    value) a single representative path is simulated.
     """
 
-    def __init__(self, weights, law_x0, path_x0, transform, T, mc,
-                 seed_seq, coeffs_constant, fd_check):
+    def __init__(self, weights, law_x0, transform, T, mc, seed_seq, fd_check):
         w = np.asarray(weights, dtype=float)
-        self.rowsums = w.sum(axis=1)
+        # + 0.0 turns -0.0 into +0.0: rows equal in value share a class, and
+        # no class row or row sum carries a signed zero
+        self.rowsums = w.sum(axis=1) + 0.0
         # class of each coordinate, numbered by first occurrence; a dict of
         # row bytes holds one key per class, where np.unique(axis=0) would
         # copy and sort the whole table
         first = {}
         firsts, self.cls = np.unique(
-            np.array([first.setdefault(row.tobytes(), i)
+            np.array([first.setdefault((row + 0.0).tobytes(), i)
                       for i, row in enumerate(w)], dtype=int),
             return_inverse=True)
         self.class_rows = w[firsts]
+        self.class_rows += 0.0
         self.law = GaussianLawTable(law_x0, T, homogeneous=len(firsts) == 1)
-        self.path_x0 = np.asarray(path_x0, dtype=float)
         self.tr = transform
         self.mc = mc
-        # one stream per path column: draws for column j never depend on the
-        # horizon, so a run at T' <= T reuses exactly the same variates
-        self.col_seqs = [fixed_child(seed_seq, j) for j in range(1, T + 1)]
+        self.seed_seq = seed_seq
         self.fd_check = fd_check
         self.fd_gap = 0.0
-        self.path_collapsed = bool(
-            transform.row_constant()
-            and coeffs_constant
-            and (self.path_x0.size == 0 or np.ptp(self.path_x0) == 0.0)
-        )
-        self.path_law = None  # wired by the orchestrator
+        self.path_law = self.path_collapsed = None  # set by wire
+
+    def wire(self, path_law):
+        """Draw paths from ``path_law``.  They collapse to one row when the
+        law has one class (its engine's weight rows are all equal, so the
+        correction vectors it builds for the transform are constant), the
+        transform's functions are row-constant and the law's step-0 value
+        is constant."""
+        self.path_law = path_law
+        self.path_collapsed = bool(path_law.homogeneous and self.tr.row_constant()
+                                   and np.ptp(path_law.x0) == 0.0)
 
     def _sample_stat(self, x, out):
         """Write the (classes, b) statistics of the (b, R) row statistics
@@ -457,12 +476,12 @@ class _SideEngine:
         """Advance the law to row t; returns the (n_path_cols, coordinates)
         coefficient table for path columns 1..n_path_cols and its SEs."""
         p = n_path_cols
-        x0 = self.path_x0[:1] if self.path_collapsed else self.path_x0
+        x0 = self.path_law.x0[:1] if self.path_collapsed else self.path_law.x0
         rows = np.array([0]) if self.path_collapsed else None
         factors = self.path_law.factors(p) if p > 0 else None
         k = 1 if self.path_collapsed else self.class_rows.shape[0]
         # fresh generators per outer step = common random numbers across steps
-        gens = [Generator(Philox(s)) for s in self.col_seqs[:p]]
+        gens = _column_generators(self.seed_seq, p)
 
         def fill(n):
             # rows: the p coefficient statistics, then the t products
@@ -485,8 +504,8 @@ class _SideEngine:
         if self.fd_check and p > 0:
             # the probe redraws the step's first block whole
             b = min(_BLOCK, self.mc)
-            cols = [Generator(Philox(s)).standard_normal((b, x0.shape[0]))
-                    for s in self.col_seqs[:p]]
+            cols = [g.standard_normal((b, x0.shape[0]))
+                    for g in _column_generators(self.seed_seq, p)]
             self._fd_probe(_draw_paths(cols, factors, x0, b), rows, t, p)
         mean, se = (self._extract(a.reshape(p + t, k)) for a in avg)
         c = self.law.cov.shape[0]
@@ -568,12 +587,8 @@ class SeRecord:
 
 
 def _horizon(T, T_max, name="horizon"):
-    """``T`` (T_max when None) as an int; ConfigError unless it is an
-    integer in 1..T_max (a bool is not)."""
-    T = T_max if T is None else T
-    if not _is_int(T) or not 1 <= T <= T_max:
-        raise ConfigError(f"{name} must be an integer in 1..{T_max}, got {T!r}")
-    return int(T)
+    """``T`` (T_max when None) as an int in 1..T_max (see _int_in)."""
+    return _int_in(T_max if T is None else T, 1, T_max, name)
 
 
 def _record(kind, tracks, profile, T, mc, seed, normalization, fd_check):
@@ -591,7 +606,7 @@ def _record(kind, tracks, profile, T, mc, seed, normalization, fd_check):
     T_max = len(first.mat_fns)
     check_tracks(tracks, T_max)
     T = _horizon(T, T_max)
-    mc = check_count(mc, "mc_samples")
+    mc = _int_in(mc, 2, None, "mc_samples")
     raw = first.add_fns is None
     w = profile_weights(profile, first.x0.shape[0],
                         tracks[first.source].x0.shape[0], normalization)
@@ -603,14 +618,13 @@ def _record(kind, tracks, profile, T, mc, seed, normalization, fd_check):
                                corr_includes_current=bool(tr.offset), raw=raw)
         for name, tr in tracks.items()}
     engines = {
-        name: _SideEngine(weights[name], law_x0=tr.x0, path_x0=tracks[tr.source].x0,
+        name: _SideEngine(weights[name], law_x0=tr.x0,
                           transform=transforms[tr.source], T=T, mc=mc,
                           seed_seq=child_sequence(seed, DOMAIN_SE, i),
-                          coeffs_constant=_rows_identical(weights[tr.source]),
                           fd_check=fd_check)
         for i, (name, tr) in enumerate(tracks.items())}
     for name, tr in tracks.items():
-        engines[name].path_law = engines[tr.source].law
+        engines[name].wire(engines[tr.source].law)
     # a side's paths are drawn by the engine of the side that reads it
     sides = {name: Side(engines[name].law, transforms[name],
                         [] if raw else transforms[name].coeffs, [],
@@ -809,7 +823,7 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
     leaf's: about _SUB_BLOCK_BYTES (more only where 128 samples exceed it),
     whatever the path count.
     """
-    n_paths = check_count(n_paths, "n_paths")
+    n_paths = _int_in(n_paths, 2, None, "n_paths")
     reads = [_Cell(record, s, step, coords, psi, n_paths)
              for s, step in ([(side, t)] if cells is None else cells)]
     tape = _Tape(Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0))),

@@ -13,7 +13,6 @@ from gfomlab.ensembles import (
     VarianceProfile,
     constant_profile,
     gaussian_law,
-    matched_pair,
     matrix_to_csv,
     profile_weights,
     rademacher_law,
@@ -23,7 +22,19 @@ from gfomlab.ensembles import (
     uniform_pm_law,
 )
 from gfomlab.errors import ConfigError
-from gfomlab.seeds import entry_uniforms
+from gfomlab.harness import ExperimentConfig, _Plan, _replicates
+from gfomlab.seeds import (DOMAIN_ENSEMBLE_A, DOMAIN_ENSEMBLE_B, DOMAIN_REPLICATE,
+                           child_sequence, entry_uniforms)
+
+
+def replicate_matrices(law_b, n, reps, seed):
+    """Each replicate's law-A (gaussian) and law-B symmetric n x n matrices,
+    as (reps, n, n) arrays, drawn by the harness's replicate loop."""
+    cfg = ExperimentConfig(experiment="universality_averaged", program="tanh_amp",
+                           n=n, replicates=reps, seed=seed)
+    (a, b), _ = _replicates(cfg, _Plan(n), [gaussian_law(), law_b],
+                            np.ravel, "replicate streams")
+    return a.reshape(reps, n, n), b.reshape(reps, n, n)
 
 
 @pytest.mark.parametrize("law", [
@@ -136,28 +147,27 @@ def test_rectangular_mean_square_matches_normalization():
     assert abs((a ** 2).mean() - 1.0 / m) < 3e-3
 
 
-def test_matched_pair_entry_variance_across_laws():
+def test_replicate_streams_entry_variance_across_laws():
     # variance of one fixed entry estimated over replicates; the matched
     # second moments make the two estimates agree within MC noise
     n, reps = 4, 10_000
-    spec = EnsembleSpec(gaussian_law(), constant_profile((n, n)),
-                        "inv_sqrt_n", symmetric=True)
-    xa = np.empty(reps)
-    xb = np.empty(reps)
-    for r in range(reps):
-        a, b = matched_pair(spec, rademacher_law(), n=n, seed=r)
-        xa[r] = a[0, 0]
-        xb[r] = b[0, 0]
+    a, b = replicate_matrices(rademacher_law(), n, reps, seed=0)
+    xa, xb = a[:, 0, 0], b[:, 0, 0]
     va, vb = xa.var(), xb.var()
     se = math.hypot(np.std(xa ** 2) / math.sqrt(reps), np.std(xb ** 2) / math.sqrt(reps))
     assert abs(va - vb) <= 3.0 * se
     assert abs(va - 1.0 / n) <= 4.0 * se + 4.0 / n / math.sqrt(reps)
 
 
-def test_matched_pair_same_law_draws_independent_matrices():
+def test_replicate_streams_same_law_draw_independent_matrices():
+    # replicate r's law-A and law-B matrices come from the streams
+    # (seed, REPLICATE, r, ENSEMBLE_A) and (seed, REPLICATE, r, ENSEMBLE_B)
     spec = EnsembleSpec(gaussian_law(), constant_profile((6, 6)),
                         "inv_sqrt_n", symmetric=True)
-    a, b = matched_pair(spec, gaussian_law(), n=6, seed=19)
+    a, b = (x[1] for x in replicate_matrices(gaussian_law(), 6, 2, seed=19))
+    for got, dom in ((a, DOMAIN_ENSEMBLE_A), (b, DOMAIN_ENSEMBLE_B)):
+        assert np.array_equal(got, sample_symmetric(spec, 6, child_sequence(
+            19, DOMAIN_REPLICATE, 1, dom)))
     assert a.shape == b.shape == (6, 6)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, a.T) and np.array_equal(b, b.T)
@@ -194,17 +204,11 @@ def test_symmetry_is_exact():
     assert np.array_equal(a, a.T)
 
 
-def test_matched_pair_second_moments_within_band():
+def test_replicate_streams_second_moments_within_band():
     # |E a_ij^2 - E b_ij^2| <= 4/sqrt(R) * sigma2_ij/n for a few entries
     n, reps = 5, 2000
-    spec = EnsembleSpec(gaussian_law(), constant_profile((n, n)),
-                        "inv_sqrt_n", symmetric=True)
-    sa = np.zeros((n, n))
-    sb = np.zeros((n, n))
-    for r in range(reps):
-        a, b = matched_pair(spec, shifted_bernoulli_law(0.25), n=n, seed=1000 + r)
-        sa += a ** 2
-        sb += b ** 2
+    a, b = replicate_matrices(shifted_bernoulli_law(0.25), n, reps, seed=1000)
+    sa, sb = (a ** 2).sum(axis=0), (b ** 2).sum(axis=0)
     bound = 4.0 / math.sqrt(reps) / n
     for i, j in [(0, 0), (1, 2), (3, 4), (4, 4)]:
         assert abs(sa[i, j] - sb[i, j]) / reps <= bound
@@ -252,8 +256,10 @@ def test_samplers_reject_bad_seeds(seed):
         sample_symmetric(sym, 3, seed)
     with pytest.raises(ConfigError, match="seed"):
         sample_asymmetric(asym, 1, 1, seed)
+    # the replicate streams take the seed of a validated config
     with pytest.raises(ConfigError, match="seed"):
-        matched_pair(sym, rademacher_law(), n=3, seed=seed)
+        ExperimentConfig(experiment="universality_averaged", program="tanh_amp",
+                         n=3, seed=seed).validate()
 
 
 @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 401, 4002, 4003,

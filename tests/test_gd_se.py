@@ -161,25 +161,35 @@ def test_input_validation():
         gd_se(squared_loss(), 0.1, 0.0, mu0, xi, np.ones((3, m)), prof, 2)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
 @pytest.mark.parametrize("entry,rate", [
     ("build_pgd_linear", "eta"), ("build_gd_ridge", "eta"),
     ("build_gd_ridge", "lam"), ("gd_se", "eta"), ("gd_se", "lam"),
+    ("build_gd_ridge", "masks"), ("gd_se", "masks"),
 ])
 def test_non_finite_rates_are_config_errors(entry, rate, bad):
+    # the gradient-descent program and its limit law share one input check,
+    # so they reject an input with one message; bad masks have three rows
+    # at horizon 2, whatever they hold
     n, m = 4, 6
     mu0, xi = np.ones(n), np.ones(m)
-    r = {"eta": 0.1, "lam": 0.1, rate: bad}
+    r = {"eta": 0.1, "lam": 0.1, "masks": None}
+    r[rate] = np.full((3, m), bad) if rate == "masks" else bad
     calls = {
         "build_pgd_linear": lambda: build_pgd_linear(
             squared_loss(), prox_zero(), r["eta"], mu0, xi, 2),
         "build_gd_ridge": lambda: build_gd_ridge(
-            squared_loss(), r["eta"], r["lam"], mu0, xi, None, 2),
+            squared_loss(), r["eta"], r["lam"], mu0, xi, r["masks"], 2),
         "gd_se": lambda: gd_se(squared_loss(), r["eta"], r["lam"], mu0, xi,
-                               None, constant_profile((m, n)), 2),
+                               r["masks"], constant_profile((m, n)), 2),
     }
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=rate) as err:
         calls[entry]()
+    if entry != "build_pgd_linear":
+        twin = {"gd_se": "build_gd_ridge", "build_gd_ridge": "gd_se"}[entry]
+        with pytest.raises(ConfigError) as twin_err:
+            calls[twin]()
+        assert str(twin_err.value) == str(err.value)
 
 
 @pytest.mark.parametrize("mc", [0, 1, True, 2.5, "100"])

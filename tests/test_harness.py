@@ -443,6 +443,17 @@ def test_se_vs_simulation_power_iteration_first_moment():
     assert report.passed
 
 
+@pytest.mark.parametrize("seed", [11, 24, 30])
+def test_monte_carlo_noise_below_zero_is_clipped_not_fatal(seed):
+    # a nearly singular law at 2000 paths: eigenvalues of -9.3e-5 .. -6.1e-5
+    # under standard errors of about 5e-4 failed the old absolute PSD floor,
+    # in the record build at seed 30 and in the read-out at seeds 11 and 24
+    cfg = ExperimentConfig(experiment="se_vs_simulation", program="gd_ridge",
+                           n=40, m=48, T=3, replicates=5, seed=seed,
+                           mc_samples=2000)
+    assert se_vs_simulation(cfg).passed
+
+
 def test_se_vs_simulation_tanh_amp():
     cfg = ExperimentConfig(experiment="se_vs_simulation", program="tanh_amp",
                            n=2000, T=4, replicates=20, seed=0, psi="square",

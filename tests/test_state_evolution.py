@@ -555,6 +555,54 @@ def test_psd_gate_raises_beyond_floor():
     # tiny negative values are clipped, not fatal
     law.cov[0, 0, 0] = -1e-12
     assert np.all(law.factors(1) == 0.0)
+    # a slot's floor is min(PSD_FLOOR, -4 ||SE||_F) over its own block
+    law = GaussianLawTable(np.ones(2), T=1, homogeneous=False)
+    law.cov[:, 0, 0] = -2e-10
+    with pytest.raises(NumericalError, match="slot 0"):
+        law.factors(1)   # zero standard errors keep the absolute floor
+    law.cov_se[0, 0, 0] = 1e-3
+    with pytest.raises(NumericalError, match="slot 1"):
+        law.factors(1)   # slot 0's errors do not lower slot 1's floor
+    law.cov_se[1, 0, 0] = 1e-3
+    law.cov[:, 0, 0] = [-3.9e-3, -1e-3]
+    assert np.all(law.factors(1) == 0.0)
+    law.cov[1, 0, 0] = -4.1e-3
+    with pytest.raises(NumericalError, match="-4.100e-03.*slot 1"):
+        law.factors(1)
+    assert np.all(law.factors(1, coords=[0]) == 0.0)
+    # the norm is the Frobenius one over the slot's whole (t, t) block
+    law = GaussianLawTable(np.ones(1), T=2, homogeneous=True)
+    law.cov_se[0] = [[3e-4, 4e-4], [4e-4, 0.0]]   # floor -4 sqrt(41) 1e-4
+    law.cov[0] = np.diag([-2.55e-3, 1.0])
+    assert np.all(law.factors(2)[0, :, 0] == 0.0)
+    law.cov[0, 0, 0] = -2.57e-3
+    with pytest.raises(NumericalError):
+        law.factors(2)
+
+
+@pytest.mark.parametrize("builder", ["se_asymmetric", "amp_se_asymmetric"])
+def test_signed_zero_profile_entries_give_the_records_of_plus_zero(builder):
+    # rows equal in value are one class: a -0.0 in a profile of ones with a
+    # zero column used to split one side's class table while its paths
+    # collapsed, and the collapsed start met per-coordinate factors
+    m, n, T = 5, 4, 3
+    u_fns = [tanh_map(t, t - 1) for t in range(1, T + 1)]
+    v_fns = [tanh_map(t + 1, t) for t in range(1, T + 1)]
+    zeros = [zero_row_function(t) for t in range(1, T + 1)]
+    prog = AsymmetricProgram(T, u_fns, zeros, v_fns, zeros, np.ones(m), np.ones(n))
+    dumps = []
+    for sign in (1.0, -1.0):
+        prof = np.ones((m, n))
+        prof[:, 1] = 0.0
+        prof[2, 1] = sign * 0.0
+        if builder == "se_asymmetric":
+            rec = se_asymmetric(prog, prof, mc_samples=500, seed=3)
+        else:
+            rec = amp_se_asymmetric(u_fns, v_fns, prof, np.ones(m), np.ones(n),
+                                    mc_samples=500, seed=3)
+        assert rec.side("u").collapsed and not rec.side("v").collapsed
+        dumps.append(json.dumps(rec.to_json_dict()))
+    assert dumps[0] == dumps[1]
 
 
 @pytest.mark.parametrize("kind", ["constant", "two_block"])
