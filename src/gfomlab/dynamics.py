@@ -10,8 +10,8 @@ offending step and side.
 
 import numpy as np
 
-from .erm import DIVERGENCE_LIMIT
-from .errors import ConfigError, DivergenceError
+from .erm import check_bounded
+from .errors import ConfigError
 from .programs import asymmetric_tracks, check_tracks, symmetric_tracks
 
 
@@ -27,13 +27,6 @@ class Trajectory:
     @property
     def symmetric(self):
         return self.z is not None
-
-
-def _guard(x, step, track):
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
-        raise DivergenceError(
-            f"iterate magnitude exceeded {DIVERGENCE_LIMIT:g}", step=step, track=track
-        )
 
 
 def _run(a, tracks, T, memory=None):
@@ -54,7 +47,7 @@ def _run(a, tracks, T, memory=None):
     for name, tr in tracks.items():
         hist[name] = np.zeros((T + 1, tr.x0.shape[0]))
         hist[name][0] = tr.x0
-        _guard(hist[name][0], 0, name)
+        check_bounded(hist[name][0], 0, name)
         # the update values of this side, stored at the source's width
         vals[name] = np.zeros((T + 1, tracks[tr.source].x0.shape[0]))
     for t in range(1, T + 1):
@@ -69,7 +62,7 @@ def _run(a, tracks, T, memory=None):
                 x[t] = mat @ vals[name][t]
                 for s in range(1, t + tr.offset):
                     x[t] -= memory[name][t - 1][s - 1] * vals[tr.source][s]
-            _guard(x[t], t, name)
+            check_bounded(x[t], t, name)
     return Trajectory(**hist)
 
 

@@ -277,9 +277,12 @@ def default_eta(a):
     return 0.5 / est
 
 
-def _check_bounded(mu, t):
-    if not np.all(np.isfinite(mu)) or np.max(np.abs(mu)) > DIVERGENCE_LIMIT:
-        raise DivergenceError(f"PGD iterate exceeded bound at step {t}", step=t)
+def check_bounded(x, step, track=None):
+    """DivergenceError, naming the step and track, unless every entry of the
+    iterate x is finite and at most DIVERGENCE_LIMIT in magnitude."""
+    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
+        raise DivergenceError(f"iterate magnitude exceeded {DIVERGENCE_LIMIT:g} "
+                              f"at step {step}", step=step, track=track)
 
 
 def pgd_linear(problem, T, mu_start=None):
@@ -294,7 +297,7 @@ def pgd_linear(problem, T, mu_start=None):
     out[0] = mu
     for t in range(1, T + 1):
         mu = problem.prox.apply(eta, mu + eta * (a.T @ d1(y - a @ mu)))
-        _check_bounded(mu, t)
+        check_bounded(mu, t)
         out[t] = mu
     return out
 
@@ -324,7 +327,7 @@ def pgd_logistic(problem, sigma, T, clamp=None):
         x = np.clip(a @ mu, -clamp, clamp)
         grad = a.T @ logistic_dloss_x(x, y_margin, problem.xi, sigma)
         mu = problem.prox.apply(eta, mu - eta * grad)
-        _check_bounded(mu, t)
+        check_bounded(mu, t)
         out[t] = mu
     return out
 
@@ -353,7 +356,7 @@ def solve_fixed_point(problem, tol=1e-10, max_T=100000):
     iterations = 0
     for t in range(1, max_T + 1):
         nxt = problem.prox.apply(eta, mu + eta * (a.T @ d1(y - a @ mu)))
-        _check_bounded(nxt, t)
+        check_bounded(nxt, t)
         delta = np.max(np.abs(nxt - mu))
         mu = nxt
         iterations = t
@@ -422,6 +425,6 @@ def gradient_descent(a, y, loss, eta, lam, masks, T):
         if masks is not None:
             grad_part = grad_part * masks[t - 1]
         mu = (1.0 - eta * lam) * mu + eta * (a.T @ grad_part)
-        _check_bounded(mu, t)
+        check_bounded(mu, t)
         out[t] = mu
     return out

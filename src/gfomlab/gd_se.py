@@ -200,7 +200,8 @@ def gd_se_homogeneous(loss, eta, lam, mu0_sq_mean, xi, phi, T,
     """
     xi = np.asarray(xi, dtype=float)
     m = xi.shape[0]
-    if mu0_sq_mean < 0 or phi <= 0:
+    if not (math.isfinite(mu0_sq_mean) and mu0_sq_mean >= 0
+            and math.isfinite(phi) and phi > 0):
         raise ConfigError("need mu0_sq_mean >= 0 and phi > 0")
     return _run(loss, eta, lam, None, [mu0_sq_mean], xi, None, np.ones((m, 1)),
                 np.full((1, m), phi / m), T, mc_samples, seed)

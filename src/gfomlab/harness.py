@@ -39,7 +39,8 @@ from .erm import (ErmProblem, gradient_descent, pgd_linear, prox_lasso,
 from .errors import ConfigError, DivergenceError, NumericalError
 from .gd_se import gd_key_params, gd_se
 from .programs import (build_gd_ridge, build_logistic, build_pgd_linear,
-                       build_power_iteration, build_tanh_iteration, tanh_map)
+                       build_power_iteration, build_tanh_iteration, check_rates,
+                       check_step, tanh_map)
 from .seeds import (DOMAIN_ENSEMBLE_A, DOMAIN_ENSEMBLE_B, DOMAIN_PROBLEM_DATA,
                     DOMAIN_REPLICATE, child_sequence, generator)
 from .state_evolution import (_is_int, amp_se_symmetric, predict_entrywise,
@@ -156,7 +157,7 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if self.m is not None and self.m < 1:
             raise ConfigError("m must be >= 1")
-        if self.m is None and REGISTRY[self.program].two_sided:
+        if self.m is None and REGISTRY[self.program].fields is not None:
             raise ConfigError(f"program {self.program!r} needs m")
         if self.T < 1:
             raise ConfigError("T must be >= 1")
@@ -198,6 +199,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be a finite number, got {value!r}")
             elif key == "subsample" and not 0.0 < value <= 1.0:
                 raise ConfigError(f"subsample must be in (0, 1], got {value!r}")
+        if REGISTRY[self.program].fields is not None:
+            REGISTRY[self.program].fields(params)
         tol = self.tolerance
         if tol is not None and not (_is_finite_real(tol) and tol >= 0):
             raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
@@ -294,15 +297,17 @@ class ComparisonReport:
 # program registry
 
 class RegistryEntry:
-    """A named program: its config parameters, its plan builder, and
-    whether it runs on an m x n design (two-sided, so the config needs m)."""
+    """A named program: its config parameters and its plan builder.  A
+    two-sided program (one on an m x n design, so the config needs m) also
+    has ``fields``, which resolves its builder's own values from
+    ``program_params`` under the builder's range checks."""
 
-    def __init__(self, name, description, param_names, build, two_sided=False):
+    def __init__(self, name, description, param_names, build, fields=None):
         self.name = name
         self.description = description
         self.param_names = param_names
         self.build = build
-        self.two_sided = two_sided
+        self.fields = fields
 
 
 class _Plan:
@@ -413,31 +418,42 @@ def _build_tanh_amp(config):
     return _AmpSymPlan(fns, np.ones(config.n), config.mc_samples, config.seed)
 
 
+# the builders' own fields from program_params, range-checked by the
+# builders' checks; validate runs them without building anything
+def _pgd_fields(params):
+    eta = float(params.get("eta", 0.25))
+    check_step(eta)
+    return dict(loss=squared_loss(), eta=eta, prox=_prox_from_params(params))
+
+
+def _gd_ridge_fields(params):
+    eta, lam = float(params.get("eta", 0.2)), float(params.get("lam", 0.1))
+    check_rates(("eta", eta), ("lambda", lam))
+    return dict(loss=squared_loss(), eta=eta, lam=lam)
+
+
+def _logistic_fields(params):
+    eta, sigma = float(params.get("eta", 0.05)), float(params.get("sigma", 0.0))
+    check_rates(("eta", eta), ("sigma", sigma))
+    return dict(eta=eta, sigma=sigma, prox=_prox_from_params(params))
+
+
 def _build_pgd_linear(config):
-    params = config.program_params
-    d = _problem_data(config, loss=squared_loss(),
-                      eta=float(params.get("eta", 0.25)),
-                      prox=_prox_from_params(params))
+    d = _problem_data(config, **_pgd_fields(config.program_params))
     return _AsymGfomPlan(build_pgd_linear(d["loss"], d["prox"], d["eta"],
                                           d["mu0"], d["xi"], config.T), d)
 
 
 def _build_gd_ridge(config):
-    params = config.program_params
-    d = _problem_data(config, loss=squared_loss(),
-                      eta=float(params.get("eta", 0.2)),
-                      lam=float(params.get("lam", 0.1)))
+    d = _problem_data(config, **_gd_ridge_fields(config.program_params))
     return _AsymGfomPlan(build_gd_ridge(d["loss"], d["eta"], d["lam"], d["mu0"],
                                         d["xi"], d["masks"], config.T), d)
 
 
 def _build_logistic(config):
-    params = config.program_params
-    d = _problem_data(config, eta=float(params.get("eta", 0.05)),
-                      sigma=float(params.get("sigma", 0.0)))
-    return _AsymGfomPlan(build_logistic(_prox_from_params(params), d["eta"],
-                                        d["sigma"], d["mu0"], d["xi"],
-                                        config.T), d)
+    d = _problem_data(config, **_logistic_fields(config.program_params))
+    return _AsymGfomPlan(build_logistic(d["prox"], d["eta"], d["sigma"], d["mu0"],
+                                        d["xi"], config.T), d)
 
 
 REGISTRY = {
@@ -451,14 +467,14 @@ REGISTRY = {
         (), _build_tanh_amp),
     "pgd_linear": RegistryEntry(
         "pgd_linear", "asymmetric: proximal gradient on the linear model",
-        ("eta", "prox", "prox_lam", "noise"), _build_pgd_linear, two_sided=True),
+        ("eta", "prox", "prox_lam", "noise"), _build_pgd_linear, _pgd_fields),
     "gd_ridge": RegistryEntry(
         "gd_ridge", "asymmetric: ridge gradient descent, optional subsampling",
-        ("eta", "lam", "noise", "subsample"), _build_gd_ridge, two_sided=True),
+        ("eta", "lam", "noise", "subsample"), _build_gd_ridge, _gd_ridge_fields),
     "logistic": RegistryEntry(
         "logistic", "asymmetric: smoothed-sign logistic regression PGD",
         ("eta", "sigma", "prox", "prox_lam", "noise"), _build_logistic,
-        two_sided=True),
+        _logistic_fields),
 }
 
 # experiments that read one program's problem record; the rest run any program

@@ -15,6 +15,11 @@ asymmetric programs update, in order within a step,
 
 Both are one recursion over sides; the side table (``Track``) writes that
 wiring once, for the executors and the limit-law builders alike.
+
+Each derivative rule has one owner: ``column_map`` builds every map of one
+history column together with its partial (that column's derivative, 0 in
+every other), and ``central_difference`` is the one finite-difference probe
+that checks analytic partials and stands in for them where none exist.
 """
 
 import math
@@ -82,34 +87,45 @@ def constant_rows(values, arity):
     )
 
 
-def pick_iterate(arity, col):
-    """Identity on history column ``col``."""
+def column_map(arity, col, g, dg, row_constant=True):
+    """g applied to history column ``col``: fn is ``g(h[..., col], rows)``
+    and the partial is ``dg(h[..., col], rows)`` in column ``col``, 0 in
+    every other (g, dg vectorized over arrays)."""
     if not 0 <= col < arity:
         raise ConfigError("column outside arity")
+
+    def dfn(h, rows, which):
+        if which != col:
+            return np.zeros(h.shape[:-1])
+        return np.asarray(dg(h[..., col], rows), dtype=float)
+
     return RowFunction(
         arity=arity,
-        fn=lambda h, rows: h[..., col].copy(),
-        dfn=lambda h, rows, which: (
-            np.ones(h.shape[:-1]) if which == col else np.zeros(h.shape[:-1])
-        ),
+        fn=lambda h, rows: np.asarray(g(h[..., col], rows), dtype=float),
+        dfn=dfn,
+        row_constant=row_constant,
     )
+
+
+def pick_iterate(arity, col):
+    """Identity on history column ``col``."""
+    return column_map(arity, col, lambda x, rows: x.copy(),
+                      lambda x, rows: np.ones(x.shape))
 
 
 def scalar_map(arity, col, g, dg):
     """g applied to history column ``col`` (g, dg vectorized over arrays)."""
-    return RowFunction(
-        arity=arity,
-        fn=lambda h, rows: np.asarray(g(h[..., col]), dtype=float),
-        dfn=lambda h, rows, which: (
-            np.asarray(dg(h[..., col]), dtype=float)
-            if which == col
-            else np.zeros(h.shape[:-1])
-        ),
-    )
+    return column_map(arity, col, lambda x, rows: g(x), lambda x, rows: dg(x))
 
 
 def tanh_map(arity, col):
     return scalar_map(arity, col, np.tanh, lambda x: 1.0 / np.cosh(x) ** 2)
+
+
+def prox_column(prox, eta, t):
+    """prox_eta of the last column of an arity-t history: the estimate
+    mu^(t-1) = prox_eta(v^(t-1)) of the proximal-gradient programs."""
+    return scalar_map(t, t - 1, lambda v: prox.apply(eta, v), lambda v: prox.dapply(eta, v))
 
 
 def fixed_order_sum(cols, coefs, out=None):
@@ -285,41 +301,24 @@ def build_pgd_linear(loss, prox, eta, mu0, xi, T):
     v^(t) = A^T [eta L'(xi - u^(t))] + mu^(t-1).
     The estimate is recovered through meta["mu_from_v"].
     """
-    if not (math.isfinite(eta) and eta > 0):
-        raise ConfigError(f"eta must be a finite number > 0, got {eta!r}")
+    check_step(eta)
     mu0 = np.asarray(mu0, dtype=float)
     xi = np.asarray(xi, dtype=float)
     m, n = xi.shape[0], mu0.shape[0]
 
     def centered_estimate(t):
         # prox(v^(t-1)) - mu0, feeding the u-update
-        def fn(h, rows):
-            return prox.apply(eta, h[..., t - 1]) - _sel(mu0, rows)
-
-        def dfn(h, rows, which):
-            if which != t - 1:
-                return np.zeros(h.shape[:-1])
-            return prox.dapply(eta, h[..., t - 1])
-
-        return RowFunction(arity=t, fn=fn, dfn=dfn, row_constant=False)
-
-    def estimate(t):
-        return scalar_map(t, t - 1, lambda v: prox.apply(eta, v), lambda v: prox.dapply(eta, v))
+        return column_map(t, t - 1, lambda v, rows: prox.apply(eta, v) - _sel(mu0, rows),
+                          lambda v, rows: prox.dapply(eta, v), row_constant=False)
 
     def grad_rows(t):
         # eta L'(xi_k - u_k^(t)) entering through A^T
-        def fn(h, rows):
-            return eta * loss.d1(_sel(xi, rows) - h[..., t])
-
-        def dfn(h, rows, which):
-            if which != t:
-                return np.zeros(h.shape[:-1])
-            return -eta * loss.d2(_sel(xi, rows) - h[..., t])
-
-        return RowFunction(arity=t + 1, fn=fn, dfn=dfn, row_constant=False)
+        return column_map(t + 1, t, lambda u, rows: eta * loss.d1(_sel(xi, rows) - u),
+                          lambda u, rows: -eta * loss.d2(_sel(xi, rows) - u),
+                          row_constant=False)
 
     u_mat = [constant_rows(-mu0, 1)] + [centered_estimate(t) for t in range(2, T + 1)]
-    v_add = [zero_row_function(1)] + [estimate(t) for t in range(2, T + 1)]
+    v_add = [zero_row_function(1)] + [prox_column(prox, eta, t) for t in range(2, T + 1)]
     return AsymmetricProgram(
         T=T,
         u_mat_fns=u_mat,
@@ -330,6 +329,12 @@ def build_pgd_linear(loss, prox, eta, mu0, xi, T):
         v0=np.zeros(n),
         meta={"mu_from_v": lambda v: prox.apply(eta, v), "eta": eta},
     )
+
+
+def check_step(eta):
+    """ConfigError unless the proximal step ``eta`` is a finite number > 0."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise ConfigError(f"eta must be a finite number > 0, got {eta!r}")
 
 
 def check_rates(*rates):
@@ -367,16 +372,10 @@ def build_gd_ridge(loss, eta, lam, mu0, xi, subsample_masks, T):
 
     def grad_rows(t):
         mask = masks[t - 1]
-
-        def fn(h, rows):
-            return eta * _sel(mask, rows) * loss.d1(_sel(xi, rows) - h[..., t])
-
-        def dfn(h, rows, which):
-            if which != t:
-                return np.zeros(h.shape[:-1])
-            return -eta * _sel(mask, rows) * loss.d2(_sel(xi, rows) - h[..., t])
-
-        return RowFunction(arity=t + 1, fn=fn, dfn=dfn, row_constant=False)
+        return column_map(
+            t + 1, t, lambda u, rows: eta * _sel(mask, rows) * loss.d1(_sel(xi, rows) - u),
+            lambda u, rows: -eta * _sel(mask, rows) * loss.d2(_sel(xi, rows) - u),
+            row_constant=False)
 
     def decay(t):
         w = np.zeros(t)
@@ -419,9 +418,6 @@ def build_logistic(prox, eta, sigma, mu0, xi, T, clamp=None):
     if not clamp > 0:
         raise ConfigError(f"clamp must be > 0, got {clamp!r}")
 
-    def estimate(t):
-        return scalar_map(t, t - 1, lambda v: prox.apply(eta, v), lambda v: prox.dapply(eta, v))
-
     def grad_rows(t):
         # -eta dL_sigma/dx at x = clip(u^(t)), margin-plus-noise z = u^(1) + xi
         def fn(h, rows):
@@ -442,8 +438,9 @@ def build_logistic(prox, eta, sigma, mu0, xi, T, clamp=None):
 
         return RowFunction(arity=t + 1, fn=fn, dfn=dfn, row_constant=False)
 
-    u_mat = [constant_rows(mu0, 1)] + [estimate(t) for t in range(2, T + 1)]
-    v_add = [zero_row_function(1)] + [estimate(t) for t in range(2, T + 1)]
+    estimates = [prox_column(prox, eta, t) for t in range(2, T + 1)]
+    u_mat = [constant_rows(mu0, 1)] + estimates
+    v_add = [zero_row_function(1)] + estimates
     return AsymmetricProgram(
         T=T,
         u_mat_fns=u_mat,
@@ -466,44 +463,26 @@ def _block_row_function(arity, m, n, top, cols_top, bottom, cols_bottom):
     ``top`` acts on rows < m reading embedded history columns ``cols_top``;
     ``bottom`` on rows >= m reading ``cols_bottom``; the other half is 0.
     """
-    cols_top = np.asarray(cols_top, dtype=int) if top is not None else None
-    cols_bottom = np.asarray(cols_bottom, dtype=int) if bottom is not None else None
+    halves = [(f, np.asarray(cols, dtype=int), lower)
+              for f, cols, lower in ((top, cols_top, False), (bottom, cols_bottom, True))
+              if f is not None]
 
-    def split(rows):
+    def value(h, rows, which=None):
+        # the value, or with ``which`` the partial in embedded column which
         idx = np.arange(m + n) if rows is None else np.asarray(rows)
-        top_pos = np.nonzero(idx < m)[0]
-        bot_pos = np.nonzero(idx >= m)[0]
-        return idx, top_pos, bot_pos
-
-    def _half(h, rows, half_fn, cols, pos, offset, idx, which=None):
-        sub = np.take(np.take(h, pos, axis=-2), cols, axis=-1)
-        sub_rows = None if half_fn.row_constant else idx[pos] - offset
-        if which is None:
-            return half_fn.fn(sub, sub_rows)
-        hits = np.nonzero(cols == which)[0]
-        if hits.size == 0:
-            return np.zeros(sub.shape[:-1])
-        return half_fn.dfn(sub, sub_rows, int(hits[0]))
-
-    def fn(h, rows):
-        idx, top_pos, bot_pos = split(rows)
         out = np.zeros(h.shape[:-1])
-        if top is not None and top_pos.size:
-            out[..., top_pos] = _half(h, rows, top, cols_top, top_pos, 0, idx)
-        if bottom is not None and bot_pos.size:
-            out[..., bot_pos] = _half(h, rows, bottom, cols_bottom, bot_pos, m, idx)
+        for f, cols, lower in halves:
+            pos = np.nonzero((idx >= m) == lower)[0]
+            hits = None if which is None else np.nonzero(cols == which)[0]
+            if pos.size == 0 or (hits is not None and hits.size == 0):
+                continue
+            sub = np.take(np.take(h, pos, axis=-2), cols, axis=-1)
+            sub_rows = None if f.row_constant else idx[pos] - (m if lower else 0)
+            out[..., pos] = (f.fn(sub, sub_rows) if hits is None
+                             else f.dfn(sub, sub_rows, int(hits[0])))
         return out
 
-    def dfn(h, rows, which):
-        idx, top_pos, bot_pos = split(rows)
-        out = np.zeros(h.shape[:-1])
-        if top is not None and top_pos.size:
-            out[..., top_pos] = _half(h, rows, top, cols_top, top_pos, 0, idx, which)
-        if bottom is not None and bot_pos.size:
-            out[..., bot_pos] = _half(h, rows, bottom, cols_bottom, bot_pos, m, idx, which)
-        return out
-
-    return RowFunction(arity=arity, fn=fn, dfn=dfn, row_constant=False)
+    return RowFunction(arity=arity, fn=value, dfn=value, row_constant=False)
 
 
 def symmetrize(prog, m, n):
@@ -570,6 +549,16 @@ def extract_embedded_tracks(z_iterates, m, n, T):
 # ---------------------------------------------------------------------------
 # derivative consistency
 
+def central_difference(f, x, which, step):
+    """(f(x + step e) - f(x - step e)) / (2 step), e moving column ``which``
+    (the last axis of x); f sees perturbed copies, never x itself."""
+    up = np.array(x)
+    up[..., which] += step
+    dn = np.array(x)
+    dn[..., which] -= step
+    return (f(up) - f(dn)) / (2.0 * step)
+
+
 def check_partials(rf, rng, probes=100, rows_count=None, rel_tol=1e-5, scale=1.5):
     """Max violation of |FD - partial| <= rel_tol * max(1, |partial|).
 
@@ -581,12 +570,8 @@ def check_partials(rf, rng, probes=100, rows_count=None, rel_tol=1e-5, scale=1.5
         h = rng.normal(scale=scale, size=rf.arity)
         row = 0 if rf.row_constant else int(rng.integers(rows_count))
         for which in range(rf.arity):
-            step = 1e-5 * max(1.0, abs(h[which]))
-            hp = h.copy()
-            hp[which] += step
-            hm = h.copy()
-            hm[which] -= step
-            fd = (rf.eval(row, hp) - rf.eval(row, hm)) / (2.0 * step)
+            fd = central_difference(lambda x: rf.eval(row, x), h, which,
+                                    1e-5 * max(1.0, abs(h[which])))
             an = rf.partial(row, h, which)
             worst = max(worst, abs(fd - an) - rel_tol * max(1.0, abs(an)))
     return worst

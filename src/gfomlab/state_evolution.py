@@ -67,7 +67,8 @@ from numpy.random import Generator, Philox
 from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
 from .programs import (RowFunction, SymmetricProgram, _sel, asymmetric_tracks,
-                       check_tracks, fixed_order_sum, symmetric_tracks)
+                       central_difference, check_tracks, fixed_order_sum,
+                       symmetric_tracks)
 from .seeds import DOMAIN_PREDICT, DOMAIN_SE, child_sequence, fixed_child
 
 PSD_FLOOR = -1e-10
@@ -275,20 +276,26 @@ def _forward(tr, paths, rows, inner_upto, with_partials):
     out[..., 0] = paths[..., 0]
     inner, dinner, J = {}, {}, {}
 
+    def chain(f, sl, acc):
+        # acc[q] += df/d(out w) * J[w, q] for the columns w >= 1 f reads
+        for w in range(1, sl.shape[-1]):
+            dw = f.dfn(sl, rows, w)
+            if not np.any(dw):
+                continue
+            for q in range(1, w + 1):
+                jwq = J.get((w, q))
+                if jwq is not None:
+                    acc[q] = acc.get(q, 0.0) + dw * jwq
+        return acc
+
     def compute_inner(s):
         if s in inner:
             return
         sl = out[..., : s + inc]
         inner[s] = np.asarray(tr.inner_fns[s - 1].fn(sl, rows), dtype=float)
         if with_partials:
-            for w in range(1, s + inc):
-                dw = tr.inner_fns[s - 1].dfn(sl, rows, w)
-                if not np.any(dw):
-                    continue
-                for q in range(1, w + 1):
-                    jwq = J.get((w, q))
-                    if jwq is not None:
-                        dinner[(s, q)] = dinner.get((s, q), 0.0) + dw * jwq
+            for q, d in chain(tr.inner_fns[s - 1], sl, {}).items():
+                dinner[(s, q)] = d
 
     for j in range(1, C + 1):
         col = out[..., j]
@@ -307,14 +314,7 @@ def _forward(tr, paths, rows, inner_upto, with_partials):
             sl = out[..., :j]
             col += tr.outer_fns[j - 1].fn(sl, rows)
             if with_partials:
-                for w in range(1, j):
-                    dw = tr.outer_fns[j - 1].dfn(sl, rows, w)
-                    if not np.any(dw):
-                        continue
-                    for q in range(1, w + 1):
-                        jwq = J.get((w, q))
-                        if jwq is not None:
-                            jcol[q] = jcol.get(q, 0.0) + dw * jwq
+                chain(tr.outer_fns[j - 1], sl, jcol)
         if with_partials:
             for q, val in jcol.items():
                 J[(j, q)] = val
@@ -517,15 +517,12 @@ class _SideEngine:
         # cross-check chained partials against central differences on one block
         _, _, dinner = _forward(self.tr, paths, rows, inner_upto=t,
                                 with_partials=True)
-        h = 1e-4
+
+        def inner_t(x):
+            return _forward(self.tr, x, rows, inner_upto=t, with_partials=False)[1][t]
+
         for s in range(1, p + 1):
-            up = np.array(paths)
-            up[..., s] += h
-            dn = np.array(paths)
-            dn[..., s] -= h
-            _, iu, _ = _forward(self.tr, up, rows, inner_upto=t, with_partials=False)
-            _, idn, _ = _forward(self.tr, dn, rows, inner_upto=t, with_partials=False)
-            fd = (iu[t] - idn[t]) / (2.0 * h)
+            fd = central_difference(inner_t, paths, s, 1e-4)
             an = dinner.get((t, s), 0.0)
             gap = float(np.max(np.abs(np.mean(fd - an, axis=0))))
             self.fd_gap = max(self.fd_gap, gap)
@@ -689,11 +686,7 @@ def _compose_with_transform(rf, transform, arity):
     def dfn(h, rows, which):
         x = np.asarray(h, dtype=float)
         step = 1e-6 * max(1.0, float(np.max(np.abs(x[..., which]), initial=0.0)))
-        up = np.array(x)
-        up[..., which] += step
-        dn = np.array(x)
-        dn[..., which] -= step
-        return (fn(up, rows) - fn(dn, rows)) / (2.0 * step)
+        return central_difference(lambda y: fn(y, rows), x, which, step)
 
     return RowFunction(arity=arity, fn=fn, dfn=dfn, row_constant=False)
 

@@ -325,6 +325,21 @@ def test_main_validate_rejects_program_the_experiment_cannot_read(tmp_path, caps
     assert "gd_gaussianity needs program gd_ridge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("program, params", [
+    ("pgd_linear", {"eta": -1.0}),
+    ("pgd_linear", {"eta": 0.0}),
+    ("pgd_linear", {"prox": "lasso", "prox_lam": -1.0}),
+    ("gd_ridge", {"lam": -1.0}),
+    ("gd_ridge", {"eta": -0.5}),
+    ("logistic", {"sigma": -1.0}),
+])
+def test_main_validate_runs_the_builders_range_checks(tmp_path, capsys, program, params):
+    # a value the program builder rejects exits 2 at validate, not at run
+    path = write_config(tmp_path, program=program, m=16, program_params=params)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "config ok" not in capsys.readouterr().out
+
+
 def test_main_listings(capsys):
     assert main(["list-programs"]) == 0
     out = capsys.readouterr().out

@@ -400,10 +400,10 @@ def test_homogeneous_first_prediction_moment():
     hom = gd_se_homogeneous(squared_loss(), 0.2, 0.0, mu0_sq, np.ones(8),
                             2.0, 1, seed=17)
     assert hom.u_cov[0, 0, 0] == mu0_sq
-    with pytest.raises(ConfigError):
-        gd_se_homogeneous(squared_loss(), 0.2, 0.0, -1.0, np.ones(8), 2.0, 1)
-    with pytest.raises(ConfigError):
-        gd_se_homogeneous(squared_loss(), 0.2, 0.0, 1.0, np.ones(8), 0.0, 1)
+    for mu0_sq_mean, phi in ((-1.0, 2.0), (1.0, 0.0), (np.nan, 2.0), (np.inf, 2.0),
+                             (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ConfigError):
+            gd_se_homogeneous(squared_loss(), 0.2, 0.0, mu0_sq_mean, np.ones(8), phi, 1)
 
 
 # ---------------------------------------------------------------------------

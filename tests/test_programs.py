@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mixed_asymmetric_program, mixed_symmetric_program
+from conftest import mixed_asymmetric_program, mixed_symmetric_program, wavy_loss
 from gfomlab.dynamics import run_asymmetric, run_symmetric
 from gfomlab.ensembles import (
     EnsembleSpec,
@@ -344,10 +344,14 @@ def test_named_builders_pass_partial_validation():
     rng = np.random.default_rng(43)
     mu0, xi = rng.normal(size=5), rng.normal(size=7)
     masks = (rng.random((3, 7)) < 0.7).astype(float)
-    progs = [
-        build_power_iteration(3, rng.normal(size=6)),
+    two_sided = [
         build_pgd_linear(squared_loss(), prox_ridge(0.4), 0.2, mu0, xi, T=3),
         build_gd_ridge(squared_loss(), 0.2, 0.3, mu0, xi, masks, T=3),
+        build_logistic(prox_ridge(0.4), 0.2, 0.5, mu0, xi, T=3),
+    ]
+    progs = two_sided + [symmetrize(prog, 7, 5) for prog in two_sided] + [
+        build_power_iteration(3, rng.normal(size=6)),
+        build_gd_ridge(wavy_loss(), 0.2, 0.3, mu0, xi, masks, T=3),
         mixed_symmetric_program(5, 4, seed=44),
         mixed_asymmetric_program(7, 5, 4, seed=45),
     ]
