@@ -3,8 +3,13 @@
 A RowFunction consumes, per coordinate, the row of past iterate values for
 that coordinate and returns one number; it carries an analytic first partial
 for every history column because state-evolution coefficients are built from
-those derivatives.  Programs bundle the per-step functions with an
-initialization: symmetric programs update
+those derivatives.  A partial that does not vary over the samples (a
+weight, a 1, a 0, a quadratic loss's curvature) may be returned as an (R,)
+row instead of a (..., R) array: every consumer broadcasts it, and the
+limit-law engines carry such rows as rows until they meet a factor that
+does vary, so constants are never pushed through whole sample planes.
+Values are always (..., R) arrays.  Programs bundle the per-step functions
+with an initialization: symmetric programs update
 
     z^(t) = A mat_fns[t](z-history) + add_fns[t](z-history),
 
@@ -42,7 +47,9 @@ class RowFunction:
 
     ``fn(hist, rows)`` takes hist of shape (..., R, arity) (last axis =
     iterate index) and returns (..., R); ``dfn(hist, rows, which)`` is the
-    first partial in history column ``which``.  ``rows`` selects which
+    first partial in history column ``which``: (..., R), or any shape that
+    broadcasts to it, such as the (R,) row of a partial that does not vary
+    over the samples (see _row).  ``rows`` selects which
     coordinates the R-axis refers to (None = the full native row set);
     functions with ``row_constant=True`` ignore it.
     """
@@ -62,17 +69,23 @@ class RowFunction:
             raise ConfigError(f"partial index {which} outside arity {self.arity}")
         h = np.asarray(history_row, dtype=float).reshape(1, self.arity)
         rows = None if self.row_constant else np.asarray([row])
-        return float(self.dfn(h, rows, which)[0])
+        return float(np.broadcast_to(self.dfn(h, rows, which), h.shape[:-1])[0])
 
     def __call__(self, hist, rows=None):
         return self.fn(np.asarray(hist, dtype=float), rows)
+
+
+def _row(h):
+    """The (R,) shape of a partial over the rows of a (..., R, arity)
+    history that does not vary over the samples."""
+    return h.shape[-2:-1]
 
 
 def zero_row_function(arity):
     return RowFunction(
         arity=arity,
         fn=lambda h, rows: np.zeros(h.shape[:-1]),
-        dfn=lambda h, rows, which: np.zeros(h.shape[:-1]),
+        dfn=lambda h, rows, which: np.zeros(_row(h)),
     )
 
 
@@ -82,21 +95,22 @@ def constant_rows(values, arity):
     return RowFunction(
         arity=arity,
         fn=lambda h, rows: np.broadcast_to(_sel(values, rows), h.shape[:-1]).copy(),
-        dfn=lambda h, rows, which: np.zeros(h.shape[:-1]),
+        dfn=lambda h, rows, which: np.zeros(_row(h)),
         row_constant=False,
     )
 
 
 def column_map(arity, col, g, dg, row_constant=True):
     """g applied to history column ``col``: fn is ``g(h[..., col], rows)``
-    and the partial is ``dg(h[..., col], rows)`` in column ``col``, 0 in
-    every other (g, dg vectorized over arrays)."""
+    and the partial is ``dg(h[..., col], rows)`` in column ``col`` (which
+    may return a row, see RowFunction), a row of 0 in every other (g, dg
+    vectorized over arrays)."""
     if not 0 <= col < arity:
         raise ConfigError("column outside arity")
 
     def dfn(h, rows, which):
         if which != col:
-            return np.zeros(h.shape[:-1])
+            return np.zeros(_row(h))
         return np.asarray(dg(h[..., col], rows), dtype=float)
 
     return RowFunction(
@@ -110,7 +124,7 @@ def column_map(arity, col, g, dg, row_constant=True):
 def pick_iterate(arity, col):
     """Identity on history column ``col``."""
     return column_map(arity, col, lambda x, rows: x.copy(),
-                      lambda x, rows: np.ones(x.shape))
+                      lambda x, rows: np.ones(x.shape[-1:]))
 
 
 def scalar_map(arity, col, g, dg):
@@ -159,7 +173,7 @@ def affine_combination(arity, weights, intercept=0.0):
     return RowFunction(
         arity=arity,
         fn=fn,
-        dfn=lambda h, rows, which: np.full(h.shape[:-1], weights[which]),
+        dfn=lambda h, rows, which: np.full(_row(h), weights[which]),
         row_constant=not per_row,
     )
 
@@ -293,6 +307,12 @@ def build_tanh_iteration(T, z0):
     )
 
 
+def _curvature(loss, xi, u, rows):
+    """loss.d2(xi - u) at the rows' noise ``xi``.  A quadratic loss has the
+    same curvature everywhere, so for one this is the (R,) row loss.d2(xi)."""
+    return loss.d2(_sel(xi, rows) if loss.quadratic else _sel(xi, rows) - u)
+
+
 def build_pgd_linear(loss, prox, eta, mu0, xi, T):
     """Proximal gradient for the linear model as an asymmetric program.
 
@@ -314,7 +334,7 @@ def build_pgd_linear(loss, prox, eta, mu0, xi, T):
     def grad_rows(t):
         # eta L'(xi_k - u_k^(t)) entering through A^T
         return column_map(t + 1, t, lambda u, rows: eta * loss.d1(_sel(xi, rows) - u),
-                          lambda u, rows: -eta * loss.d2(_sel(xi, rows) - u),
+                          lambda u, rows: -eta * _curvature(loss, xi, u, rows),
                           row_constant=False)
 
     u_mat = [constant_rows(-mu0, 1)] + [centered_estimate(t) for t in range(2, T + 1)]
@@ -374,7 +394,7 @@ def build_gd_ridge(loss, eta, lam, mu0, xi, subsample_masks, T):
         mask = masks[t - 1]
         return column_map(
             t + 1, t, lambda u, rows: eta * _sel(mask, rows) * loss.d1(_sel(xi, rows) - u),
-            lambda u, rows: -eta * _sel(mask, rows) * loss.d2(_sel(xi, rows) - u),
+            lambda u, rows: -eta * _sel(mask, rows) * _curvature(loss, xi, u, rows),
             row_constant=False)
 
     def decay(t):
@@ -434,7 +454,7 @@ def build_logistic(prox, eta, sigma, mu0, xi, T, clamp=None):
                 return -eta * (s * s * sig * (1.0 - sig)) * inside
             if which == 1:
                 return -eta * _dlogistic_dmargin(x, z, sigma)
-            return np.zeros(h.shape[:-1])
+            return np.zeros(_row(h))
 
         return RowFunction(arity=t + 1, fn=fn, dfn=dfn, row_constant=False)
 

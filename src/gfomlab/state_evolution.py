@@ -33,11 +33,20 @@ two-block profile keeps one or two rows per statistic, however many
 coordinates it has.  A leaf's paths are mixed by _draw_paths, the package's
 one Gaussian path sampler (``gd_se`` uses it too), from the normal columns
 it is handed: in the engines and ``gd_se``, one stream per column from
-_column_generators, the one owner of the column-stream keys; in the
-read-out, strided columns of the one prediction stream.  Every path array
-and every transform history is stored as column planes: one contiguous
-(samples, R) block per path column, handed out as a (samples, R, p+1) view,
-so each per-column operation streams through memory.  The sampler mixes the normal
+_column_generators, the one owner of the column-stream keys, drawn by the
+engines into one buffer per column that every sub-block of a step reuses;
+in the read-out, the columns of the one prediction stream, each copied to
+a contiguous plane before it is mixed.  The read-out holds one workspace
+per call (normal planes, paths, transformed history and a leaf's
+statistics, each sized for the largest sub-block or leaf of any cell) and
+reuses it for every leaf of every cell, so no leaf hands its buffers back
+to the allocator, which would trim them and fault them in again for the
+next.  Every path array and every transform history is stored as column
+planes: one contiguous (samples, R) block per path column, handed out as a
+(samples, R, p+1) view, so each per-column operation streams through
+memory.  Partials that do not vary over the samples stay (R,) rows through
+the chain rule (see _forward) and are broadcast to planes only where a
+plane is consumed.  The sampler mixes the normal
 draws into the planes with explicit multiply-adds summed in one fixed order
 (``programs.fixed_order_sum``), whatever the layout, which up to 7 columns
 is the order numpy's einsum took here.  The paths are pushed through the
@@ -58,6 +67,7 @@ neither the sub-block nor the leaf size changes an output byte, and neither
 does the BLAS thread count.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -92,11 +102,14 @@ def _sub_blocks(b, row_values):
     return [(lo, min(lo + size, b)) for lo in range(0, b, size)]
 
 
-def _planes(shape):
+def _planes(shape, buf=None):
     """An uninitialised array of ``shape`` (..., C) stored as C contiguous
     planes: the (..., C) view of a (C, ...) buffer, so column j is one
-    contiguous block."""
-    return np.moveaxis(np.empty(shape[-1:] + shape[:-1]), 0, -1)
+    contiguous block.  The buffer is the head of the flat array ``buf``
+    when one is given, else a new one."""
+    block = shape[-1:] + shape[:-1]
+    block = np.empty(block) if buf is None else buf[:math.prod(block)].reshape(block)
+    return np.moveaxis(block, 0, -1)
 
 
 def _mix(out, factors, cols):
@@ -111,18 +124,18 @@ def _mix(out, factors, cols):
         fixed_order_sum(cols, fac[i], out=out[..., i])
 
 
-def _draw_paths(cols, factors, x0, b):
+def _draw_paths(cols, factors, x0, b, buf=None):
     """(b, R, p+1) Gaussian paths over the R rows of ``x0``, stored as
-    column planes (see _planes).
+    column planes (see _planes; in ``buf`` when given).
 
     Column 0 holds x0; columns 1..p hold the p (b, R) standard-normal
     arrays ``cols`` mixed by ``factors`` ((1 or R, p, p); None when p = 0)
     through _mix.  The engines hand it one stream's draws per column, the
-    read-out strided columns of one stream's draws.
+    read-out contiguous copies of the columns of one stream's draws.
     """
     r = x0.shape[0]
     p = 0 if factors is None else factors.shape[-1]
-    paths = _planes((b, r, p + 1))
+    paths = _planes((b, r, p + 1), buf)
     paths[..., 0] = x0
     if p:
         _mix(paths[..., 1:], factors, cols)
@@ -251,28 +264,38 @@ class HistoryTransform:
             ok = ok and all(f.row_constant for f in self.outer_fns)
         return ok
 
-    def apply(self, hist, rows=None):
+    def apply(self, hist, rows=None, buf=None):
+        """The output columns of the path history ``hist``, as column planes
+        (see _planes; in ``buf`` when given)."""
         hist = np.asarray(hist, dtype=float)
-        if self.raw:
-            return hist.copy(order="K")
-        out, _, _ = _forward(self, hist, rows, inner_upto=0, with_partials=False)
+        if not self.raw:
+            return _forward(self, hist, rows, inner_upto=0, with_partials=False,
+                            buf=buf)[0]
+        out = _planes(hist.shape, buf)
+        out[...] = hist
         return out
 
 
-def _forward(tr, paths, rows, inner_upto, with_partials):
+def _forward(tr, paths, rows, inner_upto, with_partials, buf=None):
     """Forward pass of a transform on path arrays (..., R, C+1).
 
     Returns (out, inner, dinner): out is the (..., R, C+1) history of
-    output columns, stored as column planes (see _planes) and filled column
-    by column; row functions read views of its leading columns.  inner[s]
-    is inner_s evaluated on the transformed history, dinner[(s, q)] its
-    total derivative in path column q obtained by chaining through the
-    recursion.  inner is filled at least up to ``inner_upto``.
+    output columns, stored as column planes (see _planes; in ``buf`` when
+    given) and filled column by column; row functions read views of its
+    leading columns.  inner[s] is inner_s evaluated on the transformed
+    history, dinner[(s, q)] its total derivative in path column q obtained
+    by chaining through the recursion.  inner is filled at least up to
+    ``inner_upto``.
+
+    A partial that does not vary over the samples may be an (R,) row (see
+    ``programs.RowFunction``).  The chain starts from a row of ones and
+    keeps products and sums of rows as rows, so a dinner entry is a plane
+    only where a sample-varying partial entered it.  Elementwise IEEE
+    arithmetic gives the same bits whatever the broadcast shape.
     """
     C = paths.shape[-1] - 1
     inc = 1 if tr.inner_uses_current else 0
-    base = paths.shape[:-1]
-    out = _planes(paths.shape)
+    out = _planes(paths.shape, buf)
     out[..., 0] = paths[..., 0]
     inner, dinner, J = {}, {}, {}
 
@@ -300,7 +323,7 @@ def _forward(tr, paths, rows, inner_upto, with_partials):
     for j in range(1, C + 1):
         col = out[..., j]
         col[...] = paths[..., j]
-        jcol = {j: np.ones(base)} if with_partials else None
+        jcol = {j: np.ones(paths.shape[-2:-1])} if with_partials else None
         for r in range(1, tr.n_corr(j) + 1):
             compute_inner(r)
             cv = _sel(tr.coeffs[j - 1][r - 1], rows)
@@ -459,10 +482,14 @@ class _SideEngine:
 
     def _sample_stat(self, x, out):
         """Write the (classes, b) statistics of the (b, R) row statistics
-        ``x`` into ``out``: one matrix-vector product per class."""
+        ``x``, which may be a broadcast view, into ``out``: one
+        matrix-vector product per class, on a C-contiguous (b, R) copy, so
+        BLAS sees the operands of a plane and rounds each row as it would
+        there."""
         if self.path_collapsed:
             out[0] = x[:, 0]
             return
+        x = np.ascontiguousarray(x)
         for c, row in enumerate(self.class_rows):
             out[c] = x @ row
 
@@ -480,22 +507,24 @@ class _SideEngine:
         rows = np.array([0]) if self.path_collapsed else None
         factors = self.path_law.factors(p) if p > 0 else None
         k = 1 if self.path_collapsed else self.class_rows.shape[0]
+        r = x0.shape[0]
         # fresh generators per outer step = common random numbers across steps
         gens = _column_generators(self.seed_seq, p)
+        # one draw buffer per column, as large as the largest sub-block
+        draws = np.empty((p, _sub_blocks(min(_BLOCK, self.mc), r * (p + 1))[0][1], r))
 
         def fill(n):
             # rows: the p coefficient statistics, then the t products
             vals = np.empty((p + t, k, n))
-            for lo, hi in _sub_blocks(n, x0.shape[0] * (p + 1)):
-                paths = _draw_paths([g.standard_normal((hi - lo, x0.shape[0]))
-                                     for g in gens], factors, x0, hi - lo)
+            for lo, hi in _sub_blocks(n, r * (p + 1)):
+                paths = _draw_paths([g.standard_normal(out=d[:hi - lo])
+                                     for g, d in zip(gens, draws)], factors, x0, hi - lo)
                 _, inner, dinner = _forward(self.tr, paths, rows, inner_upto=t,
                                             with_partials=True)
                 et = inner[t]
                 for s in range(1, p + 1):
-                    d = dinner.get((t, s))
-                    d = np.zeros_like(et) if d is None else np.broadcast_to(d, et.shape)
-                    self._sample_stat(d, vals[s - 1, :, lo:hi])
+                    self._sample_stat(np.broadcast_to(dinner.get((t, s), 0.0), et.shape),
+                                      vals[s - 1, :, lo:hi])
                 for tau in range(1, t + 1):
                     self._sample_stat(et * inner[tau], vals[p + tau - 1, :, lo:hi])
             return vals.reshape((p + t) * k, n)
@@ -733,11 +762,16 @@ class _Tape:
         return self.buf[lo - self.base:hi - self.base]
 
     def trim(self, lo):
-        """Drop the normals before position lo."""
+        """Drop the normals before position lo.  The window moves down in
+        pieces no longer than the drop, so no piece overlaps its source and
+        numpy copies it without a temporary."""
         k = lo - self.base
         if k:
-            self.buf[:self.filled - k] = self.buf[k:self.filled]
-            self.base, self.filled = lo, self.filled - k
+            keep = self.filled - k
+            for i in range(0, keep, k):
+                j = min(i + k, keep)
+                self.buf[i:j] = self.buf[i + k:j + k]
+            self.base, self.filled = lo, keep
 
 
 class _Cell:
@@ -745,7 +779,9 @@ class _Cell:
     side's iterate over ``n_paths`` Gaussian paths at the chosen coordinates
     (every coordinate when ``coords`` is None).  Each sample reads
     ``width`` = coordinates x t normals of the prediction stream; ``cursor``
-    is the stream position of the cell's next sample."""
+    is the stream position of the cell's next sample.  ``needs`` maps each
+    buffer of a read-out's workspace (see predict_entrywise) to the floats
+    the cell's largest leaf takes of it."""
 
     def __init__(self, record, side, t, coords, psi, n_paths):
         track = record.side(side)
@@ -763,26 +799,34 @@ class _Cell:
         self.width = dim * self.t
         leaf = _leaf_size(self.width)
         self.leaves = _leaves(n_paths, _PREDICT_BLOCK, leaf)
-        # the most normals one leaf reads
-        self.span = self.width * min(leaf, _PREDICT_BLOCK, n_paths)
+        # the most samples one leaf holds, and one sub-block
+        top = min(leaf, _PREDICT_BLOCK, n_paths)
+        piece = _sub_blocks(top, dim * (self.t + 1))[0][1]
+        self.span = self.width * top
+        paths = piece * dim * (self.t + 1)
+        self.needs = {"normals": piece * self.width, "paths": paths,
+                      "history": paths, "stats": dim * top}
         self.cursor = 0
         self.acc = _MeanAccumulator(dim)
 
-    def run_leaf(self, tape):
-        """Add the cell's next leaf, its normals read from ``tape``; False
-        when no leaf is left."""
+    def run_leaf(self, tape, work):
+        """Add the cell's next leaf, its normals read from ``tape``, in the
+        workspace buffers ``work`` (see ``needs``); False when no leaf is
+        left."""
         n, closes = next(self.leaves, (0, 0))
         if not n:
             return False
         dim, t, w = len(self.sel), self.t, self.width
         normals = tape.read(self.cursor, self.cursor + n * w)
         self.cursor += n * w
-        vals = np.empty((dim, n))
+        vals = work["stats"][:dim * n].reshape(dim, n)
         for lo, hi in _sub_blocks(n, dim * (t + 1)):
-            g = normals[lo * w:hi * w].reshape(hi - lo, dim, t)
-            paths = _draw_paths([g[..., j] for j in range(t)], self.factors,
-                                self.x0, hi - lo)
-            out = self.transform.apply(paths, rows=self.sel)
+            # the strided stream columns, copied to planes before mixing
+            cols = _planes((hi - lo, dim, t), work["normals"])
+            cols[...] = normals[lo * w:hi * w].reshape(hi - lo, dim, t)
+            paths = _draw_paths([cols[..., j] for j in range(t)], self.factors,
+                                self.x0, hi - lo, buf=work["paths"])
+            out = self.transform.apply(paths, rows=self.sel, buf=work["history"])
             vals[:, lo:hi] = self.psi(out[..., t]).T
         self.acc.fold(vals, closes)
         return True
@@ -814,17 +858,22 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
     drawn once, and a tape of normals between the slowest and fastest
     cells, trimmed after every leaf, never holds more than the largest
     leaf's: about _SUB_BLOCK_BYTES (more only where 128 samples exceed it),
-    whatever the path count.
+    whatever the path count.  One workspace serves every leaf of every
+    cell: flat buffers for a sub-block's normal planes, paths and
+    transformed history and for a leaf's statistics, each as large as the
+    largest any cell needs, so no leaf allocates them afresh.
     """
     n_paths = _int_in(n_paths, 2, None, "n_paths")
     reads = [_Cell(record, s, step, coords, psi, n_paths)
              for s, step in ([(side, t)] if cells is None else cells)]
     tape = _Tape(Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0))),
                  max((c.span for c in reads), default=0))
+    work = {key: np.empty(max((c.needs[key] for c in reads), default=0))
+            for key in ("normals", "paths", "history", "stats")}
     pending = list(reads)
     while pending:
         cell = min(pending, key=lambda c: c.cursor)
-        if not cell.run_leaf(tape):
+        if not cell.run_leaf(tape, work):
             pending.remove(cell)
         if pending:
             tape.trim(min(c.cursor for c in pending))

@@ -234,6 +234,35 @@ def test_bad_partial_is_caught():
         validate_program(prog)
 
 
+def test_partials_of_any_broadcastable_shape_pass_validation():
+    # a partial that does not vary over the samples may be 0-d or an (R,)
+    # row; the checks broadcast it over the samples before reading one
+    slopes = np.array([0.5, -1.0, 2.0])
+    scalar = RowFunction(
+        arity=2,
+        fn=lambda h, rows: 2.0 * h[..., 0] - h[..., 1],
+        dfn=lambda h, rows, which: np.array(2.0 if which == 0 else -1.0),
+    )
+    per_row = RowFunction(
+        arity=1,
+        fn=lambda h, rows: slopes[rows] * h[..., 0],
+        dfn=lambda h, rows, which: slopes[rows],
+        row_constant=False,
+    )
+    assert scalar.partial(0, [0.3, 0.7], 1) == -1.0
+    assert per_row.partial(2, [0.3], 0) == 2.0
+    prog = SymmetricProgram(T=2, mat_fns=[per_row, scalar],
+                            add_fns=[zero_row_function(1), zero_row_function(2)],
+                            z0=np.zeros(3))
+    validate_program(prog, probes=20)
+    off = RowFunction(arity=1, fn=lambda h, rows: 3.0 * h[..., 0],
+                      dfn=lambda h, rows, which: np.array(3.1))
+    with pytest.raises(ConfigError):
+        validate_program(SymmetricProgram(T=1, mat_fns=[off],
+                                          add_fns=[zero_row_function(1)],
+                                          z0=np.zeros(3)))
+
+
 # ---------------------------------------------------------------------------
 # asymmetric -> symmetric embedding
 

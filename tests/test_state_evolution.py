@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (counting_generator, mixed_asymmetric_program,
-                      mixed_symmetric_program, two_block_profile)
-from gfomlab import state_evolution
+                      mixed_symmetric_program, two_block_profile, wavy_loss)
+from gfomlab import programs, state_evolution
 from gfomlab.dynamics import (
     run_amp_asymmetric,
     run_amp_symmetric,
@@ -22,16 +22,21 @@ from gfomlab.ensembles import (
     sample_asymmetric,
     sample_symmetric,
 )
+from gfomlab.erm import prox_lasso, prox_ridge, squared_loss
 from gfomlab.errors import ConfigError, NumericalError
 from gfomlab.programs import (
     AsymmetricProgram,
     RowFunction,
     SymmetricProgram,
     affine_combination,
+    build_gd_ridge,
+    build_logistic,
+    build_pgd_linear,
     build_power_iteration,
     build_tanh_iteration,
     constant_rows,
     pick_iterate,
+    symmetrize,
     tanh_map,
     zero_row_function,
 )
@@ -645,3 +650,90 @@ def test_record_side_lookup_and_serialization():
             for key in ("coeffs", "coeffs_se"):
                 table = np.array(side[key][t - 1]).reshape(t - lag, width)
                 assert np.array_equal(table, getattr(rec.side(name), key)[t - 1])
+
+
+# ---------------------------------------------------------------------------
+# sample-constant partials kept as (R,) rows
+
+_M, _N, _T = 9, 6, 3
+
+
+def _row_partial_program(name):
+    rng = np.random.default_rng(71)
+    mu0, xi = rng.normal(size=_N), rng.normal(size=_M)
+    masks = (rng.random((_T, _M)) < 0.7).astype(float)
+    two_sided = {
+        "gd_ridge": lambda: build_gd_ridge(squared_loss(), 0.2, 0.3, mu0, xi, None, _T),
+        "gd_ridge_masks": lambda: build_gd_ridge(squared_loss(), 0.2, 0.3, mu0, xi,
+                                                 masks, _T),
+        "gd_ridge_wavy": lambda: build_gd_ridge(wavy_loss(), 0.2, 0.3, mu0, xi,
+                                                masks, _T),
+        "pgd_ridge": lambda: build_pgd_linear(squared_loss(), prox_ridge(0.4), 0.2,
+                                              mu0, xi, _T),
+        "pgd_lasso": lambda: build_pgd_linear(squared_loss(), prox_lasso(0.1), 0.2,
+                                              mu0, xi, _T),
+        "logistic": lambda: build_logistic(prox_ridge(0.4), 0.2, 0.5, mu0, xi, _T),
+    }
+    if name == "tanh_gfom":
+        return build_tanh_iteration(_T, rng.normal(size=_N))
+    if name.startswith("sym_"):
+        return symmetrize(two_sided[name[4:]](), _M, _N)
+    return two_sided[name]()
+
+
+def _plane_partials(monkeypatch):
+    """Make every RowFunction built from here on return each partial as a
+    full (..., R) copy: the plane reference that rows must match."""
+    real = programs.RowFunction
+
+    def make(*args, **kwargs):
+        rf = real(*args, **kwargs)
+        dfn = rf.dfn
+        rf.dfn = lambda h, rows, which: np.array(
+            np.broadcast_to(dfn(h, rows, which), h.shape[:-1]))
+        return rf
+
+    monkeypatch.setattr(programs, "RowFunction", make)
+
+
+@pytest.mark.parametrize("kind", ["constant", "two_block"])
+@pytest.mark.parametrize("name", [
+    "gd_ridge", "gd_ridge_masks", "gd_ridge_wavy", "pgd_ridge", "pgd_lasso",
+    "logistic", "tanh_gfom", "sym_gd_ridge", "sym_pgd_ridge", "sym_logistic"])
+def test_forward_row_partials_keep_bytes(monkeypatch, name, kind):
+    # the chained partials of rows and of full planes agree bit for bit, in
+    # _forward and in the records the engines build from them
+    prog = _row_partial_program(name)
+    with monkeypatch.context() as mp:
+        _plane_partials(mp)
+        ref = _row_partial_program(name)
+    symmetric = isinstance(prog, SymmetricProgram)
+    width = prog.n if symmetric else prog.m
+    prof = (constant_profile((width, prog.n)) if kind == "constant"
+            else two_block_profile(width, prog.n))
+    build = se_symmetric if symmetric else se_asymmetric
+    rec, rec_ref = (build(p, prof, mc_samples=400, seed=72) for p in (prog, ref))
+    assert json.dumps(rec.to_json_dict()) == json.dumps(rec_ref.to_json_dict())
+    rng = np.random.default_rng(73)
+    for side in rec.sides:
+        tr = rec.side(side).transform
+        tr_ref = state_evolution.HistoryTransform(
+            rec_ref.side(side).transform.inner_fns,
+            rec_ref.side(side).transform.outer_fns, tr.inner_uses_current,
+            tr.corr_includes_current, coeffs=tr.coeffs)
+        paths = rng.normal(size=(40, rec.side(side).law.coords, len(tr.coeffs) + 1))
+        out, inner, dinner = state_evolution._forward(
+            tr, paths, None, inner_upto=len(tr.coeffs), with_partials=True)
+        out_ref, inner_ref, dinner_ref = state_evolution._forward(
+            tr_ref, paths, None, inner_upto=len(tr.coeffs), with_partials=True)
+        assert np.array(out).tobytes() == np.array(out_ref).tobytes()
+        assert inner.keys() == inner_ref.keys() and dinner.keys() == dinner_ref.keys()
+        for key in inner:
+            assert inner[key].tobytes() == inner_ref[key].tobytes()
+        for key in dinner:
+            assert dinner_ref[key].shape == paths.shape[:-1]
+            assert np.array(np.broadcast_to(dinner[key], paths.shape[:-1])).tobytes() \
+                == dinner_ref[key].tobytes()
+        if name.startswith("gd_ridge") and name != "gd_ridge_wavy":
+            # a quadratic loss keeps every chained partial a row
+            assert all(np.ndim(d) == 1 for d in dinner.values())

@@ -144,22 +144,30 @@ def _read_out_records(kind):
 def test_multi_cell_read_out_equals_single_cell_calls(monkeypatch, kind, coords):
     # 17000 paths = one 16384-sample block plus a 616 remainder; each cell
     # of the one-pass call, under the default and the tiny budget, against
-    # its own call under the default budget
+    # its own call under the default budget.  Each one-pass call follows a
+    # read-out of a record of another width and is made twice, so no call
+    # reads what its workspace held in another
     rng = np.random.default_rng(66)
-    for rec in _read_out_records(kind):
+    recs = _read_out_records(kind)
+    for i, rec in enumerate(recs):
         cells = [(s, t) for s in rec.sides for t in range(1, 4)]
         cells = [cells[i] for i in rng.permutation(len(cells))]
         want = [se.predict_entrywise(rec, coords, np.tanh, side=s, t=t,
                                      n_paths=17000, seed=67) for s, t in cells]
+        other = recs[i - 1]
         for budget in (DEFAULT, TINY):
             monkeypatch.setattr(se, "_SUB_BLOCK_BYTES", budget)
-            got = se.predict_entrywise(rec, coords, np.tanh, cells=cells,
-                                       n_paths=17000, seed=67)
+            se.predict_entrywise(other, None, np.square,
+                                 cells=[(s, 3) for s in other.sides],
+                                 n_paths=3000, seed=68)
+            runs = [se.predict_entrywise(rec, coords, np.tanh, cells=cells,
+                                         n_paths=17000, seed=67) for _ in range(2)]
             monkeypatch.setattr(se, "_SUB_BLOCK_BYTES", DEFAULT)
-            assert len(got) == len(cells)
-            for (means, ses), (w_means, w_ses) in zip(got, want):
-                assert means.tobytes() == w_means.tobytes()
-                assert ses.tobytes() == w_ses.tobytes()
+            for got in runs:
+                assert len(got) == len(cells)
+                for (means, ses), (w_means, w_ses) in zip(got, want):
+                    assert means.tobytes() == w_means.tobytes()
+                    assert ses.tobytes() == w_ses.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["constant", "two_block"])
