@@ -8,7 +8,10 @@ for rectangular ones.
 
 Sampling is counter-based: each entry consumes exactly one 64-bit uniform at
 a fixed flat index of a Philox stream (see seeds.py), so a matrix is a pure
-function of (spec, dims, seed).
+function of (spec, dims, seed).  The samplers read one stream per matrix in
+flat order, a strip of rows at a time into one reused buffer, and take each
+strip from words to entries in place in the output with in-place entry laws;
+a symmetric strip transforms only its band from the diagonal rightwards.
 """
 
 import math
@@ -19,7 +22,6 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConfigError
-from .seeds import entry_uniforms
 
 LAW_KINDS = ("gaussian", "rademacher", "uniform_pm", "shifted_bernoulli")
 # each normalization's divisor of the second moments, as a function of the
@@ -45,17 +47,29 @@ class EntryLaw:
         elif self.p is not None:
             raise ConfigError(f"law {self.kind!r} takes no parameter p")
 
-    def transform(self, u):
-        """Map uniforms in [0, 1) to standardized variates, elementwise."""
-        u = np.asarray(u)
+    def transform(self, u, out=None):
+        """Map uniforms in [0, 1) to standardized variates, elementwise.
+
+        With ``out`` the variates are written into it and the float array
+        ``u`` is scratch: it may be overwritten.  Without ``out``, ``u`` is
+        left alone and a new array is returned.
+        """
+        if out is None:
+            u = np.array(u, dtype=float)
+            out = u
         if self.kind == "gaussian":
-            return ndtri(np.maximum(u, 1e-300))
+            return ndtri(np.maximum(u, 1e-300, out=u), out=out)
         if self.kind == "rademacher":
-            return np.where(u < 0.5, -1.0, 1.0)
+            # u - 0.5 is negative exactly when u < 0.5, and +0.0 at 0.5
+            return np.copysign(1.0, np.subtract(u, 0.5, out=u), out=out)
         if self.kind == "uniform_pm":
-            return (2.0 * u - 1.0) * math.sqrt(3.0)
+            np.multiply(u, 2.0, out=u)
+            return np.multiply(np.subtract(u, 1.0, out=u), math.sqrt(3.0), out=out)
         p = self.p
-        return np.where(u < p, -math.sqrt((1.0 - p) / p), math.sqrt(p / (1.0 - p)))
+        below = u < p  # before out, which may be u, is written
+        np.copyto(out, math.sqrt(p / (1.0 - p)))
+        np.copyto(out, -math.sqrt((1.0 - p) / p), where=below)
+        return out
 
 
 def gaussian_law():
@@ -169,46 +183,54 @@ def _as_seedseq(seed):
     return np.random.SeedSequence(int(seed))
 
 
-# rows per strip: the scratch of one strip is a few times STRIP_ROWS * n
-# floats, whatever the matrix size
+# rows per strip: the scratch is one strip of STRIP_ROWS * n words, whatever
+# the matrix size
 STRIP_ROWS = 64
 
 
 def _sample_strips(spec, m, n, seed):
     """The m x n matrix A0 / denominator, filled one strip of rows at a time.
 
-    Entry (i, j) consumes word i*n + j of the Philox stream, as if the whole
-    matrix were drawn at once, and takes the same rounding steps: transform,
-    scale by sqrt(profile), truncate, divide.  A symmetric spec transforms
-    only the entries with j >= i and mirrors them below the diagonal; the
-    ``+ 0.0`` turns -0.0 (a zero profile entry times a negative variate) into
-    +0.0, as the sum of the upper and the mirrored strict upper part did.
+    One Philox stream per matrix is read in flat row-major order into one
+    reused strip buffer, so entry (i, j) consumes word i*n + j, as if the
+    whole matrix were drawn at once (``seeds.entry_uniforms``).  Each strip
+    takes the same rounding steps in place in the output: transform, scale
+    by sqrt(profile) (a scale of exactly 1.0 changes no bit and is skipped),
+    truncate, divide.  A symmetric strip r0:r1 works on its band of columns
+    r0: only; the band's entries below the diagonal are then overwritten
+    from the diagonal block's transpose, and the columns below the strip
+    from the band's transpose.  Its ``+ 0.0`` turns -0.0 into +0.0, as the
+    sum of the upper and the mirrored strict upper part did.  No law yields
+    -0.0, so only a zero profile entry times a negative variate can, and
+    the step is skipped under a constant nonzero profile.
     """
-    seedseq = _as_seedseq(seed)
+    gen = np.random.Generator(np.random.Philox(_as_seedseq(seed)))
     a = np.empty((m, n))
+    words = np.empty(min(STRIP_ROWS, m) * n)
     denom = spec.denominator(m, n)
     cut = None
     if spec.truncate is not None:
         cut = spec.truncate * math.sqrt(math.log(max(m, n)))
+    below = np.tri(STRIP_ROWS, k=-1, dtype=bool)
     for r0 in range(0, m, STRIP_ROWS):
         r1 = min(r0 + STRIP_ROWS, m)
-        u = entry_uniforms(seedseq, (r1 - r0) * n, start=r0 * n).reshape(r1 - r0, n)
-        keep = slice(None)
-        if spec.symmetric:
-            keep = np.arange(n) >= np.arange(r0, r1)[:, None]
-        x = spec.law.transform(u[keep])
-        x *= spec._scale if spec._scale is not None else np.sqrt(
-            spec.profile.values[r0:r1][keep])
+        u = gen.random(out=words[:(r1 - r0) * n]).reshape(r1 - r0, n)
+        c0 = r0 if spec.symmetric else 0
+        u, band = u[:, c0:], a[r0:r1, c0:]
+        spec.law.transform(u, out=band)
+        if spec._scale is None:
+            band *= np.sqrt(spec.profile.values[r0:r1, c0:], out=u)
+        elif spec._scale != 1.0:
+            band *= spec._scale
         if cut is not None:
-            x[np.abs(x) > cut] = 0.0
-        if spec.symmetric:
-            x += 0.0
-        x /= denom
-        a[r0:r1][keep] = x
+            band[np.abs(band, out=u) > cut] = 0.0
+        if spec.symmetric and not spec._scale:
+            band += 0.0
+        band /= denom
         if spec.symmetric:
             a[r1:, r0:r1] = a[r0:r1, r1:].T
             block = a[r0:r1, r0:r1]
-            np.copyto(block, block.T, where=~keep[:, r0:r1])
+            np.copyto(block, block.T, where=below[:r1 - r0, :r1 - r0])
     return a
 
 

@@ -63,6 +63,10 @@ def entry_uniforms(seedseq, count, start=0):
     depends on how the block is chunked or ordered.  One counter step yields
     four words, so the stream is advanced by ``start // 4`` steps and the
     first ``start % 4`` words of that step are discarded.
+
+    This is the random-access reader of the entry stream.  The samplers
+    read the same words sequentially, strip after strip, from one generator
+    per matrix; the tests check them against this function.
     """
     bits = np.random.Philox(seedseq)
     bits.advance(start // 4)

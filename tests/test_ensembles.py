@@ -5,7 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from gfomlab import ensembles
 from gfomlab.ensembles import (
     STRIP_ROWS,
     EnsembleSpec,
@@ -286,7 +288,89 @@ def test_sampler_scratch_stays_below_half_the_output(symmetric, shape):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * a.nbytes, peak / a.nbytes
+    strip = STRIP_ROWS * shape[1] * 8
+    assert peak < a.nbytes + 2 * strip, (peak - a.nbytes) / strip
+
+
+ALL_LAWS = [gaussian_law(), rademacher_law(), uniform_pm_law(),
+            shifted_bernoulli_law(0.3)]
+
+
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
+@pytest.mark.parametrize("truncate", [None, 0.6])
+@pytest.mark.parametrize("rows", [1, 3, 5, STRIP_ROWS])
+@pytest.mark.parametrize("symmetric,shape", [(True, (67, 67)),
+                                             (False, (130, 67))])
+@pytest.mark.parametrize("profile", ["zero_row", "ones", "zeros"])
+def test_strip_size_does_not_change_the_bits(monkeypatch, law, truncate, rows,
+                                             symmetric, shape, profile):
+    # odd n: a strip's word count is not a multiple of Philox's four words
+    # per counter step, so strips start inside a step
+    m, n = shape
+    if profile == "zero_row":
+        values = np.random.default_rng(4).uniform(0.0, 3.0, shape)
+        if symmetric:
+            values = values + values.T
+        # a zero row (and column) times negative variates gives -0.0
+        values[2] = 0.0
+        values[:, 2] = 0.0
+    else:
+        values = np.full(shape, 1.0 if profile == "ones" else 0.0)
+    spec = EnsembleSpec(law, VarianceProfile(values),
+                        "inv_sqrt_n" if symmetric else "inv_sqrt_m_plus_n",
+                        symmetric=symmetric, truncate=truncate)
+    # the documented steps on the whole matrix's words, drawn at once
+    u = entry_uniforms(np.random.SeedSequence(17), m * n).reshape(m, n)
+    x = law.transform(u) * np.sqrt(values)
+    if truncate is not None:
+        x[np.abs(x) > truncate * math.sqrt(math.log(max(m, n)))] = 0.0
+    if symmetric:
+        x = np.triu(x) + np.triu(x, 1).T
+    ref = x / spec.denominator(m, n)
+    monkeypatch.setattr(ensembles, "STRIP_ROWS", rows)
+    if symmetric:
+        a = sample_symmetric(spec, n, seed=17)
+    else:
+        a = sample_asymmetric(spec, m, n, seed=17)
+    assert a.tobytes() == ref.tobytes()
+
+
+def _historic_transform(law, u):
+    """Each law's variates as first written, from whole-array temporaries."""
+    if law.kind == "gaussian":
+        return ndtri(np.maximum(u, 1e-300))
+    if law.kind == "rademacher":
+        return np.where(u < 0.5, -1.0, 1.0)
+    if law.kind == "uniform_pm":
+        return (2.0 * u - 1.0) * math.sqrt(3.0)
+    p = law.p
+    return np.where(u < p, -math.sqrt((1.0 - p) / p), math.sqrt(p / (1.0 - p)))
+
+
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
+def test_transform_into_out_matches_transform(law):
+    p = 0.3
+    edges = [0.0, 5e-324, 1e-300, 0.25, np.nextafter(0.5, 0.0), 0.5,
+             np.nextafter(0.5, 1.0), np.nextafter(p, 0.0), p,
+             np.nextafter(p, 1.0), 1.0 - 2.0 ** -53]
+    u = np.random.default_rng(9).random(3 * 40)
+    u[:len(edges)] = edges
+    u = u.reshape(3, 40)
+    kept = u.copy()
+    expected = law.transform(u)
+    assert u.tobytes() == kept.tobytes()  # without out, u is left alone
+    assert expected.tobytes() == _historic_transform(law, u).tobytes()
+    # the symmetric sampler's + 0.0 step relies on this under a constant profile
+    assert not np.signbit(expected[expected == 0.0]).any()
+    # a strided band of a larger array, from a strided view of scratch words
+    words = np.full((3, 47), np.nan)
+    words[:, 7:] = u
+    big = np.full((5, 50), np.nan)
+    out = big[1:4, 5:45]
+    assert law.transform(words[:, 7:], out=out) is out
+    assert np.ascontiguousarray(out).tobytes() == expected.tobytes()
+    assert np.isnan(big[[0, 4]]).all() and np.isnan(big[:, 45:]).all()
+    assert np.isnan(big[:, :5]).all()
 
 
 def test_matrix_csv_round_trips_exactly(tmp_path):
