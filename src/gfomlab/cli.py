@@ -3,11 +3,12 @@
 Config files are JSON with a fixed key set (unknown keys are rejected so
 typos fail loudly).  Every run is a pure function of (config, master seed):
 the manifest records a canonical config hash so reruns can be audited.
-Exit codes: 0 pass, 1 tolerance failure, 2 configuration error,
-3 numerical error.
+Exit codes: 0 pass, 1 tolerance failure, 2 configuration error (an output
+path that cannot be written among them), 3 numerical error.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import hashlib
@@ -78,10 +79,22 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+@contextlib.contextmanager
+def _writing(out):
+    """Report an OSError raised while writing into ``out`` as a ConfigError
+    naming the path: the output path is part of the run's configuration."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {exc.filename or out}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def run_experiment(config, out_dir, dry_run=False):
     config.validate()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_hash=config_hash(config),
                            master_seed=config.seed, versions=_versions(),
                            started=_now(), config=config.to_dict())
@@ -90,7 +103,8 @@ def run_experiment(config, out_dir, dry_run=False):
         manifest.status = "dry-run"
         manifest.finished = _now()
         manifest.outputs = [str(manifest_path)]
-        manifest.save(manifest_path)
+        with _writing(out):
+            manifest.save(manifest_path)
         return manifest
     try:
         report = run_named_experiment(config)
@@ -98,21 +112,23 @@ def run_experiment(config, out_dir, dry_run=False):
         manifest.status = "partial"
         manifest.error = f"{type(exc).__name__}: {exc}"
         manifest.finished = _now()
-        manifest.save(manifest_path)
+        with _writing(out):
+            manifest.save(manifest_path)
         raise
     stem = config.experiment
     csv_path = out / f"{stem}.csv"
     json_path = out / f"{stem}.json"
     plot_path = out / f"{stem}_plot.csv"
-    report.to_csv(csv_path)
-    report.save_json(json_path)
-    emit_plot_data(report, plot_path)
-    manifest.outputs = [str(csv_path), str(json_path), str(plot_path),
-                        str(manifest_path)]
-    manifest.status = "complete"
-    manifest.passed = report.passed
-    manifest.finished = _now()
-    manifest.save(manifest_path)
+    with _writing(out):
+        report.to_csv(csv_path)
+        report.save_json(json_path)
+        emit_plot_data(report, plot_path)
+        manifest.outputs = [str(csv_path), str(json_path), str(plot_path),
+                            str(manifest_path)]
+        manifest.status = "complete"
+        manifest.passed = report.passed
+        manifest.finished = _now()
+        manifest.save(manifest_path)
     return manifest
 
 

@@ -29,6 +29,10 @@ LAW_KINDS = ("gaussian", "rademacher", "uniform_pm", "shifted_bernoulli")
 _NORM_SIZE = {"inv_sqrt_n": lambda m, n: n, "inv_sqrt_m": lambda m, n: m,
               "inv_sqrt_m_plus_n": lambda m, n: m + n}
 NORMALIZATIONS = tuple(_NORM_SIZE)
+# rows per strip: the sampler's scratch is one strip of STRIP_ROWS * n words,
+# and the profile's symmetry check compares one strip at a time, whatever the
+# matrix size
+STRIP_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -88,9 +92,21 @@ def shifted_bernoulli_law(p):
     return EntryLaw("shifted_bernoulli", p=p)
 
 
+def _stored(vals):
+    """The entries of ``vals`` held in memory: a broadcast view repeats them
+    along each axis of stride 0, so a reduction over them sees every value."""
+    return vals[tuple(slice(None) if st else slice(0, 1) for st in vals.strides)]
+
+
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Pre-normalization second moments E A0_ij^2, all finite and >= 0."""
+    """Pre-normalization second moments E A0_ij^2, all finite and >= 0.
+
+    ``values`` may be a read-only broadcast view (see ``constant_profile``).
+    The checks below read it through reductions over its stored entries and
+    row strips, so none of them builds an n x m temporary, and those of a
+    constant profile read one value.
+    """
 
     values: np.ndarray
 
@@ -99,27 +115,40 @@ class VarianceProfile:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 2:
             raise ConfigError("variance profile must be a 2-d array")
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError("variance profile has non-finite entries")
-        if np.any(vals < 0):
-            raise ConfigError("variance profile has negative entries")
+        if vals.size:
+            stored = _stored(vals)
+            # min and max carry a NaN, so it counts as non-finite, as -inf does
+            lo, hi = float(stored.min()), float(stored.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError("variance profile has non-finite entries")
+            if lo < 0:
+                raise ConfigError("variance profile has negative entries")
 
     @property
     def shape(self):
         return self.values.shape
 
     def is_constant(self):
-        return bool(np.all(self.values == self.values.flat[0]))
+        vals = _stored(self.values)
+        return bool(vals.size == 0 or vals.min() == vals.max())
 
     def require_symmetric(self):
-        if self.values.shape[0] != self.values.shape[1]:
-            raise ConfigError(f"profile shape {self.values.shape} is not square")
-        if not np.array_equal(self.values, self.values.T):
-            raise ConfigError("symmetric ensemble needs a symmetric profile")
+        vals = self.values
+        n = vals.shape[0]
+        if vals.shape != (n, n):
+            raise ConfigError(f"profile shape {vals.shape} is not square")
+        if self.is_constant():
+            return
+        for r0 in range(0, n, STRIP_ROWS):
+            cols = slice(r0, r0 + STRIP_ROWS)
+            if not np.array_equal(vals[cols], vals[:, cols].T):
+                raise ConfigError("symmetric ensemble needs a symmetric profile")
 
 
 def constant_profile(shape, value=1.0):
-    return VarianceProfile(np.full(shape, float(value)))
+    """Every entry ``value``: one float broadcast read-only over ``shape``,
+    so the profile costs O(1) memory whatever the shape."""
+    return VarianceProfile(np.broadcast_to(float(value), shape))
 
 
 @dataclass(frozen=True)
@@ -164,6 +193,9 @@ def profile_weights(profile, m, n, normalization):
 
     ``profile`` may be a VarianceProfile or a raw (m, n) array of
     un-normalized per-entry second moments, which is validated as one.
+    The result is a new dense array, also for a broadcast constant profile:
+    the engines sum its rows and columns, and summing a broadcast view can
+    differ from the dense sums in the last bit.
     """
     if not isinstance(profile, VarianceProfile):
         profile = VarianceProfile(profile)
@@ -181,11 +213,6 @@ def _as_seedseq(seed):
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.SeedSequence(int(seed))
-
-
-# rows per strip: the scratch is one strip of STRIP_ROWS * n words, whatever
-# the matrix size
-STRIP_ROWS = 64
 
 
 def _sample_strips(spec, m, n, seed):

@@ -312,8 +312,9 @@ class RegistryEntry:
 
 class _Plan:
     """Sampling side shared by every program plan: a constant variance
-    profile over the matrix shape (n x n without ``m``, m x n with it), one
-    ensemble spec per entry law, built once, and the matching sampler."""
+    profile over the matrix shape (n x n without ``m``, m x n with it), held
+    as one broadcast value, one ensemble spec per entry law, built once, and
+    the matching sampler."""
 
     def __init__(self, n, m=None, data=None):
         self.n = n
@@ -685,10 +686,11 @@ def gd_gaussianity_test(config):
     plan = build_plan(config)
     d, T = plan.data, config.T
     coords = [int(k) for k in config.coordinates]
-    state = gd_se(d["loss"], d["eta"], d["lam"], d["mu0"], d["xi"], d["masks"],
-                  plan.profile, T, mc_samples=config.mc_samples,
-                  seed=config.seed)
-    law = gd_key_params(state, T)
+    # only the step-T law is read, so the state and its m x n weights are
+    # freed before any matrix is sampled
+    law = gd_key_params(gd_se(d["loss"], d["eta"], d["lam"], d["mu0"], d["xi"],
+                              d["masks"], plan.profile, T,
+                              mc_samples=config.mc_samples, seed=config.seed), T)
 
     def stat(a):
         mu = gradient_descent(a, a @ d["mu0"] + d["xi"], d["loss"], d["eta"],

@@ -268,6 +268,26 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocked,extra", [
+    (None, []), ("universality_averaged.csv", []),
+    ("manifest.json", ["--dry-run"])])
+def test_main_unwritable_output_exit_2(tmp_path, capsys, blocked, extra):
+    # an output path that cannot be written is a configuration error, not a
+    # traceback with exit 1, which means a tolerance failure
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    if blocked is None:
+        out.write_text("a file where the output directory goes")
+        target = out
+    else:
+        target = out / blocked
+        target.mkdir(parents=True)
+    code = main(["run", "--config", str(path), "--out", str(out), *extra])
+    assert code == 2
+    assert (f"configuration error: cannot write to {target}: "
+            in capsys.readouterr().err)
+
+
 def test_cli_module_path_runs_main(tmp_path):
     # ``python -m gfomlab.cli`` is the same entry point as ``python -m
     # gfomlab``: a bad config exits 2 instead of skipping the run

@@ -90,6 +90,78 @@ def test_variance_profile_validation():
         asym.require_symmetric()
 
 
+def _rows_of(form, row, rows):
+    """``rows`` copies of ``row``: a dense array, or a read-only broadcast
+    view of the one row (zero strides along the rows)."""
+    row = np.asarray(row, dtype=float)
+    if form == "dense":
+        return np.tile(row, (rows, 1))
+    return np.broadcast_to(row, (rows, row.size))
+
+
+@pytest.mark.parametrize("form", ["dense", "broadcast"])
+def test_profile_checks_on_dense_and_broadcast_values(form):
+    for bad in (np.nan, np.inf, -np.inf):
+        # a non-finite entry is reported ahead of a negative one
+        with pytest.raises(ConfigError, match="non-finite"):
+            VarianceProfile(_rows_of(form, [1.0, bad, -1.0], 3))
+    with pytest.raises(ConfigError, match="negative"):
+        VarianceProfile(_rows_of(form, [1.0, -0.5, 2.0], 3))
+    zeros = VarianceProfile(_rows_of(form, [-0.0, 0.0, -0.0], 3))
+    assert zeros.is_constant()
+    EnsembleSpec(gaussian_law(), zeros, "inv_sqrt_n", symmetric=True)
+    assert not VarianceProfile(_rows_of(form, [1.0, 2.0, 1.0], 3)).is_constant()
+    # equal rows of distinct entries are not symmetric
+    with pytest.raises(ConfigError, match="symmetric profile"):
+        EnsembleSpec(gaussian_law(), VarianceProfile(_rows_of(form, [1.0, 2.0, 3.0], 3)),
+                     "inv_sqrt_n", symmetric=True)
+    # a symmetric non-constant profile over more than one strip, then made
+    # asymmetric at one pair of entries: inside the last strip, or across
+    # the last rows of two strips
+    n = 2 * STRIP_ROWS + 3
+    sym = np.add.outer(np.arange(n), np.arange(n)) % 7 + 1.0
+    as_form = np.array if form == "dense" else lambda v: np.broadcast_to(v, v.shape)
+    EnsembleSpec(gaussian_law(), VarianceProfile(as_form(sym)), "inv_sqrt_n",
+                 symmetric=True)
+    for i, j in [(n - 1, n - 3), (2 * STRIP_ROWS - 1, STRIP_ROWS - 1)]:
+        broken = sym.copy()
+        broken[i, j] += 1.0
+        with pytest.raises(ConfigError, match="symmetric profile"):
+            EnsembleSpec(gaussian_law(), VarianceProfile(as_form(broken)),
+                         "inv_sqrt_n", symmetric=True)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_profile_is_constant(shape):
+    prof = VarianceProfile(np.zeros(shape))
+    assert prof.is_constant()
+    spec = EnsembleSpec(gaussian_law(), prof, "inv_sqrt_m", symmetric=False)
+    # no entry to take a scale from: the sampler reads the (empty) profile
+    assert spec._scale is None
+    assert sample_asymmetric(spec, *shape, seed=0).shape == shape
+    if shape[0] == shape[1]:
+        EnsembleSpec(gaussian_law(), prof, "inv_sqrt_n", symmetric=True)
+    else:
+        with pytest.raises(ConfigError, match="not square"):
+            EnsembleSpec(gaussian_law(), prof, "inv_sqrt_n", symmetric=True)
+
+
+def test_constant_profile_holds_one_value():
+    n = 2000
+    tracemalloc.start()
+    try:
+        prof = constant_profile((n, n), 2.0)
+        specs = [EnsembleSpec(law, prof, "inv_sqrt_n", symmetric=True)
+                 for law in (gaussian_law(), rademacher_law())]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * n * n * 8, peak
+    assert [spec._scale for spec in specs] == [math.sqrt(2.0)] * 2
+    with pytest.raises(ValueError, match="read-only"):
+        prof.values[0, 0] = 1.0
+
+
 def test_normalization_consistency_enforced():
     prof = constant_profile((4, 4))
     with pytest.raises(ConfigError):
@@ -194,6 +266,10 @@ def test_profile_weights_expose_entry_second_moments():
     prof = constant_profile((3, 6), 2.0)
     w = profile_weights(prof, 3, 6, "inv_sqrt_m_plus_n")
     assert w.shape == (3, 6)
+    # a dense array with the bits of dividing a dense profile, as the
+    # engines sum its rows and columns
+    assert w.flags.c_contiguous and w.flags.writeable
+    assert w.tobytes() == (np.full((3, 6), 2.0) / 9.0).tobytes()
     assert np.all(w == 2.0 / 9.0)
     with pytest.raises(ConfigError):
         profile_weights(prof, 4, 6, "inv_sqrt_m")

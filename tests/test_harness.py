@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -525,6 +526,27 @@ def test_gd_gaussianity_first_step_moments():
         assert var_row.estimate_b == pytest.approx(want_var, rel=1e-10)
         assert abs(var_row.gap) <= 0.15 * var_row.estimate_b
         assert report.statistic(f"ks[l={ell}]").estimate_a <= 0.06
+
+
+def test_gd_gaussianity_holds_one_matrix_at_a_time():
+    # the constant profile is one broadcast value and the limit law keeps
+    # only its step-T parameters, so besides the sampled matrix a run holds
+    # its m x n weights only while the law is computed, before any sampling;
+    # a quarter matrix of slack covers the sampler's strip and the vectors
+    m, n = 800, 400
+    cfg = ExperimentConfig(experiment="gd_gaussianity", program="gd_ridge",
+                           n=n, m=m, T=3, replicates=20, seed=0,
+                           coordinates=[0, 1, 2, 3, 4],
+                           program_params={"eta": 0.2, "lam": 0.1})
+    tracemalloc.start()
+    try:
+        report = gd_gaussianity_test(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.details["replicates_used"] == 20
+    matrix = m * n * 8
+    assert peak < 2 * matrix + matrix // 4, peak / matrix
 
 
 def _ks_samples():
