@@ -179,6 +179,12 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is not None and not _is_finite_real(value):
                 raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        if self.law_b is not None and self.experiment not in _TWO_LAW_EXPERIMENTS:
+            raise ConfigError(f"law_b is read only by "
+                              f"{' and '.join(_TWO_LAW_EXPERIMENTS)}; "
+                              f"{self.experiment} draws law_a alone")
+        if self.law_b_param is not None and self.law_b is None:
+            raise ConfigError("law_b_param needs law_b")
         EntryLaw(self.law_a, p=self.law_a_param)
         if self.law_b is not None:
             EntryLaw(self.law_b, p=self.law_b_param)
@@ -484,6 +490,9 @@ _EXPERIMENT_PROGRAMS = {
     # PGD with the ridge prox has gd_ridge's minimizer
     "decay": ("pgd_linear", "gd_ridge"),
 }
+
+# experiments that compare entry law A with law B; the rest draw law A only
+_TWO_LAW_EXPERIMENTS = ("universality_averaged", "universality_entrywise")
 
 
 def build_plan(config):

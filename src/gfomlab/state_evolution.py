@@ -34,20 +34,23 @@ coordinates it has.  A leaf's paths are mixed by _draw_paths, the package's
 one Gaussian path sampler (``gd_se`` uses it too), from the normal columns
 it is handed: in the engines and ``gd_se``, one stream per column from
 _column_generators, the one owner of the column-stream keys, drawn by the
-engines into one buffer per column that every sub-block of a step reuses;
-in the read-out, the columns of the one prediction stream, each copied to
-a contiguous plane before it is mixed.  The read-out holds one workspace
-per call (normal planes, paths, transformed history and a leaf's
-statistics, each sized for the largest sub-block or leaf of any cell) and
-reuses it for every leaf of every cell, so no leaf hands its buffers back
-to the allocator, which would trim them and fault them in again for the
-next.  Every path array and every transform history is stored as column
-planes: one contiguous (samples, R) block per path column, handed out as a
-(samples, R, p+1) view, so each per-column operation streams through
-memory.  Partials that do not vary over the samples stay (R,) rows through
-the chain rule (see _forward) and are broadcast to planes only where a
-plane is consumed.  The sampler mixes the normal
-draws into the planes with explicit multiply-adds summed in one fixed order
+engines into one buffer per column and mixed into one path buffer, all of
+which every sub-block of a step reuses; in the read-out, the columns of the
+one prediction stream, each copied to a contiguous plane before it is
+mixed.  The read-out holds one workspace per call (normal planes, paths
+and a leaf's statistics, each sized for the largest sub-block or leaf of
+any cell) and reuses it for every leaf of every cell, so no leaf hands its
+buffers back to the allocator, which would trim them and fault them in
+again for the next.  The history transform overwrites the paths it is
+given, column by column (see _forward), so no second set of planes holds
+the transformed history; a caller that needs its paths afterwards passes
+a copy.  Every path array is stored as column planes: one contiguous
+(samples, R) block per path column, handed out as a (samples, R, p+1)
+view, so each per-column operation streams through memory.  Partials
+that do not vary over the samples stay (R,) rows through the chain rule
+(see _forward) and are broadcast to planes only where a plane is
+consumed.  The sampler mixes the normal draws into the planes with
+explicit multiply-adds summed in one fixed order
 (``programs.fixed_order_sum``), whatever the layout, which up to 7 columns
 is the order numpy's einsum took here.  The paths are pushed through the
 history transform in sub-blocks along the sample axis, each holding at most
@@ -264,27 +267,28 @@ class HistoryTransform:
             ok = ok and all(f.row_constant for f in self.outer_fns)
         return ok
 
-    def apply(self, hist, rows=None, buf=None):
-        """The output columns of the path history ``hist``, as column planes
-        (see _planes; in ``buf`` when given)."""
+    def apply(self, hist, rows=None):
+        """The output columns of the path history ``hist``, as new column
+        planes (see _planes); ``hist`` is left as it was."""
         hist = np.asarray(hist, dtype=float)
-        if not self.raw:
-            return _forward(self, hist, rows, inner_upto=0, with_partials=False,
-                            buf=buf)[0]
-        out = _planes(hist.shape, buf)
+        out = _planes(hist.shape)
         out[...] = hist
-        return out
+        return _forward(self, out, rows, inner_upto=0, with_partials=False)[0]
 
 
-def _forward(tr, paths, rows, inner_upto, with_partials, buf=None):
-    """Forward pass of a transform on path arrays (..., R, C+1).
+def _forward(tr, paths, rows, inner_upto, with_partials):
+    """Forward pass of a transform on the float path array ``paths``
+    (..., R, C+1), in place.
 
-    Returns (out, inner, dinner): out is the (..., R, C+1) history of
-    output columns, stored as column planes (see _planes; in ``buf`` when
-    given) and filled column by column; row functions read views of its
-    leading columns.  inner[s] is inner_s evaluated on the transformed
-    history, dinner[(s, q)] its total derivative in path column q obtained
-    by chaining through the recursion.  inner is filled at least up to
+    Returns (out, inner, dinner): out is ``paths`` itself, its columns
+    overwritten one by one with the output columns, so a caller that needs
+    its paths afterwards passes a copy.  Column j is overwritten only when
+    it is computed, from raw path j and the columns before it, which are
+    final by then: every row function reads columns < j (<= j - 1 + inc),
+    views of out's leading columns.  A raw transform leaves ``paths`` as it
+    is.  inner[s] is inner_s evaluated on the transformed history,
+    dinner[(s, q)] its total derivative in path column q obtained by
+    chaining through the recursion.  inner is filled at least up to
     ``inner_upto``.
 
     A partial that does not vary over the samples may be an (R,) row (see
@@ -295,8 +299,7 @@ def _forward(tr, paths, rows, inner_upto, with_partials, buf=None):
     """
     C = paths.shape[-1] - 1
     inc = 1 if tr.inner_uses_current else 0
-    out = _planes(paths.shape, buf)
-    out[..., 0] = paths[..., 0]
+    out = paths
     inner, dinner, J = {}, {}, {}
 
     def chain(f, sl, acc):
@@ -322,7 +325,6 @@ def _forward(tr, paths, rows, inner_upto, with_partials, buf=None):
 
     for j in range(1, C + 1):
         col = out[..., j]
-        col[...] = paths[..., j]
         jcol = {j: np.ones(paths.shape[-2:-1])} if with_partials else None
         for r in range(1, tr.n_corr(j) + 1):
             compute_inner(r)
@@ -510,15 +512,19 @@ class _SideEngine:
         r = x0.shape[0]
         # fresh generators per outer step = common random numbers across steps
         gens = _column_generators(self.seed_seq, p)
-        # one draw buffer per column, as large as the largest sub-block
-        draws = np.empty((p, _sub_blocks(min(_BLOCK, self.mc), r * (p + 1))[0][1], r))
+        # one draw buffer per column and one path buffer, as large as the
+        # largest sub-block, which _forward transforms in place
+        piece = _sub_blocks(min(_BLOCK, self.mc), r * (p + 1))[0][1]
+        draws = np.empty((p, piece, r))
+        buf = np.empty(piece * r * (p + 1))
 
         def fill(n):
             # rows: the p coefficient statistics, then the t products
             vals = np.empty((p + t, k, n))
             for lo, hi in _sub_blocks(n, r * (p + 1)):
                 paths = _draw_paths([g.standard_normal(out=d[:hi - lo])
-                                     for g, d in zip(gens, draws)], factors, x0, hi - lo)
+                                     for g, d in zip(gens, draws)], factors, x0,
+                                    hi - lo, buf)
                 _, inner, dinner = _forward(self.tr, paths, rows, inner_upto=t,
                                             with_partials=True)
                 et = inner[t]
@@ -543,15 +549,16 @@ class _SideEngine:
         return mean[:p], se[:p]
 
     def _fd_probe(self, paths, rows, t, p):
-        # cross-check chained partials against central differences on one block
-        _, _, dinner = _forward(self.tr, paths, rows, inner_upto=t,
-                                with_partials=True)
-
+        # cross-check chained partials against central differences on one
+        # block; the differences copy the paths, which the chained pass then
+        # transforms in place
         def inner_t(x):
             return _forward(self.tr, x, rows, inner_upto=t, with_partials=False)[1][t]
 
-        for s in range(1, p + 1):
-            fd = central_difference(inner_t, paths, s, 1e-4)
+        fds = [central_difference(inner_t, paths, s, 1e-4) for s in range(1, p + 1)]
+        _, _, dinner = _forward(self.tr, paths, rows, inner_upto=t,
+                                with_partials=True)
+        for s, fd in enumerate(fds, start=1):
             an = dinner.get((t, s), 0.0)
             gap = float(np.max(np.abs(np.mean(fd - an, axis=0))))
             self.fd_gap = max(self.fd_gap, gap)
@@ -803,9 +810,8 @@ class _Cell:
         top = min(leaf, _PREDICT_BLOCK, n_paths)
         piece = _sub_blocks(top, dim * (self.t + 1))[0][1]
         self.span = self.width * top
-        paths = piece * dim * (self.t + 1)
-        self.needs = {"normals": piece * self.width, "paths": paths,
-                      "history": paths, "stats": dim * top}
+        self.needs = {"normals": piece * self.width,
+                      "paths": piece * dim * (self.t + 1), "stats": dim * top}
         self.cursor = 0
         self.acc = _MeanAccumulator(dim)
 
@@ -826,8 +832,9 @@ class _Cell:
             cols[...] = normals[lo * w:hi * w].reshape(hi - lo, dim, t)
             paths = _draw_paths([cols[..., j] for j in range(t)], self.factors,
                                 self.x0, hi - lo, buf=work["paths"])
-            out = self.transform.apply(paths, rows=self.sel, buf=work["history"])
-            vals[:, lo:hi] = self.psi(out[..., t]).T
+            _forward(self.transform, paths, self.sel, inner_upto=0,
+                     with_partials=False)
+            vals[:, lo:hi] = self.psi(paths[..., t]).T
         self.acc.fold(vals, closes)
         return True
 
@@ -859,9 +866,10 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
     cells, trimmed after every leaf, never holds more than the largest
     leaf's: about _SUB_BLOCK_BYTES (more only where 128 samples exceed it),
     whatever the path count.  One workspace serves every leaf of every
-    cell: flat buffers for a sub-block's normal planes, paths and
-    transformed history and for a leaf's statistics, each as large as the
-    largest any cell needs, so no leaf allocates them afresh.
+    cell: flat buffers for a sub-block's normal planes and paths, which the
+    history transform overwrites in place, and for a leaf's statistics, each
+    as large as the largest any cell needs, so no leaf allocates them
+    afresh.
     """
     n_paths = _int_in(n_paths, 2, None, "n_paths")
     reads = [_Cell(record, s, step, coords, psi, n_paths)
@@ -869,7 +877,7 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
     tape = _Tape(Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0))),
                  max((c.span for c in reads), default=0))
     work = {key: np.empty(max((c.needs[key] for c in reads), default=0))
-            for key in ("normals", "paths", "history", "stats")}
+            for key in ("normals", "paths", "stats")}
     pending = list(reads)
     while pending:
         cell = min(pending, key=lambda c: c.cursor)

@@ -345,6 +345,22 @@ def test_main_validate_rejects_program_the_experiment_cannot_read(tmp_path, caps
     assert "gd_gaussianity needs program gd_ridge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, key", [
+    (dict(experiment="se_vs_simulation", n=50, replicates=5,
+          law_b="rademacher", mc_samples=200), "law_b"),
+    (dict(experiment="gd_gaussianity", program="gd_ridge", m=30,
+          law_b="rademacher"), "law_b"),
+    (dict(law_b_param=0.3), "law_b_param"),
+])
+def test_main_validate_rejects_a_law_b_the_run_would_ignore(tmp_path, capsys,
+                                                            overrides, key):
+    # an experiment that draws law A alone never reads law B, and law B's
+    # parameter means nothing without law B
+    path = write_config(tmp_path, **overrides)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert f"{key} " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("program, params", [
     ("pgd_linear", {"eta": -1.0}),
     ("pgd_linear", {"eta": 0.0}),

@@ -148,6 +148,21 @@ def test_config_validation_rejects(patch):
         ExperimentConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
+def test_law_b_is_accepted_only_where_it_is_drawn(experiment):
+    data = dict(experiment=experiment, program="gd_ridge", n=20, m=30,
+                law_b="shifted_bernoulli", law_b_param=0.3)
+    if experiment in ("universality_averaged", "universality_entrywise"):
+        assert ExperimentConfig.from_dict(data).law_b == "shifted_bernoulli"
+    else:
+        with pytest.raises(ConfigError, match=f"law_b is read only by .*; "
+                                              f"{experiment} draws law_a alone"):
+            ExperimentConfig.from_dict(data)
+    del data["law_b"]
+    with pytest.raises(ConfigError, match="law_b_param needs law_b"):
+        ExperimentConfig.from_dict(data)
+
+
 def test_config_unknown_and_missing_keys():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "decay", "program":

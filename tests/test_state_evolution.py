@@ -723,9 +723,9 @@ def test_forward_row_partials_keep_bytes(monkeypatch, name, kind):
             tr.corr_includes_current, coeffs=tr.coeffs)
         paths = rng.normal(size=(40, rec.side(side).law.coords, len(tr.coeffs) + 1))
         out, inner, dinner = state_evolution._forward(
-            tr, paths, None, inner_upto=len(tr.coeffs), with_partials=True)
+            tr, paths.copy(), None, inner_upto=len(tr.coeffs), with_partials=True)
         out_ref, inner_ref, dinner_ref = state_evolution._forward(
-            tr_ref, paths, None, inner_upto=len(tr.coeffs), with_partials=True)
+            tr_ref, paths.copy(), None, inner_upto=len(tr.coeffs), with_partials=True)
         assert np.array(out).tobytes() == np.array(out_ref).tobytes()
         assert inner.keys() == inner_ref.keys() and dinner.keys() == dinner_ref.keys()
         for key in inner:
@@ -737,3 +737,37 @@ def test_forward_row_partials_keep_bytes(monkeypatch, name, kind):
         if name.startswith("gd_ridge") and name != "gd_ridge_wavy":
             # a quadratic loss keeps every chained partial a row
             assert all(np.ndim(d) == 1 for d in dinner.values())
+
+
+def _in_place_record(kind):
+    if kind == "raw":
+        n = 6
+        return amp_se_symmetric([tanh_map(t, t - 1) for t in range(1, 4)],
+                                constant_profile((n, n)), np.ones(n),
+                                mc_samples=200, seed=74)
+    if kind == "symmetric":
+        return se_symmetric(mixed_symmetric_program(6, 3, seed=75),
+                            constant_profile((6, 6)), mc_samples=200, seed=76)
+    return se_asymmetric(mixed_asymmetric_program(5, 7, 3, seed=77),
+                         two_block_profile(5, 7), mc_samples=200, seed=78)
+
+
+@pytest.mark.parametrize("kind", ["raw", "symmetric", "asymmetric"])
+def test_forward_transforms_its_paths_in_place(kind):
+    # _forward overwrites the paths it is handed and returns them, with the
+    # bytes apply gives on a copy; apply leaves its input as it was
+    rec = _in_place_record(kind)
+    rng = np.random.default_rng(79)
+    for side in rec.sides:
+        tr, law = rec.side(side).transform, rec.side(side).law
+        paths = rng.normal(size=(40, law.coords, law.T + 1))
+        before = paths.copy()
+        ref = tr.apply(paths)
+        assert paths.tobytes() == before.tobytes()
+        assert (ref.tobytes() == before.tobytes()) == tr.raw
+        for with_partials in (False, True):
+            work = before.copy()
+            out = state_evolution._forward(tr, work, None, inner_upto=law.T,
+                                           with_partials=with_partials)[0]
+            assert out is work
+            assert out.tobytes() == ref.tobytes()

@@ -348,7 +348,9 @@ def test_predict_entrywise_memory_does_not_grow_with_a_block_per_coordinate():
 def test_one_pass_read_out_memory_does_not_grow_with_the_path_count():
     # every (side, step) cell of a 400 x 200 gd_ridge record in one pass:
     # the tape between the slowest and fastest cell holds at most one leaf
-    # of normals, so doubling the paths leaves the peak where it was
+    # of normals, so doubling the paths leaves the peak where it was.  The
+    # transform overwrites the workspace's paths in place; with a second set
+    # of planes for the transformed history the peak was 6.5 MiB
     m, n, T = 400, 200, 3
     rng = np.random.default_rng(68)
     rec = se.se_asymmetric(build_gd_ridge(squared_loss(), 0.2, 0.1, rng.normal(size=n),
@@ -358,7 +360,7 @@ def test_one_pass_read_out_memory_does_not_grow_with_the_path_count():
     peaks = [_peak_bytes(lambda: se.predict_entrywise(
         rec, None, np.square, cells=cells, n_paths=n_paths, seed=70))
         for n_paths in (20000, 40000)]
-    assert peaks[0] < 16 * MIB, f"peak {peaks[0] / MIB:.1f} MiB"
+    assert peaks[0] < 6 * MIB, f"peak {peaks[0] / MIB:.1f} MiB"
     assert peaks[1] <= 1.1 * peaks[0], [p / MIB for p in peaks]
 
 
