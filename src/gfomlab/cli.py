@@ -26,8 +26,8 @@ from .harness import (ExperimentConfig, list_experiments, list_programs,
 
 def parse_config(path):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)

@@ -101,6 +101,8 @@ def resolve_psi(psi):
         return psi
     if callable(psi):
         return PsiSpec(getattr(psi, "__name__", "custom"), psi, None)
+    if not isinstance(psi, str):
+        raise ConfigError(f"psi must be a string, got {psi!r}")
     if psi not in PSI_MENU:
         raise ConfigError(f"unknown test function {psi!r}; "
                           f"menu: {sorted(PSI_MENU)}")
@@ -138,6 +140,8 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENT_NAMES:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choices: {EXPERIMENT_NAMES}")
+        if not isinstance(self.program, str):
+            raise ConfigError(f"program must be a string, got {self.program!r}")
         if self.program not in REGISTRY:
             raise ConfigError(f"unknown program {self.program!r}; "
                               f"choices: {sorted(REGISTRY)}")
@@ -157,8 +161,12 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if self.m is not None and self.m < 1:
             raise ConfigError("m must be >= 1")
-        if self.m is None and REGISTRY[self.program].fields is not None:
+        two_sided = REGISTRY[self.program].fields is not None
+        if self.m is None and two_sided:
             raise ConfigError(f"program {self.program!r} needs m")
+        if self.m is not None and not two_sided:
+            raise ConfigError(f"m is read only by two-sided programs; "
+                              f"{self.program!r} runs n x n")
         if self.T < 1:
             raise ConfigError("T must be >= 1")
         if self.replicates < 2:
@@ -210,6 +218,9 @@ class ExperimentConfig:
         tol = self.tolerance
         if tol is not None and not (_is_finite_real(tol) and tol >= 0):
             raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
+        if tol is not None and self.experiment in ("decay", "delocalization"):
+            raise ConfigError(f"tolerance is read only by gap rows; "
+                              f"{self.experiment} has none")
         return self
 
     def to_dict(self):
@@ -408,6 +419,9 @@ _PROX_KINDS = {"zero": prox_zero, "ridge": prox_ridge, "lasso": prox_lasso}
 def _prox_from_params(params):
     kind = params.get("prox", "zero")
     if kind == "zero":
+        if "prox_lam" in params:
+            raise ConfigError("prox_lam is read only by the ridge and lasso "
+                              "proxes; prox is zero")
         return prox_zero()
     return _PROX_KINDS[kind](float(params.get("prox_lam", 0.1)))
 

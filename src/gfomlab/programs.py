@@ -210,9 +210,12 @@ def asymmetric_tracks(u_mat_fns, u_add_fns, v_mat_fns, v_add_fns, u0, v0):
 
 def check_tracks(tracks, T, memory=None):
     """ConfigError unless every side has T functions of each role with the
-    arities its table entry fixes.  ``memory`` (corrected iterations) maps
-    each side to T tables, the one of step t of shape (t-1+offset, the
-    side's width); they are returned as float arrays."""
+    arities its table entry fixes, and either every side has additive
+    functions or none has.  ``memory`` (corrected iterations) maps each side
+    to T tables, the one of step t of shape (t-1+offset, the side's width);
+    they are returned as float arrays."""
+    if len({tr.add_fns is None for tr in tracks.values()}) > 1:
+        raise ConfigError("either every side has additive functions or none has")
     tables = {}
     for name, tr in tracks.items():
         for role, fns, offset in (("update", tr.mat_fns, tr.offset),

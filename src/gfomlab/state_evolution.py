@@ -242,22 +242,22 @@ class HistoryTransform:
 
     where inner_s reads out columns 0..s-1 (0..s when inner_uses_current)
     and the correction sum runs over s <= j-1 (s <= j when
-    corr_includes_current).  ``raw=True`` turns the transform into the
-    identity: no corrections, no outer terms; the inner functions are then
-    evaluated directly on the paths.
+    corr_includes_current).  A transform without outer functions
+    (``outer_fns`` None, a corrected iteration's) is the identity: no
+    corrections, no outer terms; the inner functions are then evaluated
+    directly on the paths.
     """
 
     def __init__(self, inner_fns, outer_fns, inner_uses_current,
-                 corr_includes_current, raw=False, coeffs=None):
+                 corr_includes_current, coeffs=None):
         self.inner_fns = list(inner_fns)
         self.outer_fns = None if outer_fns is None else list(outer_fns)
         self.inner_uses_current = inner_uses_current
         self.corr_includes_current = corr_includes_current
-        self.raw = raw
         self.coeffs = [] if coeffs is None else [np.asarray(c, dtype=float) for c in coeffs]
 
     def n_corr(self, j):
-        if self.raw:
+        if self.outer_fns is None:
             return 0
         return j if self.corr_includes_current else j - 1
 
@@ -285,11 +285,11 @@ def _forward(tr, paths, rows, inner_upto, with_partials):
     its paths afterwards passes a copy.  Column j is overwritten only when
     it is computed, from raw path j and the columns before it, which are
     final by then: every row function reads columns < j (<= j - 1 + inc),
-    views of out's leading columns.  A raw transform leaves ``paths`` as it
-    is.  inner[s] is inner_s evaluated on the transformed history,
-    dinner[(s, q)] its total derivative in path column q obtained by
-    chaining through the recursion.  inner is filled at least up to
-    ``inner_upto``.
+    views of out's leading columns.  A transform without outer functions
+    leaves ``paths`` as it is.  inner[s] is inner_s evaluated on the
+    transformed history, dinner[(s, q)] its total derivative in path column
+    q obtained by chaining through the recursion.  inner is filled at least
+    up to ``inner_upto``.
 
     A partial that does not vary over the samples may be an (R,) row (see
     ``programs.RowFunction``).  The chain starts from a row of ones and
@@ -335,7 +335,7 @@ def _forward(tr, paths, rows, inner_upto, with_partials):
                     d = dinner.get((r, q))
                     if d is not None:
                         jcol[q] = jcol.get(q, 0.0) + cv * d
-        if not tr.raw and tr.outer_fns is not None:
+        if tr.outer_fns is not None:
             sl = out[..., :j]
             col += tr.outer_fns[j - 1].fn(sl, rows)
             if with_partials:
@@ -648,7 +648,7 @@ def _record(kind, tracks, profile, T, mc, seed, normalization, fd_check):
     transforms = {
         name: HistoryTransform(tracks[reader[name]].mat_fns, tr.add_fns,
                                inner_uses_current=bool(tracks[reader[name]].offset),
-                               corr_includes_current=bool(tr.offset), raw=raw)
+                               corr_includes_current=bool(tr.offset))
         for name, tr in tracks.items()}
     engines = {
         name: _SideEngine(weights[name], law_x0=tr.x0,
@@ -846,34 +846,31 @@ class _Cell:
         return means, ses
 
 
-def predict_entrywise(record, coords, psi, side="z", t=None,
-                      n_paths=DEFAULT_MC, seed=0, cells=None):
-    """Predicted E[psi(iterate_coordinate)] at step t with MC standard errors.
+def predict_entrywise(record, coords, psi, cells, n_paths=DEFAULT_MC, seed=0):
+    """Predicted E[psi(iterate_coordinate)] with MC standard errors, at each
+    (side, t) cell of the list ``cells``.
 
-    Returns (means, ses) aligned with ``coords`` (every coordinate of the
-    side when None).  For corrected-iteration records the transform is the
-    identity and the prediction reads the raw Gaussian path; otherwise the
-    history transform is applied first.
+    Returns one (means, ses) per cell, aligned with ``coords`` (every
+    coordinate of the side when None).  For corrected-iteration records the
+    transform is the identity and the prediction reads the raw Gaussian
+    path; otherwise the history transform is applied first.
 
-    ``cells``, a list of (side, t) pairs, replaces ``side`` and ``t``: the
-    call then returns one (means, ses) per cell, each with the bytes of its
-    own single-cell call, from one pass over the prediction stream.  Every
-    cell reads the same normals in the same order, coordinates x t per
-    sample; a cell's leaves are those _mc_average would walk, of
-    _leaf_size(coordinates x t) samples, and the next leaf to run is always
-    that of the cell furthest behind in the stream.  So each normal is
-    drawn once, and a tape of normals between the slowest and fastest
-    cells, trimmed after every leaf, never holds more than the largest
-    leaf's: about _SUB_BLOCK_BYTES (more only where 128 samples exceed it),
-    whatever the path count.  One workspace serves every leaf of every
-    cell: flat buffers for a sub-block's normal planes and paths, which the
-    history transform overwrites in place, and for a leaf's statistics, each
-    as large as the largest any cell needs, so no leaf allocates them
-    afresh.
+    Each cell's result has the bytes of a one-cell call, and all of them
+    come from one pass over the prediction stream.  Every cell reads the
+    same normals in the same order, coordinates x t per sample; a cell's
+    leaves are those _mc_average would walk, of _leaf_size(coordinates x t)
+    samples, and the next leaf to run is always that of the cell furthest
+    behind in the stream.  So each normal is drawn once, and a tape of
+    normals between the slowest and fastest cells, trimmed after every
+    leaf, never holds more than the largest leaf's: about _SUB_BLOCK_BYTES
+    (more only where 128 samples exceed it), whatever the path count.  One
+    workspace serves every leaf of every cell: flat buffers for a
+    sub-block's normal planes and paths, which the history transform
+    overwrites in place, and for a leaf's statistics, each as large as the
+    largest any cell needs, so no leaf allocates them afresh.
     """
     n_paths = _int_in(n_paths, 2, None, "n_paths")
-    reads = [_Cell(record, s, step, coords, psi, n_paths)
-             for s, step in ([(side, t)] if cells is None else cells)]
+    reads = [_Cell(record, side, t, coords, psi, n_paths) for side, t in cells]
     tape = _Tape(Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0))),
                  max((c.span for c in reads), default=0))
     work = {key: np.empty(max((c.needs[key] for c in reads), default=0))
@@ -885,5 +882,4 @@ def predict_entrywise(record, coords, psi, side="z", t=None,
             pending.remove(cell)
         if pending:
             tape.trim(min(c.cursor for c in pending))
-    out = [c.result() for c in reads]
-    return out[0] if cells is None else out
+    return [c.result() for c in reads]

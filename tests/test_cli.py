@@ -361,6 +361,54 @@ def test_main_validate_rejects_a_law_b_the_run_would_ignore(tmp_path, capsys,
     assert f"{key} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, key", [
+    (dict(program="power_iteration", m=20), "m"),
+    (dict(m=20), "m"),
+    (dict(program="tanh_amp", m=20), "m"),
+    (dict(experiment="decay", program="pgd_linear", m=16, tolerance=0.1),
+     "tolerance"),
+    (dict(experiment="delocalization", tolerance=0.1), "tolerance"),
+    (dict(program="pgd_linear", m=16, program_params={"prox_lam": 0.2}),
+     "prox_lam"),
+    (dict(program="logistic", m=16,
+          program_params={"prox": "zero", "prox_lam": 0.2}), "prox_lam"),
+])
+def test_main_validate_rejects_keys_the_run_would_ignore(tmp_path, capsys,
+                                                         overrides, key):
+    # m on an n x n program, a tolerance where no row has a gap, and a prox
+    # weight without a prox to weigh: each used to be accepted and ignored
+    path = write_config(tmp_path, **overrides)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert f"configuration error: {key} is read only by" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (dict(program=["tanh_gfom"]), "program"),
+    (dict(program={"a": 1}), "program"),
+    (dict(psi=["square"]), "psi"),
+])
+def test_main_validate_rejects_a_name_that_is_not_a_string(tmp_path, capsys,
+                                                           overrides, key):
+    # a list or an object where a name goes used to reach the menu lookup
+    # and die there with a TypeError traceback and exit 1
+    path = write_config(tmp_path, **overrides)
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {key} must be a string" in err
+    assert "Traceback" not in err
+
+
+def test_main_validate_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    # read as UTF-8 whatever the locale; a byte that does not decode used to
+    # escape as a UnicodeDecodeError traceback with exit 1
+    path = write_config(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b'"tanh_gfom"', b'"tanh_gfom\xff"'))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot read config {path}: " in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("program, params", [
     ("pgd_linear", {"eta": -1.0}),
     ("pgd_linear", {"eta": 0.0}),

@@ -426,8 +426,8 @@ def test_gd_se_matches_two_sided_engine_on_gd_program():
     for t in range(1, T + 1):
         laws = [gd_entrywise_law(st, ell, t) for ell in coords]
         want = np.array([law.mean**2 + law.variance for law in laws])
-        means, ses = predict_entrywise(rec, coords, np.square, side="v", t=t,
-                                       n_paths=20000, seed=0)
+        [(means, ses)] = predict_entrywise(rec, coords, np.square, [("v", t)],
+                                           n_paths=20000, seed=0)
         assert np.all(ses > 0)
         assert np.all(np.abs(means - want) <= 4.0 * ses), t
 

@@ -155,7 +155,7 @@ def _record_digest(case):
             _put(h, a)
         for t in (1, T):
             for a in predict_entrywise(rec, np.arange(side.law.coords), np.tanh,
-                                       side=name, t=t, n_paths=3000, seed=77):
+                                       [(name, t)], n_paths=3000, seed=77)[0]:
                 _put(h, a)
     return h.hexdigest()
 

@@ -192,6 +192,18 @@ def test_logistic_program_accepts_zero_rate_and_width():
     assert prog.T == 2
 
 
+@pytest.mark.parametrize("missing", ["u", "v"])
+def test_asymmetric_program_refuses_additive_functions_on_one_side(missing):
+    # every side has additive functions or none has: with v's alone the
+    # executor failed on u's missing list and the limit law dropped v's
+    prog = mixed_asymmetric_program(5, 4, 2, seed=40)
+    add = {"u_add_fns": prog.u_add_fns, "v_add_fns": prog.v_add_fns,
+           f"{missing}_add_fns": None}
+    with pytest.raises(ConfigError, match="every side"):
+        AsymmetricProgram(T=2, u_mat_fns=prog.u_mat_fns, v_mat_fns=prog.v_mat_fns,
+                          u0=prog.u0, v0=prog.v0, **add)
+
+
 # ---------------------------------------------------------------------------
 # row function contracts
 

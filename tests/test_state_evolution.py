@@ -327,8 +327,8 @@ def test_prediction_of_zero_function_is_zero():
     n = 5
     rec = se_symmetric(build_tanh_iteration(2, np.ones(n)),
                        constant_profile((n, n)), mc_samples=200, seed=22)
-    means, ses = predict_entrywise(rec, [0, 3], lambda x: np.zeros_like(x),
-                                   n_paths=500, seed=23)
+    [(means, ses)] = predict_entrywise(rec, [0, 3], lambda x: np.zeros_like(x),
+                                       [("z", 2)], n_paths=500, seed=23)
     assert np.all(means == 0.0) and np.all(ses == 0.0)
 
 
@@ -342,8 +342,8 @@ def test_prediction_recovers_additive_offset():
         z0=np.ones(n),
     )
     rec = se_symmetric(prog, constant_profile((n, n)), mc_samples=200, seed=24)
-    means, ses = predict_entrywise(rec, [0, 2], lambda x: x,
-                                   n_paths=40_000, seed=25)
+    [(means, ses)] = predict_entrywise(rec, [0, 2], lambda x: x, [("z", 1)],
+                                       n_paths=40_000, seed=25)
     assert np.all(ses > 0.0)
     assert np.all(np.abs(means - c) <= 3.0 * ses)
 
@@ -353,8 +353,8 @@ def test_prediction_degenerate_law_is_point_mass():
     vals = np.array([0.5, -1.0, 2.0, 0.0])
     rec = se_symmetric(_zero_fn_program(n, T, vals), constant_profile((n, n)),
                        mc_samples=100, seed=26)
-    means, ses = predict_entrywise(rec, [0, 1, 2, 3], lambda x: x,
-                                   n_paths=300, seed=27)
+    [(means, ses)] = predict_entrywise(rec, [0, 1, 2, 3], lambda x: x, [("z", T)],
+                                       n_paths=300, seed=27)
     assert np.allclose(means, vals, atol=1e-13)
     assert np.all(ses == 0.0)
 
@@ -364,11 +364,25 @@ def test_prediction_side_and_step_validation():
     rec = se_symmetric(build_tanh_iteration(2, np.ones(n)),
                        constant_profile((n, n)), mc_samples=100, seed=28)
     with pytest.raises(ConfigError):
-        predict_entrywise(rec, [0], lambda x: x, side="u", n_paths=100)
+        predict_entrywise(rec, [0], lambda x: x, [("u", 2)], n_paths=100)
     with pytest.raises(ConfigError):
-        predict_entrywise(rec, [0], lambda x: x, t=5, n_paths=100)
+        predict_entrywise(rec, [0], lambda x: x, [("z", 5)], n_paths=100)
     with pytest.raises(ConfigError):
-        predict_entrywise(rec, [n + 3], lambda x: x, n_paths=100)
+        predict_entrywise(rec, [n + 3], lambda x: x, [("z", 2)], n_paths=100)
+
+
+@pytest.mark.parametrize("single", [{"side": "z"}, {"t": 2}])
+def test_prediction_takes_cells_only(single):
+    # one call shape: a list of (side, t) cells in, one result per cell out;
+    # the single-cell keywords used to be ignored whenever cells was given
+    n = 4
+    rec = se_symmetric(build_tanh_iteration(2, np.ones(n)),
+                       constant_profile((n, n)), mc_samples=100, seed=28)
+    out = predict_entrywise(rec, [0], np.tanh, [("z", 1)], n_paths=100)
+    assert isinstance(out, list) and len(out) == 1
+    with pytest.raises(TypeError):
+        predict_entrywise(rec, [0], np.tanh, cells=[("z", 1)], n_paths=100,
+                          **single)
 
 
 @pytest.mark.parametrize("t", [1.5, True, np.float64(1.0), "1"])
@@ -377,7 +391,7 @@ def test_prediction_step_must_be_an_integer(t):
     rec = se_symmetric(build_tanh_iteration(2, np.ones(n)),
                        constant_profile((n, n)), mc_samples=100, seed=28)
     with pytest.raises(ConfigError, match="step"):
-        predict_entrywise(rec, [0], np.tanh, t=t, n_paths=100)
+        predict_entrywise(rec, [0], np.tanh, [("z", t)], n_paths=100)
 
 
 @pytest.mark.parametrize("T", [2.5, True, np.float64(2.0), "2"])
@@ -400,7 +414,7 @@ def test_prediction_rejects_bad_path_counts(n_paths):
     rec = se_symmetric(build_tanh_iteration(2, np.ones(n)),
                        constant_profile((n, n)), mc_samples=100, seed=28)
     with pytest.raises(ConfigError, match="n_paths"):
-        predict_entrywise(rec, [0], lambda x: x, n_paths=n_paths)
+        predict_entrywise(rec, [0], lambda x: x, [("z", 2)], n_paths=n_paths)
 
 
 @pytest.mark.parametrize("mc", [2.5, 0, 1, True, "100", np.float64(100.0)])
@@ -439,16 +453,16 @@ def test_prediction_rejects_non_integer_coordinates(coords):
     rec = se_symmetric(build_tanh_iteration(2, np.ones(n)),
                        constant_profile((n, n)), mc_samples=100, seed=28)
     with pytest.raises(ConfigError, match="coordinates"):
-        predict_entrywise(rec, coords, lambda x: x, n_paths=100)
+        predict_entrywise(rec, coords, lambda x: x, [("z", 2)], n_paths=100)
 
 
 def test_prediction_accepts_integer_sequences():
     n = 4
     rec = se_symmetric(build_tanh_iteration(2, np.linspace(0.0, 1.0, n)),
                        constant_profile((n, n)), mc_samples=100, seed=28)
-    want = predict_entrywise(rec, [1, 3], np.tanh, n_paths=300)
+    want = predict_entrywise(rec, [1, 3], np.tanh, [("z", 2)], n_paths=300)[0]
     for coords in ((1, 3), np.array([1, 3]), [np.int32(1), np.int64(3)]):
-        got = predict_entrywise(rec, coords, np.tanh, n_paths=300)
+        got = predict_entrywise(rec, coords, np.tanh, [("z", 2)], n_paths=300)[0]
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -466,7 +480,8 @@ def test_prediction_draws_paths_times_coordinates_times_step(monkeypatch, coords
         drawn = [0]
         with monkeypatch.context() as mp:
             mp.setattr(state_evolution, "Generator", counting_generator(drawn))
-            means, _ = predict_entrywise(record, coords, np.tanh, t=T, n_paths=300)
+            means, _ = predict_entrywise(record, coords, np.tanh, [("z", T)],
+                                         n_paths=300)[0]
         assert drawn[0] == 300 * dim * T
         assert means.shape == (n if coords is None else len(coords),)
 
@@ -475,7 +490,7 @@ def test_prediction_of_no_coordinates_is_empty():
     n = 4
     rec = se_symmetric(build_tanh_iteration(2, np.linspace(0.0, 1.0, n)),
                        constant_profile((n, n)), mc_samples=100, seed=28)
-    means, ses = predict_entrywise(rec, [], np.tanh, n_paths=300)
+    [(means, ses)] = predict_entrywise(rec, [], np.tanh, [("z", 2)], n_paths=300)
     assert means.shape == ses.shape == (0,)
 
 
@@ -764,7 +779,7 @@ def test_forward_transforms_its_paths_in_place(kind):
         before = paths.copy()
         ref = tr.apply(paths)
         assert paths.tobytes() == before.tobytes()
-        assert (ref.tobytes() == before.tobytes()) == tr.raw
+        assert (ref.tobytes() == before.tobytes()) == (tr.outer_fns is None)
         for with_partials in (False, True):
             work = before.copy()
             out = state_evolution._forward(tr, work, None, inner_upto=law.T,

@@ -113,8 +113,8 @@ def test_predict_entrywise_bytes_do_not_depend_on_sub_blocks(monkeypatch, kind):
         for t in (1, 3):
             # 20000 paths = one 16384-sample block plus a 3616 remainder
             outs = _under_budgets(monkeypatch, lambda: se.predict_entrywise(
-                rec, np.arange(dim), np.tanh, side=side, t=t, n_paths=20000,
-                seed=47))
+                rec, np.arange(dim), np.tanh, [(side, t)], n_paths=20000,
+                seed=47)[0])
             for means, ses in outs[1:]:
                 assert np.array_equal(means, outs[0][0])
                 assert np.array_equal(ses, outs[0][1])
@@ -152,8 +152,8 @@ def test_multi_cell_read_out_equals_single_cell_calls(monkeypatch, kind, coords)
     for i, rec in enumerate(recs):
         cells = [(s, t) for s in rec.sides for t in range(1, 4)]
         cells = [cells[i] for i in rng.permutation(len(cells))]
-        want = [se.predict_entrywise(rec, coords, np.tanh, side=s, t=t,
-                                     n_paths=17000, seed=67) for s, t in cells]
+        want = [se.predict_entrywise(rec, coords, np.tanh, [(s, t)],
+                                     n_paths=17000, seed=67)[0] for s, t in cells]
         other = recs[i - 1]
         for budget in (DEFAULT, TINY):
             monkeypatch.setattr(se, "_SUB_BLOCK_BYTES", budget)
@@ -332,7 +332,7 @@ def _read_out_peak(n):
                           mc_samples=500, seed=49)
     assert not rec.side("z").collapsed
     return _peak_bytes(lambda: se.predict_entrywise(
-        rec, np.arange(n), np.square, t=3, n_paths=20000, seed=50))
+        rec, np.arange(n), np.square, [("z", 3)], n_paths=20000, seed=50))
 
 
 def test_predict_entrywise_memory_is_bounded():
