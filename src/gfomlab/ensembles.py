@@ -8,20 +8,28 @@ for rectangular ones.
 
 Sampling is counter-based: each entry consumes exactly one 64-bit uniform at
 a fixed flat index of a Philox stream (see seeds.py), so a matrix is a pure
-function of (spec, dims, seed).  The samplers read one stream per matrix in
-flat order, a strip of rows at a time into one reused buffer, and take each
-strip from words to entries in place in the output with in-place entry laws;
-a symmetric strip transforms only its band from the diagonal rightwards.
+function of (spec, dims, seed).  The samplers cut the matrix into strips of
+rows and hand them to every CPU the process may run on: the calling thread
+and a process-wide pool of helper threads, started by the first sample.
+Each strip draws its words at its own offset straight into its rows of the
+output and takes them from words to entries in place with in-place entry
+laws (the Philox fill, ``ndtri`` and the ufuncs release the GIL); a
+symmetric strip transforms only its band from the diagonal rightwards, and
+a second pass mirrors the bands below the diagonal once all are drawn.
 """
 
 import math
 import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import ConfigError
+from .seeds import seek
 
 LAW_KINDS = ("gaussian", "rademacher", "uniform_pm", "shifted_bernoulli")
 # each normalization's divisor of the second moments, as a function of the
@@ -29,10 +37,13 @@ LAW_KINDS = ("gaussian", "rademacher", "uniform_pm", "shifted_bernoulli")
 _NORM_SIZE = {"inv_sqrt_n": lambda m, n: n, "inv_sqrt_m": lambda m, n: m,
               "inv_sqrt_m_plus_n": lambda m, n: m + n}
 NORMALIZATIONS = tuple(_NORM_SIZE)
-# rows per strip: the sampler's scratch is one strip of STRIP_ROWS * n words,
-# and the profile's symmetry check compares one strip at a time, whatever the
-# matrix size
+# rows per strip: the unit of work of the samplers' threads, and the
+# profile's symmetry check compares one strip at a time, whatever the matrix
+# size
 STRIP_ROWS = 64
+# the strictly lower triangle of a diagonal block, which the symmetric
+# mirror copies from the block's transpose
+_BELOW = np.tri(STRIP_ROWS, k=-1, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -215,49 +226,148 @@ def _as_seedseq(seed):
     return np.random.SeedSequence(int(seed))
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+_pool_lock = threading.Lock()
+_pool = None
+
+
+def _strip_pool():
+    """(helpers, threads): the process-wide pool of ``threads - 1`` helper
+    threads that draw strips beside the caller, with ``threads = _cpus()``.
+    It is started by the first sample, so importing the package starts no
+    thread; with one CPU there is no pool and ``helpers`` is None.  Its
+    threads end with the interpreter."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            threads = _cpus()
+            helpers = None
+            if threads > 1:
+                helpers = ThreadPoolExecutor(threads - 1,
+                                             thread_name_prefix="gfomlab-strips")
+            _pool = helpers, threads
+        return _pool
+
+
+def _forget_pool():
+    """In a forked child: the parent's helper threads do not exist there, so
+    the child's first sample starts a pool of its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _each_strip(m, make_fill):
+    """Call ``fill(r0, r1)`` once for every strip of rows r0:r1 of an m-row
+    matrix, on the calling thread and the pool's helpers at once.
+
+    Each thread gets its own ``fill = make_fill()`` and claims strips until
+    none is left, so the caller alone finishes the work when the helpers are
+    busy or absent.  A strip that raises stops the hand-out, and its error
+    reaches the caller once every thread has stopped.
+    """
+    starts = iter(range(0, m, STRIP_ROWS))
+    lock = threading.Lock()
+
+    def work():
+        fill = make_fill()
+        while True:
+            with lock:
+                r0 = next(starts, None)
+            if r0 is None:
+                return
+            try:
+                fill(r0, min(r0 + STRIP_ROWS, m))
+            except BaseException:
+                with lock:
+                    for _ in starts:  # hand out no further strip
+                        pass
+                raise
+
+    helpers, threads = _strip_pool()
+    strips = -(-m // STRIP_ROWS)
+    futures = [helpers.submit(work) for _ in range(min(threads, strips) - 1)]
+    try:
+        work()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _sample_strips(spec, m, n, seed):
     """The m x n matrix A0 / denominator, filled one strip of rows at a time.
 
-    One Philox stream per matrix is read in flat row-major order into one
-    reused strip buffer, so entry (i, j) consumes word i*n + j, as if the
-    whole matrix were drawn at once (``seeds.entry_uniforms``).  Each strip
-    takes the same rounding steps in place in the output: transform, scale
-    by sqrt(profile) (a scale of exactly 1.0 changes no bit and is skipped),
-    truncate, divide.  A symmetric strip r0:r1 works on its band of columns
-    r0: only; the band's entries below the diagonal are then overwritten
-    from the diagonal block's transpose, and the columns below the strip
-    from the band's transpose.  Its ``+ 0.0`` turns -0.0 into +0.0, as the
-    sum of the upper and the mirrored strict upper part did.  No law yields
-    -0.0, so only a zero profile entry times a negative variate can, and
-    the step is skipped under a constant nonzero profile.
+    Entry (i, j) consumes word i*n + j of one Philox stream per matrix, as
+    if the whole matrix were drawn at once (``seeds.entry_uniforms``): the
+    thread that takes strip r0:r1 places its own generator at word r0*n
+    (``seeds.seek``) and draws the strip's words straight into its rows of
+    the output.  Each strip then takes the same rounding steps in place:
+    transform, scale by sqrt(profile) (a scale of exactly 1.0 changes no bit
+    and is skipped), truncate, divide.  Only a per-entry profile or the
+    truncation needs scratch, one strip per thread.
+
+    A symmetric strip works on its band of columns r0: only.  Its words left
+    of the band are overwritten by a second pass, once every band is drawn:
+    the columns below each strip from the band's transpose, and the entries
+    of the diagonal block below the diagonal from the block's transpose.
+    The band's ``+ 0.0`` turns -0.0 into +0.0, as the sum of the upper and
+    the mirrored strict upper part did.  No law yields -0.0, so only a zero
+    profile entry times a negative variate can, and the step is skipped
+    under a constant nonzero profile.
     """
-    gen = np.random.Generator(np.random.Philox(_as_seedseq(seed)))
+    seq = _as_seedseq(seed)
+    origin = np.random.Philox(seq).state
     a = np.empty((m, n))
-    words = np.empty(min(STRIP_ROWS, m) * n)
     denom = spec.denominator(m, n)
+    scale = spec._scale
     cut = None
     if spec.truncate is not None:
         cut = spec.truncate * math.sqrt(math.log(max(m, n)))
-    below = np.tri(STRIP_ROWS, k=-1, dtype=bool)
-    for r0 in range(0, m, STRIP_ROWS):
-        r1 = min(r0 + STRIP_ROWS, m)
-        u = gen.random(out=words[:(r1 - r0) * n]).reshape(r1 - r0, n)
-        c0 = r0 if spec.symmetric else 0
-        u, band = u[:, c0:], a[r0:r1, c0:]
-        spec.law.transform(u, out=band)
-        if spec._scale is None:
-            band *= np.sqrt(spec.profile.values[r0:r1, c0:], out=u)
-        elif spec._scale != 1.0:
-            band *= spec._scale
-        if cut is not None:
-            band[np.abs(band, out=u) > cut] = 0.0
-        if spec.symmetric and not spec._scale:
-            band += 0.0
-        band /= denom
-        if spec.symmetric:
-            a[r1:, r0:r1] = a[r0:r1, r1:].T
-            block = a[r0:r1, r0:r1]
-            np.copyto(block, block.T, where=below[:r1 - r0, :r1 - r0])
+
+    def band_fill():
+        bits = np.random.Philox(seq)
+        gen = np.random.Generator(bits)
+        words = None
+        if scale is None or cut is not None:
+            words = np.empty(min(STRIP_ROWS, m) * n)
+
+        def fill(r0, r1):
+            seek(bits, origin, r0 * n)
+            c0 = r0 if spec.symmetric else 0
+            band = gen.random(out=a[r0:r1])[:, c0:]
+            spec.law.transform(band, out=band)
+            if words is not None:
+                u = words[:band.size].reshape(band.shape)
+            if scale is None:
+                band *= np.sqrt(spec.profile.values[r0:r1, c0:], out=u)
+            elif scale != 1.0:
+                band *= scale
+            if cut is not None:
+                band[np.abs(band, out=u) > cut] = 0.0
+            if spec.symmetric and not scale:
+                band += 0.0
+            band /= denom
+        return fill
+
+    def mirror(r0, r1):
+        a[r1:, r0:r1] = a[r0:r1, r1:].T
+        block = a[r0:r1, r0:r1]
+        np.copyto(block, block.T, where=_BELOW[:r1 - r0, :r1 - r0])
+
+    _each_strip(m, band_fill)
+    if spec.symmetric:
+        _each_strip(m, lambda: mirror)
     return a
 
 

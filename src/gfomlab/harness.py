@@ -374,13 +374,19 @@ class _AmpSymPlan(_Plan):
         # memory coefficients come from the limit law, shared by every replicate
         self.record = amp_se_symmetric(fns, self.profile, z0, mc_samples=mc,
                                        seed=seed)
+        self._record_key = (mc, seed)
 
     def simulate(self, a):
         coeffs = self.record.sides["z"].coeffs
         return {"z": run_amp_symmetric(a, self.fns, coeffs, self.z0).z}
 
     def se_record(self, mc, seed):
-        # the record the plan was built with, from the same config
+        # the record the plan was built with; the replicates ran with its
+        # coefficients, so no other sample count or seed can stand for them
+        if (mc, seed) != self._record_key:
+            raise ConfigError(f"the AMP plan's limit law was built with "
+                              f"(mc_samples, seed) = {self._record_key}, "
+                              f"not {(mc, seed)}")
         return self.record
 
 

@@ -17,9 +17,12 @@ prediction paths      5
 ====================  ======
 
 Matrix entries themselves use a further layer: a Philox generator keyed off
-the derived stream draws exactly one 64-bit word per entry in flat row-major
-order, so entry (i, j) is a pure function of (seed, i*n + j) and sampling is
-order-independent.
+the derived stream spends exactly one 64-bit word on entry (i, j), the word
+at flat row-major index i*n + j.  Philox is counter-based, so ``seek`` can
+place a generator at any word of its stream, and the samplers draw each
+strip of rows at its own word offset, on whichever thread takes it.  The
+entry is a pure function of (seed, i*n + j) whatever the strip size, the
+thread count or the order in which strips are drawn.
 """
 
 import numpy as np
@@ -55,20 +58,31 @@ def fixed_child(seq, *path):
     return np.random.SeedSequence(seq.entropy, spawn_key=key)
 
 
+def seek(bits, origin, start):
+    """Place the Philox ``bits`` at flat word ``start`` of a keyed stream.
+
+    ``origin`` is the stream's ``state`` at word 0, as read from a fresh
+    ``Philox``.  One counter step yields four words, so the stream is
+    advanced by ``start // 4`` steps and the first ``start % 4`` words of
+    that step are discarded.  Setting a saved state is cheaper than keying a
+    new generator, so a thread that draws many strips keeps one ``bits``.
+    """
+    bits.state = origin
+    bits.advance(start // 4)
+    bits.random_raw(start % 4)
+
+
 def entry_uniforms(seedseq, count, start=0):
     """Uniforms in [0, 1) for flat indices ``start .. start + count - 1``.
 
     One 64-bit word per index.  Philox is counter-based: word k of the keyed
     stream is a pure function of (key, k), so the value at flat index k never
-    depends on how the block is chunked or ordered.  One counter step yields
-    four words, so the stream is advanced by ``start // 4`` steps and the
-    first ``start % 4`` words of that step are discarded.
+    depends on how the block is chunked or ordered.
 
-    This is the random-access reader of the entry stream.  The samplers
-    read the same words sequentially, strip after strip, from one generator
-    per matrix; the tests check them against this function.
+    This is the reference reader of the entry stream.  The samplers call the
+    same ``seek`` once per strip, at word r0*n of the strip's first row r0,
+    and the tests check them against this function.
     """
     bits = np.random.Philox(seedseq)
-    bits.advance(start // 4)
-    bits.random_raw(start % 4)
+    seek(bits, bits.state, start)
     return np.random.Generator(bits).random(int(count))

@@ -1,12 +1,19 @@
 """Entry laws, variance profiles, and matrix sampling."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from conftest import two_block_profile
 from gfomlab import ensembles
 from gfomlab.ensembles import (
     STRIP_ROWS,
@@ -27,6 +34,8 @@ from gfomlab.errors import ConfigError
 from gfomlab.harness import ExperimentConfig, _Plan, _replicates
 from gfomlab.seeds import (DOMAIN_ENSEMBLE_A, DOMAIN_ENSEMBLE_B, DOMAIN_REPLICATE,
                            child_sequence, entry_uniforms)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def replicate_matrices(law_b, n, reps, seed):
@@ -395,20 +404,208 @@ def test_strip_size_does_not_change_the_bits(monkeypatch, law, truncate, rows,
     spec = EnsembleSpec(law, VarianceProfile(values),
                         "inv_sqrt_n" if symmetric else "inv_sqrt_m_plus_n",
                         symmetric=symmetric, truncate=truncate)
-    # the documented steps on the whole matrix's words, drawn at once
-    u = entry_uniforms(np.random.SeedSequence(17), m * n).reshape(m, n)
-    x = law.transform(u) * np.sqrt(values)
-    if truncate is not None:
-        x[np.abs(x) > truncate * math.sqrt(math.log(max(m, n)))] = 0.0
-    if symmetric:
-        x = np.triu(x) + np.triu(x, 1).T
-    ref = x / spec.denominator(m, n)
+    ref = _drawn_at_once(spec, m, n, seed=17)
     monkeypatch.setattr(ensembles, "STRIP_ROWS", rows)
-    if symmetric:
-        a = sample_symmetric(spec, n, seed=17)
-    else:
-        a = sample_asymmetric(spec, m, n, seed=17)
-    assert a.tobytes() == ref.tobytes()
+    assert _sample(spec, m, n, seed=17).tobytes() == ref.tobytes()
+
+
+def _drawn_at_once(spec, m, n, seed):
+    """The documented steps on the whole matrix's words, drawn at once."""
+    u = entry_uniforms(np.random.SeedSequence(seed), m * n).reshape(m, n)
+    x = spec.law.transform(u) * np.sqrt(spec.profile.values)
+    if spec.truncate is not None:
+        x[np.abs(x) > spec.truncate * math.sqrt(math.log(max(m, n)))] = 0.0
+    if spec.symmetric:
+        x = np.triu(x) + np.triu(x, 1).T
+    return x / spec.denominator(m, n)
+
+
+def _sample(spec, m, n, seed):
+    if spec.symmetric:
+        return sample_symmetric(spec, n, seed)
+    return sample_asymmetric(spec, m, n, seed)
+
+
+@pytest.fixture
+def strip_threads(monkeypatch):
+    """``strip_threads(k)`` makes the samplers draw strips on k threads, the
+    caller and k - 1 helpers, whatever the machine's CPU count."""
+    pools = []
+
+    def force(k):
+        monkeypatch.setattr(ensembles, "_cpus", lambda: k)
+        monkeypatch.setattr(ensembles, "_pool", None)
+        pools.append(ensembles._strip_pool()[0])
+
+    yield force
+    for pool in pools:
+        if pool is not None:
+            pool.shutdown()
+
+
+def _profile(kind, shape):
+    if kind == "two_block":
+        return two_block_profile(*shape)
+    return constant_profile(shape, 2.5 if kind == "constant" else 0.0)
+
+
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
+@pytest.mark.parametrize("truncate", [None, 0.6])
+@pytest.mark.parametrize("profile", ["constant", "zero", "two_block"])
+@pytest.mark.parametrize("symmetric,shape", [
+    (True, (67, 67)), (True, (130, 130)), (True, (5, 5)),
+    (False, (130, 67)), (False, (67, 130)), (False, (5, 3))])
+def test_thread_count_does_not_change_the_bits(monkeypatch, strip_threads, law,
+                                               truncate, profile, symmetric,
+                                               shape):
+    # 5-row strips start at words r0 * n that are not multiples of Philox's
+    # four words per counter step, and no shape is a whole number of strips
+    m, n = shape
+    spec = EnsembleSpec(law, _profile(profile, shape),
+                        "inv_sqrt_n" if symmetric else "inv_sqrt_m",
+                        symmetric=symmetric, truncate=truncate)
+    ref = _drawn_at_once(spec, m, n, seed=23).tobytes()
+    for rows in [5, STRIP_ROWS]:
+        monkeypatch.setattr(ensembles, "STRIP_ROWS", rows)
+        for threads in [1, 2, 3]:
+            strip_threads(threads)
+            assert _sample(spec, m, n, seed=23).tobytes() == ref, (rows, threads)
+
+
+def test_concurrent_callers_on_more_threads_than_cores(monkeypatch,
+                                                       strip_threads):
+    # one-row strips on 3 threads, with a short switch interval, from two
+    # callers sharing the pool: a strip lost or left half drawn would show
+    # as garbage in the uninitialised output
+    strip_threads(3)
+    monkeypatch.setattr(ensembles, "STRIP_ROWS", 1)
+    specs = [EnsembleSpec(law, constant_profile((150, 150)), "inv_sqrt_n",
+                          symmetric=True) for law in ALL_LAWS[:2]]
+    refs = [_drawn_at_once(spec, 150, 150, seed=4).tobytes() for spec in specs]
+    got = {}
+
+    def draw(k):
+        for _ in range(5):
+            got.setdefault(k, []).append(
+                sample_symmetric(specs[k], 150, seed=4).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=draw, args=(k,)) for k in (0, 1)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == {k: [refs[k]] * 5 for k in (0, 1)}
+
+
+def test_a_helper_strip_error_reaches_the_caller(monkeypatch, strip_threads):
+    strip_threads(2)
+    monkeypatch.setattr(ensembles, "STRIP_ROWS", 4)
+    spec = EnsembleSpec(gaussian_law(), constant_profile((16, 12)),
+                        "inv_sqrt_m", symmetric=False)
+    expected = sample_asymmetric(spec, 16, 12, seed=2).tobytes()
+    helper_failed = threading.Event()
+    transform = EntryLaw.transform
+
+    def failing(law, u, out=None):
+        if threading.current_thread() is threading.main_thread():
+            # the caller's first strip waits, so a helper takes a strip
+            helper_failed.wait(timeout=30)
+        else:
+            helper_failed.set()
+            raise RuntimeError("strip failed")
+        return transform(law, u, out)
+
+    monkeypatch.setattr(EntryLaw, "transform", failing)
+    with pytest.raises(RuntimeError, match="strip failed"):
+        sample_asymmetric(spec, 16, 12, seed=2)
+    assert helper_failed.is_set()
+    monkeypatch.setattr(EntryLaw, "transform", transform)
+    assert sample_asymmetric(spec, 16, 12, seed=2).tobytes() == expected
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_caller_strip_error_reaches_the_caller(monkeypatch, strip_threads,
+                                                 threads):
+    strip_threads(threads)
+    monkeypatch.setattr(ensembles, "STRIP_ROWS", 4)
+    spec = EnsembleSpec(rademacher_law(), constant_profile((20, 20)),
+                        "inv_sqrt_n", symmetric=True)
+    expected = sample_symmetric(spec, 20, seed=6).tobytes()
+    transform = EntryLaw.transform
+
+    def failing(law, u, out=None):
+        if threading.current_thread() is threading.main_thread():
+            raise RuntimeError("strip failed")
+        return transform(law, u, out)
+
+    monkeypatch.setattr(EntryLaw, "transform", failing)
+    with pytest.raises(RuntimeError, match="strip failed"):
+        sample_symmetric(spec, 20, seed=6)
+    monkeypatch.setattr(EntryLaw, "transform", transform)
+    assert sample_symmetric(spec, 20, seed=6).tobytes() == expected
+
+
+_FIRST_SAMPLE = """
+import sys, threading
+import gfomlab
+from gfomlab.cli import parse_config
+from gfomlab.ensembles import _strip_pool
+parse_config(sys.argv[1]).validate()
+print(threading.active_count())
+spec = gfomlab.EnsembleSpec(gfomlab.gaussian_law(),
+                            gfomlab.constant_profile((200, 200)),
+                            "inv_sqrt_n", symmetric=True)
+gfomlab.sample_symmetric(spec, 200, seed=1)
+print(threading.active_count(), _strip_pool()[1])
+"""
+
+
+def test_threads_start_with_the_first_sample_and_end_with_the_interpreter(
+        tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "universality_averaged",
+                                  "program": "tanh_amp", "n": 100}))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # the timeout fails the test if a helper thread kept the process alive
+    out = subprocess.run([sys.executable, "-c", _FIRST_SAMPLE, str(config)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    before, after = out.stdout.splitlines()
+    assert before == "1"
+    running, threads = map(int, after.split())
+    # the caller plus at most threads - 1 helpers, which 4 strips do use
+    assert 1 < running <= threads if threads > 1 else running == 1
+
+
+_FORK = """
+import os, signal
+import gfomlab
+spec = gfomlab.EnsembleSpec(gfomlab.gaussian_law(),
+                            gfomlab.constant_profile((200, 200)),
+                            "inv_sqrt_n", symmetric=True)
+a = gfomlab.sample_symmetric(spec, 200, seed=1)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a child left waiting for the parent's threads dies
+    b = gfomlab.sample_symmetric(spec, 200, seed=1)
+    os._exit(0 if b.tobytes() == a.tobytes() else 3)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_samples_on_its_own_threads():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _FORK], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]
 
 
 def _historic_transform(law, u):

@@ -480,6 +480,16 @@ def test_se_vs_simulation_tanh_amp():
     assert report.passed
 
 
+def test_amp_plan_refuses_a_record_it_was_not_built_with():
+    cfg = ExperimentConfig(experiment="se_vs_simulation", program="tanh_amp",
+                           n=20, T=2, replicates=2, seed=3, mc_samples=200)
+    plan = build_plan(cfg)
+    assert plan.se_record(200, 3) is plan.record
+    for mc, seed in [(400, 3), (200, 4)]:
+        with pytest.raises(ConfigError, match="mc_samples, seed"):
+            plan.se_record(mc, seed)
+
+
 def test_se_vs_simulation_reads_every_cell_in_one_pass(monkeypatch):
     # one read-out call for all 2 T (side, step) cells, drawing each
     # prediction normal once: the longest cell's n_paths x m x T, where one
