@@ -21,7 +21,7 @@ import scipy
 
 from .errors import ConfigError, NumericalError
 from .harness import (ExperimentConfig, list_experiments, list_programs,
-                      run_named_experiment, write_json, write_lines)
+                      run_named_experiment, write_csv, write_json)
 
 
 def parse_config(path):
@@ -35,10 +35,6 @@ def parse_config(path):
         raise ConfigError(f"config parse error at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from exc
     return ExperimentConfig.from_dict(data)
-
-
-def serialize_config(config, path):
-    write_json(path, config.to_dict())
 
 
 def config_hash(config):
@@ -133,33 +129,17 @@ def run_experiment(config, out_dir, dry_run=False):
 
 
 def emit_plot_data(report, path):
-    """CSV (series, x, y, y_err) for external plotting.
-
-    ``report`` is a single report, or a list of (x, ComparisonReport) pairs
-    for sweeps (one series per statistic label, x as given).
-    """
-    lines = ["series,x,y,y_err"]
-    if isinstance(report, list):
-        for x, rep in report:
-            for st in rep.statistics:
-                lines.append(f"{st.label},{x:.17g},{st.gap:.17g},{st.se:.17g}")
-    elif hasattr(report, "plot_rows"):
-        for series, x, y, yerr in report.plot_rows():
-            lines.append(f"{series},{x},{y:.17g},{yerr:.17g}")
-    else:
-        raise ConfigError(f"cannot plot report of type {type(report).__name__}")
-    write_lines(path, lines)
+    """CSV (series, x, y, y_err) of the report's plot rows, for external
+    plotting."""
+    write_csv(path, "series,x,y,y_err", report.plot_rows())
 
 
 def _apply_overrides(config, args):
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.replicates is not None:
-        updates["replicates"] = args.replicates
+    updates = {key: getattr(args, key) for key in ("seed", "replicates")
+               if getattr(args, key) is not None}
     if updates:
         config = dataclasses.replace(config, **updates)
-        config.validate()
+        config.validate().refuse_ignored(updates)
     return config
 
 

@@ -109,17 +109,3 @@ def run_amp_asymmetric(a, u_fns, v_fns, u_onsager, v_onsager, u0, v0):
     """
     tracks = asymmetric_tracks(u_fns, None, v_fns, None, u0, v0)
     return _run(a, tracks, len(u_fns), {"u": u_onsager, "v": v_onsager})
-
-
-def trajectory_to_csv(traj, path):
-    """Long-format dump: track,t,coordinate,value at 17 significant digits."""
-    rows = []
-    tracks = [("z", traj.z)] if traj.symmetric else [("u", traj.u), ("v", traj.v)]
-    for name, arr in tracks:
-        for t in range(arr.shape[0]):
-            for i in range(arr.shape[1]):
-                rows.append(f"{name},{t},{i},{arr[t, i]:.17g}")
-    with open(path, "w") as fh:
-        fh.write("track,t,coordinate,value\n")
-        fh.write("\n".join(rows))
-        fh.write("\n")

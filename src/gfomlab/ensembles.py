@@ -392,8 +392,3 @@ def sample_asymmetric(spec, m, n, seed):
     if spec.profile.shape != (m, n):
         raise ConfigError(f"profile shape {spec.profile.shape} != ({m}, {n})")
     return _sample_strips(spec, m, n, seed)
-
-
-def matrix_to_csv(a, path):
-    """Dense row-major CSV dump, 17 significant digits."""
-    np.savetxt(path, np.atleast_2d(a), fmt="%.17g", delimiter=",")

@@ -112,16 +112,6 @@ class GdLaw:
         self.variance = variance
 
 
-class GdEntryLaw:
-    """Normal descriptor for one centered estimate coordinate."""
-
-    def __init__(self, mean, variance, coefficients):
-        self.mean = mean
-        self.variance = variance
-        self.sd = math.sqrt(variance)
-        self.coefficients = coefficients
-
-
 def _average(state, t, n_stats, stat):
     """Monte Carlo means and SEs, each (n_stats, m), of statistics of the
     prediction-side paths through step t at every sample coordinate.
@@ -353,27 +343,3 @@ def gd_key_params(state, t):
     if low < PSD_FLOOR:
         raise NumericalError(f"variance {low:.3e} below floor at step {t}")
     return GdLaw(t, bias, np.clip(var, 0.0, None))
-
-
-def gd_entrywise_law(state, ell, t):
-    """Normal descriptor for (estimate - signal) at signal coordinate ell."""
-    if state.mu0 is None:
-        raise ConfigError("homogeneous state has no per-coordinate signal")
-    ell = _int_in(ell, 0, state.n_coords - 1, "coordinate")
-    law = gd_key_params(state, t)
-    return GdEntryLaw(mean=float(law.bias[ell] * state.mu0[ell]),
-                      variance=float(law.variance[ell]),
-                      coefficients=np.array(state.m_matrix[ell, :, t]))
-
-
-def gd_law_to_csv(state, path, steps=None):
-    """CSV rows (coordinate, t, bias, variance) at 17 significant digits."""
-    steps = range(state.T + 1) if steps is None else steps
-    lines = ["coordinate,t,bias,variance"]
-    for t in steps:
-        law = gd_key_params(state, t)
-        for ell in range(state.n_coords):
-            lines.append(f"{ell},{t},{law.bias[ell]:.17g},{law.variance[ell]:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")

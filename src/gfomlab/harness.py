@@ -3,9 +3,10 @@
 Each experiment compares two estimates of the same statistic: two entry
 laws with matched second moments, simulation against the Gaussian-limit
 prediction, or empirical gradient-descent replicates against their
-predicted normal law.  Reports carry per-statistic estimates, gaps,
-combined standard errors and a pass flag; runtimes go to JSON only so CSV
-artifacts are byte-stable under reruns.
+predicted normal law.  Every experiment, the decay and delocalization
+diagnostics among them, returns one report type, ``ComparisonReport``: a
+verdict, a CSV table, plot rows and the experiment's own JSON fields.
+Runtimes go to JSON only, so CSV artifacts are byte-stable under reruns.
 
 All four replicate experiments run one loop, ``_replicates``, with a
 per-experiment statistic.  Its seed contract: replicate r draws law A's
@@ -65,8 +66,22 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def write_lines(path, lines):
-    """Text lines, each terminated by a newline."""
+def _csv_field(value):
+    """A CSV field as every artifact writes it: a float at 17 significant
+    digits, a flag as 0 or 1, a missing value empty, text as it is."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def write_csv(path, header, rows):
+    """The one CSV writer: the header line, then one line per row of
+    fields, each line terminated by a newline.  Fields go unquoted."""
+    lines = [header] + [",".join(map(_csv_field, row)) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -180,6 +195,8 @@ class ExperimentConfig:
                 or not all(_is_int(k) and 0 <= k < self.n for k in coords)):
             raise ConfigError("coordinates must be a non-empty list of "
                               f"integers in 0..{self.n - 1}, got {coords!r}")
+        if len(set(coords)) < len(coords):
+            raise ConfigError(f"coordinates must not repeat, got {coords!r}")
         if self.experiment == "universality_entrywise" and len(coords) > 10:
             raise ConfigError("universality_entrywise is limited to 10 "
                               "coordinates")
@@ -187,10 +204,6 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is not None and not _is_finite_real(value):
                 raise ConfigError(f"{key} must be a finite number, got {value!r}")
-        if self.law_b is not None and self.experiment not in _TWO_LAW_EXPERIMENTS:
-            raise ConfigError(f"law_b is read only by "
-                              f"{' and '.join(_TWO_LAW_EXPERIMENTS)}; "
-                              f"{self.experiment} draws law_a alone")
         if self.law_b_param is not None and self.law_b is None:
             raise ConfigError("law_b_param needs law_b")
         EntryLaw(self.law_a, p=self.law_a_param)
@@ -218,9 +231,19 @@ class ExperimentConfig:
         tol = self.tolerance
         if tol is not None and not (_is_finite_real(tol) and tol >= 0):
             raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
-        if tol is not None and self.experiment in ("decay", "delocalization"):
-            raise ConfigError(f"tolerance is read only by gap rows; "
-                              f"{self.experiment} has none")
+        return self.refuse_ignored(("law_b", "tolerance"))
+
+    def refuse_ignored(self, keys):
+        """Refuse any of ``keys`` that the experiment does not read, unless
+        it holds its default value, which the run would use anyway; so a
+        config written by ``to_dict`` parses again."""
+        default = ExperimentConfig(self.experiment, self.program, self.n)
+        reads = _EXPERIMENT_KEYS[self.experiment]
+        for key in sorted(set(keys) & _OPTIONAL_KEYS - set(reads)):
+            if getattr(self, key) != getattr(default, key):
+                readers = [e for e, ks in _EXPERIMENT_KEYS.items() if key in ks]
+                raise ConfigError(f"{key} is read only by {', '.join(readers)}; "
+                                  f"{self.experiment} ignores it")
         return self
 
     def to_dict(self):
@@ -237,7 +260,7 @@ class ExperimentConfig:
         missing = {"experiment", "program", "n"} - set(data)
         if missing:
             raise ConfigError(f"missing required config keys {sorted(missing)}")
-        return cls(**data).validate()
+        return cls(**data).validate().refuse_ignored(data)
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +283,22 @@ _T_IN_LABEL = re.compile(r"\bt=(\d+)")
 
 
 class ComparisonReport:
-    def __init__(self, name, statistics, divergent=None, runtime_seconds=0.0,
-                 details=None):
-        self.name = name
-        self.statistics = list(statistics)
-        self.divergent = divergent or {}
-        self.runtime_seconds = runtime_seconds
-        self.details = details or {}
+    """The report of every experiment: a verdict, a CSV table (its header
+    and rows of fields), plot rows (series, x, y, y_err), and the
+    experiment's own JSON fields beside ``name``, ``passed`` and
+    ``runtime_seconds``, each readable as an attribute, such as
+    ``report.statistics`` or ``report.slope``."""
 
-    @property
-    def passed(self):
-        return all(st.passed for st in self.statistics)
+    def __init__(self, name, passed, header, csv_rows, plot, runtime_seconds,
+                 **fields):
+        self.name = name
+        self.passed = passed
+        self.header = header
+        self.csv_rows = csv_rows
+        self._plot = plot
+        self.runtime_seconds = runtime_seconds
+        self.fields = tuple(fields)
+        vars(self).update(fields)
 
     def statistic(self, label):
         for st in self.statistics:
@@ -279,35 +307,38 @@ class ComparisonReport:
         raise KeyError(label)
 
     def plot_rows(self):
-        """(series, x, y, y_err) per statistic: x is the step in the label,
-        else the row index."""
-        for i, st in enumerate(self.statistics):
-            hit = _T_IN_LABEL.search(st.label)
-            yield (st.label, int(hit.group(1)) if hit else i, st.gap, st.se)
+        return self._plot
 
     def to_csv(self, path):
-        header = "statistic,estimate_a,estimate_b,gap,se,tolerance,passed"
-        write_lines(path, [header] + [
-            f"{st.label},{st.estimate_a:.17g},{st.estimate_b:.17g},"
-            f"{st.gap:.17g},{st.se:.17g},{st.tolerance:.17g},{int(st.passed)}"
-            for st in self.statistics])
+        write_csv(path, self.header, self.csv_rows)
 
     def to_json_dict(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "divergent": self.divergent,
-            "runtime_seconds": self.runtime_seconds,
-            "details": self.details,
-            "statistics": [{
-                "label": st.label, "estimate_a": st.estimate_a,
-                "estimate_b": st.estimate_b, "gap": st.gap, "se": st.se,
-                "tolerance": st.tolerance, "passed": st.passed,
-            } for st in self.statistics],
-        }
+        data = {key: getattr(self, key)
+                for key in ("name", "passed", "runtime_seconds", *self.fields)}
+        # a Statistic is written as its attributes
+        return json.loads(json.dumps(data, default=vars))
 
     def save_json(self, path):
         write_json(path, self.to_json_dict())
+
+
+def comparison_report(name, statistics, divergent=None, runtime_seconds=0.0,
+                      details=None):
+    """The report of a replicate experiment: one row per statistic, which
+    passes when every row does, plotted as the gap and its SE against the
+    step in the label, else the row index."""
+    rows = list(statistics)
+    plot = []
+    for i, st in enumerate(rows):
+        hit = _T_IN_LABEL.search(st.label)
+        plot.append((st.label, int(hit.group(1)) if hit else i, st.gap, st.se))
+    return ComparisonReport(
+        name, all(st.passed for st in rows),
+        "statistic,estimate_a,estimate_b,gap,se,tolerance,passed",
+        [(st.label, st.estimate_a, st.estimate_b, st.gap, st.se, st.tolerance,
+          st.passed) for st in rows],
+        plot, runtime_seconds, statistics=rows, divergent=divergent or {},
+        details=details or {})
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +542,20 @@ _EXPERIMENT_PROGRAMS = {
     "decay": ("pgd_linear", "gd_ridge"),
 }
 
-# experiments that compare entry law A with law B; the rest draw law A only
-_TWO_LAW_EXPERIMENTS = ("universality_averaged", "universality_entrywise")
+# the optional keys each experiment reads; a config that sets one that its
+# experiment ignores is refused.  mc_samples is not among them: whether a run
+# reads it depends on the program too (tanh_amp builds a limit law in any
+# experiment).
+_EXPERIMENT_KEYS = {
+    "universality_averaged": ("replicates", "psi", "law_b", "tolerance"),
+    "universality_entrywise": ("replicates", "psi", "coordinates", "law_b",
+                               "tolerance"),
+    "se_vs_simulation": ("replicates", "psi", "tolerance"),
+    "gd_gaussianity": ("replicates", "coordinates", "tolerance"),
+    "decay": (),
+    "delocalization": (),
+}
+_OPTIONAL_KEYS = {key for keys in _EXPERIMENT_KEYS.values() for key in keys}
 
 
 def build_plan(config):
@@ -639,7 +682,7 @@ def universality_averaged(config):
         "universality_averaged")
     rows = [_gap_row(config, f"psi_avg[t={t}]", vals_a[:, t - 1],
                      vals_b[:, t - 1]) for t in range(1, config.T + 1)]
-    return ComparisonReport(
+    return comparison_report(
         "universality_averaged", rows, divergent,
         runtime_seconds=time.perf_counter() - tic,
         details={"psi": psi.name, "law_a": config.law_a,
@@ -664,7 +707,7 @@ def universality_entrywise(config, psi=None):
                                               stat, "universality_entrywise")
     rows = [_gap_row(config, f"entry[k={k},t={config.T}]", vals_a[:, i],
                      vals_b[:, i]) for i, k in enumerate(coords)]
-    return ComparisonReport(
+    return comparison_report(
         "universality_entrywise", rows, divergent,
         runtime_seconds=time.perf_counter() - tic,
         details={"psi": psi.name, "coordinates": coords,
@@ -701,7 +744,7 @@ def se_vs_simulation(config):
         se = math.sqrt(se_sim**2 + se_pred**2)
         rows.append(Statistic(f"psi_avg[{s},t={t}]", est_sim, est_pred, se,
                               _gap_tolerance(config, se)))
-    return ComparisonReport(
+    return comparison_report(
         "se_vs_simulation", rows, divergent,
         runtime_seconds=time.perf_counter() - tic,
         details={"psi": psi.name, "replicates_used": len(sim)})
@@ -747,7 +790,7 @@ def gd_gaussianity_test(config):
         zstd = (col - pred_mean) / math.sqrt(sigma2)
         ks = _ks_statistic(zstd)
         rows.append(Statistic(f"ks[l={ell}]", ks, 0.0, 0.0, tols["ks"]))
-    return ComparisonReport(
+    return comparison_report(
         "gd_gaussianity", rows, divergent,
         runtime_seconds=time.perf_counter() - tic,
         details={"t": T, "coordinates": coords,
@@ -759,55 +802,10 @@ def gd_gaussianity_test(config):
 # ---------------------------------------------------------------------------
 # diagnostics
 
-class DecayReport:
-    """Distance of PGD iterates to the fixed point, with a log-linear fit."""
-
-    def __init__(self, rows, slope, r_squared, converged, residual,
-                 relative_to_fixed_point, runtime_seconds=0.0):
-        self.rows = rows                      # (t, l2_over_sqrt_n, sup_norm)
-        self.slope = slope
-        self.r_squared = r_squared
-        self.converged = converged
-        self.residual = residual
-        self.relative_to_fixed_point = relative_to_fixed_point
-        self.runtime_seconds = runtime_seconds
-
-    @property
-    def passed(self):
-        if not self.converged:
-            return False
-        thresh = default_tolerances()["decay"]["r_squared"]
-        return (self.slope is not None and self.slope < 0
-                and self.r_squared >= thresh)
-
-    def plot_rows(self):
-        for t, l2, _ in self.rows:
-            yield ("l2_over_sqrt_n", t, l2, 0.0)
-        for t, _, linf in self.rows:
-            yield ("sup_norm", t, linf, 0.0)
-
-    def to_csv(self, path):
-        write_lines(path, ["t,l2_over_sqrt_n,sup_norm"] + [
-            f"{t},{l2:.17g},{linf:.17g}" for t, l2, linf in self.rows])
-
-    def to_json_dict(self):
-        return {
-            "name": "decay",
-            "passed": self.passed,
-            "slope": self.slope,
-            "r_squared": self.r_squared,
-            "converged": self.converged,
-            "residual": self.residual,
-            "relative_to_fixed_point": self.relative_to_fixed_point,
-            "runtime_seconds": self.runtime_seconds,
-            "rows": [[int(t), l2, linf] for t, l2, linf in self.rows],
-        }
-
-    def save_json(self, path):
-        write_json(path, self.to_json_dict())
-
-
 def convergence_decay_report(problem, T, mu_start=None):
+    """Distance of the PGD iterates to the fixed point, with a log-linear
+    fit; it passes when the fixed point converged and the distance falls
+    with R^2 at the threshold."""
     tic = time.perf_counter()
     fp = solve_fixed_point(problem)
     iters = pgd_linear(problem, T, mu_start=mu_start)
@@ -833,49 +831,14 @@ def convergence_decay_report(problem, T, mu_start=None):
             ss_tot = float(np.sum((ys - ys.mean())**2))
             slope = float(coef[0])
             r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayReport(rows, slope, r2, fp.converged, fp.residual,
-                       relative_to_fixed_point=fp.converged,
-                       runtime_seconds=time.perf_counter() - tic)
-
-
-class DelocalizationReport:
-    """Sup-norm to RMS-norm ratios per step; large ratios are flagged
-    against a poly-log bound but never counted as failures."""
-
-    def __init__(self, rows, prefactor, runtime_seconds=0.0):
-        self.rows = rows   # dicts: track, t, sup_norm, rms_norm, ratio, ...
-        self.prefactor = prefactor
-        self.runtime_seconds = runtime_seconds
-
-    @property
-    def passed(self):
-        return True
-
-    def max_ratio(self, track=None):
-        vals = [r["ratio"] for r in self.rows
-                if track is None or r["track"] == track]
-        return max(vals) if vals else 0.0
-
-    def plot_rows(self):
-        for r in self.rows:
-            yield (r["track"], r["t"], r["ratio"], 0.0)
-
-    def to_csv(self, path):
-        lines = ["track,t,sup_norm,rms_norm,ratio,bound,flagged,loo_gap"]
-        for r in self.rows:
-            loo = "" if r["loo_gap"] is None else f"{r['loo_gap']:.17g}"
-            lines.append(f"{r['track']},{r['t']},{r['sup_norm']:.17g},"
-                         f"{r['rms_norm']:.17g},{r['ratio']:.17g},"
-                         f"{r['bound']:.17g},{int(r['flagged'])},{loo}")
-        write_lines(path, lines)
-
-    def to_json_dict(self):
-        return {"name": "delocalization", "passed": True,
-                "prefactor": self.prefactor,
-                "runtime_seconds": self.runtime_seconds, "rows": self.rows}
-
-    def save_json(self, path):
-        write_json(path, self.to_json_dict())
+    passed = (fp.converged and slope is not None and slope < 0
+              and r2 >= default_tolerances()["decay"]["r_squared"])
+    return ComparisonReport(
+        "decay", passed, "t,l2_over_sqrt_n,sup_norm", rows,
+        [("l2_over_sqrt_n", t, l2, 0.0) for t, l2, _ in rows]
+        + [("sup_norm", t, linf, 0.0) for t, _, linf in rows],
+        time.perf_counter() - tic, slope=slope, r_squared=r2,
+        converged=fp.converged, residual=fp.residual, rows=rows)
 
 
 def _as_tracks(obj):
@@ -887,6 +850,8 @@ def _as_tracks(obj):
 
 
 def delocalization_report(trajectory, loo=None, prefactor=None):
+    """Sup-norm to RMS-norm ratios per track and step; large ratios are
+    flagged against a poly-log bound but never counted as failures."""
     tic = time.perf_counter()
     tracks = _as_tracks(trajectory)
     loo_tracks = _as_tracks(loo) if loo is not None else {}
@@ -908,8 +873,12 @@ def delocalization_report(trajectory, loo=None, prefactor=None):
             rows.append({"track": name, "t": t, "sup_norm": sup,
                          "rms_norm": rms, "ratio": ratio, "bound": bound,
                          "flagged": ratio > bound, "loo_gap": gap})
-    return DelocalizationReport(rows, prefactor,
-                                runtime_seconds=time.perf_counter() - tic)
+    return ComparisonReport(
+        "delocalization", True,
+        "track,t,sup_norm,rms_norm,ratio,bound,flagged,loo_gap",
+        [tuple(r.values()) for r in rows],
+        [(r["track"], r["t"], r["ratio"], 0.0) for r in rows],
+        time.perf_counter() - tic, prefactor=prefactor, rows=rows)
 
 
 # ---------------------------------------------------------------------------

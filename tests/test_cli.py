@@ -11,17 +11,16 @@ import numpy as np
 import pytest
 
 from gfomlab.cli import (
-    RunManifest,
     config_hash,
     emit_plot_data,
     main,
     parse_config,
     run_experiment,
-    serialize_config,
 )
 from gfomlab.errors import ConfigError, NumericalError
-from gfomlab.harness import ComparisonReport, ExperimentConfig, Statistic, \
-    delocalization_report
+from gfomlab.harness import (ExperimentConfig, Statistic, comparison_report,
+                             delocalization_report, list_experiments,
+                             write_json)
 import test_harness as th
 
 
@@ -84,7 +83,7 @@ def test_config_round_trip(tmp_path):
     cfg = parse_config(write_config(tmp_path, law_b="rademacher",
                                     program_params={}))
     out = tmp_path / "serialized.json"
-    serialize_config(cfg, out)
+    write_json(out, cfg.to_dict())
     assert parse_config(out) == cfg
 
 
@@ -108,7 +107,7 @@ def test_plot_data_reads_step_from_labels(tmp_path):
     rows = [Statistic("psi_avg[t=1]", 1.0, 0.9, 0.05, 0.2),
             Statistic("psi_avg[t=2]", 2.0, 1.8, 0.06, 0.24),
             Statistic("overall", 3.0, 3.0, 0.0, 0.1)]
-    rep = ComparisonReport("demo", rows)
+    rep = comparison_report("demo", rows)
     path = tmp_path / "plot.csv"
     emit_plot_data(rep, path)
     lines = path.read_text().strip().split("\n")
@@ -123,7 +122,7 @@ def test_plot_data_reads_step_from_labels(tmp_path):
 
 def test_plot_data_empty_report_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_plot_data(ComparisonReport("empty", []), path)
+    emit_plot_data(comparison_report("empty", []), path)
     assert path.read_text() == "series,x,y,y_err\n"
 
 
@@ -144,28 +143,6 @@ def test_plot_data_delocalization_rows(tmp_path):
     emit_plot_data(report, path)
     lines = path.read_text().strip().split("\n")
     assert lines[1].startswith("z,0,1,")
-
-
-def test_plot_data_size_sweep(tmp_path):
-    pairs = []
-    for n in (250, 500, 1000, 2000):
-        cfg = ExperimentConfig(experiment="universality_averaged",
-                               program="tanh_gfom", n=n, T=1, replicates=6,
-                               seed=0, law_b="rademacher", mc_samples=500)
-        pairs.append((n, th.universality_averaged(cfg)))
-    path = tmp_path / "sweep.csv"
-    emit_plot_data(pairs, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 1 + 4
-    xs = [float(line.split(",")[1]) for line in lines[1:]]
-    assert xs == [250.0, 500.0, 1000.0, 2000.0]
-    gaps = [float(line.split(",")[2]) for line in lines[1:]]
-    assert gaps[3] == pairs[3][1].statistics[0].gap
-
-
-def test_plot_data_rejects_unknown_report(tmp_path):
-    with pytest.raises(ConfigError):
-        emit_plot_data(RunManifest("h", 0, {}, "now"), tmp_path / "x.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +349,65 @@ def test_main_validate_rejects_a_law_b_the_run_would_ignore(tmp_path, capsys,
      "prox_lam"),
     (dict(program="logistic", m=16,
           program_params={"prox": "zero", "prox_lam": 0.2}), "prox_lam"),
+    (dict(experiment="decay", program="pgd_linear", m=16), "replicates"),
+    (dict(experiment="delocalization"), "replicates"),
+    (dict(experiment="gd_gaussianity", program="gd_ridge", m=16, psi="abs"),
+     "psi"),
+    (dict(experiment="decay", program="pgd_linear", m=16, psi="abs"), "psi"),
+    (dict(experiment="delocalization", psi="abs"), "psi"),
+    (dict(coordinates=[1]), "coordinates"),
+    (dict(experiment="se_vs_simulation", coordinates=[1]), "coordinates"),
+    (dict(experiment="decay", program="pgd_linear", m=16, coordinates=[1]),
+     "coordinates"),
+    (dict(experiment="delocalization", coordinates=[1]), "coordinates"),
 ])
 def test_main_validate_rejects_keys_the_run_would_ignore(tmp_path, capsys,
                                                          overrides, key):
-    # m on an n x n program, a tolerance where no row has a gap, and a prox
-    # weight without a prox to weigh: each used to be accepted and ignored
+    # m on an n x n program, a tolerance where no row has a gap, a prox
+    # weight without a prox to weigh, and replicates, psi or coordinates
+    # where the experiment reads none: each used to be accepted and ignored
     path = write_config(tmp_path, **overrides)
     assert main(["validate", "--config", str(path)]) == 2
     assert f"configuration error: {key} is read only by" in capsys.readouterr().err
+
+
+def test_main_run_rejects_a_replicates_override_the_run_would_ignore(
+        tmp_path, capsys):
+    path = tmp_path / "decay.json"
+    path.write_text(json.dumps(dict(experiment="decay", program="pgd_linear",
+                                    n=20, m=16, T=3)))
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(path), "--out", str(out),
+                 "--replicates", "6"])
+    assert code == 2
+    assert ("configuration error: replicates is read only by"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", list_experiments())
+def test_config_written_by_to_dict_parses_again(tmp_path, experiment):
+    # to_dict writes every key, those the experiment ignores at their defaults
+    cfg = ExperimentConfig(experiment=experiment, program="gd_ridge", n=20,
+                           m=30).validate()
+    path = tmp_path / "cfg.json"
+    write_json(path, cfg.to_dict())
+    assert parse_config(path) == cfg
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(experiment="universality_entrywise", coordinates=[2, 2]),
+    dict(experiment="gd_gaussianity", program="gd_ridge", m=16,
+         coordinates=[1, 0, 1]),
+])
+def test_main_rejects_repeated_coordinates(tmp_path, capsys, overrides):
+    # a repeated coordinate used to write its rows twice, and
+    # report.statistic(label) found only the first of them
+    path = write_config(tmp_path, **overrides)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert ("configuration error: coordinates must not repeat"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("overrides, key", [

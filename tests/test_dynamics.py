@@ -10,7 +10,6 @@ from gfomlab.dynamics import (
     run_asymmetric,
     run_leave_k_out,
     run_symmetric,
-    trajectory_to_csv,
 )
 from gfomlab.ensembles import (
     EnsembleSpec,
@@ -292,14 +291,3 @@ def test_permutation_equivariance():
     permuted = run_symmetric(a[np.ix_(perm, perm)], prog_p)
     for t in range(4):
         assert np.allclose(permuted.z[t], base.z[t][perm], atol=1e-12)
-
-
-def test_trajectory_csv_layout(tmp_path):
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    traj = run_symmetric(a, build_power_iteration(1, np.array([1.0, 0.0])))
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "track,t,coordinate,value"
-    assert lines[1] == "z,0,0,1"
-    assert lines[-1] == "z,1,1,1"

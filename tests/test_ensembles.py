@@ -22,7 +22,6 @@ from gfomlab.ensembles import (
     VarianceProfile,
     constant_profile,
     gaussian_law,
-    matrix_to_csv,
     profile_weights,
     rademacher_law,
     sample_asymmetric,
@@ -644,13 +643,3 @@ def test_transform_into_out_matches_transform(law):
     assert np.ascontiguousarray(out).tobytes() == expected.tobytes()
     assert np.isnan(big[[0, 4]]).all() and np.isnan(big[:, 45:]).all()
     assert np.isnan(big[:, :5]).all()
-
-
-def test_matrix_csv_round_trips_exactly(tmp_path):
-    spec = EnsembleSpec(gaussian_law(), constant_profile((6, 6)),
-                        "inv_sqrt_n", symmetric=True)
-    a = sample_symmetric(spec, 6, seed=21)
-    path = tmp_path / "a.csv"
-    matrix_to_csv(a, path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(a, back)

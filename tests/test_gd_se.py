@@ -18,9 +18,7 @@ from gfomlab.erm import gradient_descent, prox_zero, squared_loss
 from gfomlab.errors import ConfigError, NumericalError
 from gfomlab.gd_se import (
     g_coefficient_nested_sum,
-    gd_entrywise_law,
     gd_key_params,
-    gd_law_to_csv,
     gd_se,
     gd_se_homogeneous,
 )
@@ -424,8 +422,8 @@ def test_gd_se_matches_two_sided_engine_on_gd_program():
                         normalization="inv_sqrt_n")
     coords = np.arange(5)
     for t in range(1, T + 1):
-        laws = [gd_entrywise_law(st, ell, t) for ell in coords]
-        want = np.array([law.mean**2 + law.variance for law in laws])
+        law = gd_key_params(st, t)
+        want = (law.bias[coords] * mu0[coords])**2 + law.variance[coords]
         [(means, ses)] = predict_entrywise(rec, coords, np.square, [("v", t)],
                                            n_paths=20000, seed=0)
         assert np.all(ses > 0)
@@ -433,7 +431,8 @@ def test_gd_se_matches_two_sided_engine_on_gd_program():
 
 
 # ---------------------------------------------------------------------------
-# per-coordinate normal descriptors
+# per-coordinate normal laws: (estimate - signal)_l at step t is normal with
+# mean bias[l] * mu0[l] and variance variance[l]
 
 def test_entrywise_law_first_step():
     n, m, eta = 6, 15, 0.21
@@ -444,37 +443,28 @@ def test_entrywise_law_first_step():
     st = gd_se(squared_loss(), eta, 0.0, mu0, xi, None,
                constant_profile((m, n)), 1, seed=18)
     want_var = eta**2 * phi * (np.sum(xi**2) / m + np.sum(mu0**2) / n)
+    law = gd_key_params(st, 1)
     for ell in range(n):
-        law = gd_entrywise_law(st, ell, 1)
-        assert law.mean == pytest.approx((eta * phi - 1.0) * mu0[ell], rel=1e-12)
-        assert law.variance == pytest.approx(want_var, rel=1e-10)
-        assert law.sd == pytest.approx(np.sqrt(want_var), rel=1e-10)
-        assert law.coefficients[1] == 1.0
+        assert law.bias[ell] * mu0[ell] == pytest.approx(
+            (eta * phi - 1.0) * mu0[ell], rel=1e-12)
+        assert law.variance[ell] == pytest.approx(want_var, rel=1e-10)
+        assert np.sqrt(law.variance[ell]) == pytest.approx(np.sqrt(want_var),
+                                                           rel=1e-10)
+        assert st.m_matrix[ell, 1, 1] == 1.0
 
 
 def test_entrywise_law_degenerate_and_zero_signal():
     st = small_state(T=2, eta=0.0, seed=19)
-    law = gd_entrywise_law(st, 0, 2)
-    assert law.variance == 0.0 and law.sd == 0.0
-    assert law.mean == -st.mu0[0]
+    law = gd_key_params(st, 2)
+    assert law.variance[0] == 0.0 and np.sqrt(law.variance[0]) == 0.0
+    assert law.bias[0] * st.mu0[0] == -st.mu0[0]
     st0 = gd_se(squared_loss(), 0.3, 0.1, np.zeros(4), np.ones(6), None,
                 constant_profile((6, 4)), 2, seed=20)
     for t in range(3):
-        assert gd_entrywise_law(st0, 2, t).mean == 0.0
-
-
-def test_entrywise_law_guards():
-    st = small_state(T=2, seed=21)
-    with pytest.raises(ConfigError):
-        gd_entrywise_law(st, 99, 1)
-    hom = gd_se_homogeneous(squared_loss(), 0.3, 0.0, 1.0, np.ones(6), 1.5, 2,
-                            seed=21)
-    with pytest.raises(ConfigError):
-        gd_entrywise_law(hom, 0, 1)
+        assert gd_key_params(st0, t).bias[2] * st0.mu0[2] == 0.0
 
 
 _READ_OUTS = {"gd_key_params": gd_key_params,
-              "gd_entrywise_law": gd_entrywise_law,
               "g_coefficient_nested_sum": g_coefficient_nested_sum}
 
 
@@ -482,9 +472,6 @@ _READ_OUTS = {"gd_key_params": gd_key_params,
     ("gd_key_params", (True,)),
     ("gd_key_params", (1.0,)),
     ("gd_key_params", ("1",)),
-    ("gd_entrywise_law", (True, 2)),
-    ("gd_entrywise_law", (1.5, 2)),
-    ("gd_entrywise_law", (0, 2.0)),
     ("g_coefficient_nested_sum", (True, 2)),
     ("g_coefficient_nested_sum", (1, True)),
     ("g_coefficient_nested_sum", (1, 2.0)),
@@ -506,21 +493,3 @@ def test_state_serialization_round_trip():
     assert data["T"] == 2 and data["quadratic"] is True
     assert np.allclose(np.array(data["m_matrix"]), st.m_matrix)
     assert np.allclose(np.array(data["v_cov"]), st.v_cov)
-
-
-def test_law_csv_round_trip(tmp_path):
-    st = small_state(T=2, n=3, m=5, seed=23)
-    path = tmp_path / "laws.csv"
-    gd_law_to_csv(st, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "coordinate,t,bias,variance"
-    assert len(lines) == 1 + 3 * 3
-    for line in lines[1:]:
-        ell, t, bias, var = line.split(",")
-        law = gd_key_params(st, int(t))
-        assert float(bias) == law.bias[int(ell)]
-        assert float(var) == law.variance[int(ell)]
-    st_again = small_state(T=2, n=3, m=5, seed=23)
-    path2 = tmp_path / "laws2.csv"
-    gd_law_to_csv(st_again, path2)
-    assert path.read_bytes() == path2.read_bytes()

@@ -42,6 +42,7 @@ from gfomlab.ensembles import (NORMALIZATIONS, EnsembleSpec, VarianceProfile,
                                shifted_bernoulli_law, uniform_pm_law)
 from gfomlab.erm import prox_lasso, prox_ridge, squared_loss
 from gfomlab.gd_se import g_coefficient_nested_sum, gd_key_params, gd_se
+from gfomlab.harness import EXPERIMENTS
 from gfomlab.programs import (build_gd_ridge, build_logistic,
                               build_pgd_linear, build_tanh_iteration, tanh_map)
 from gfomlab.state_evolution import (amp_se_asymmetric, amp_se_symmetric,
@@ -68,6 +69,55 @@ def _artifacts(case, out_dir):
 def test_artifacts_match_golden_bytes(case, tmp_path):
     for name, data in _artifacts(case, tmp_path).items():
         assert data == (GOLDEN / case / name).read_bytes(), f"{case}/{name}"
+
+
+def test_every_experiment_has_a_golden_config():
+    # so every kind of report has its CSV bytes pinned through the one writer
+    experiments = {json.loads((GOLDEN / f"{case}.json").read_text())["experiment"]
+                   for case in CASES}
+    assert set(EXPERIMENTS) <= experiments
+
+
+# the JSON keys of each experiment's report; perfbench/child.py reads
+# statistics[*].gap and .tolerance, details.replicates_used and divergent
+_COMPARISON = {"name", "passed", "runtime_seconds", "divergent", "details",
+               "statistics"}
+REPORT_KEYS = {
+    "universality_averaged": _COMPARISON,
+    "universality_entrywise": _COMPARISON,
+    "se_vs_simulation": _COMPARISON,
+    "gd_gaussianity": _COMPARISON,
+    "decay": {"name", "passed", "runtime_seconds", "slope", "r_squared",
+              "converged", "residual", "rows"},
+    "delocalization": {"name", "passed", "runtime_seconds", "prefactor",
+                       "rows"},
+}
+STATISTIC_KEYS = {"label", "estimate_a", "estimate_b", "gap", "se",
+                  "tolerance", "passed"}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_report_json_keys(case, tmp_path):
+    config = parse_config(GOLDEN / f"{case}.json")
+    manifest = run_experiment(config, tmp_path)
+    report = json.loads((tmp_path / f"{config.experiment}.json").read_text())
+    assert set(report) == REPORT_KEYS[config.experiment]
+    assert report["name"] == config.experiment
+    assert report["passed"] is manifest.passed
+    assert isinstance(report["runtime_seconds"], float)
+    # one JSON row or statistic per CSV line
+    lines = (tmp_path / f"{config.experiment}.csv").read_text().splitlines()
+    assert len(report.get("rows", report.get("statistics"))) == len(lines) - 1
+    if "rows" in report:
+        return
+    for st in report["statistics"]:
+        assert set(st) == STATISTIC_KEYS
+        assert isinstance(st["gap"], float) and isinstance(st["tolerance"], float)
+    used = report["details"]["replicates_used"]
+    assert type(used) is int and 2 <= used <= config.replicates
+    divergent = report["divergent"]
+    assert all(type(v) is int for v in divergent.values())
+    assert used + sum(divergent.values()) == config.replicates
 
 
 # ---------------------------------------------------------------------------
