@@ -310,7 +310,7 @@ def pgd_logistic(problem, sigma, T, clamp=None):
     """Smoothed logistic PGD from (mu0, xi); sigma=0 is the hard-sign loss.
 
     The x-argument of the loss derivative is clamped to [-clamp, clamp]
-    (default 20 log n), mirroring the score truncation used by the program
+    (default 20 log n), mirroring the score clamp used by the program
     builder so both routes agree exactly.
     """
     a = np.asarray(problem.a, dtype=float)

@@ -20,6 +20,7 @@ drawn when law A diverges.  The decay and delocalization diagnostics draw
 their one matrix as law A of replicate 0.
 """
 
+import copy
 import json
 import math
 import numbers
@@ -139,10 +140,10 @@ class ExperimentConfig:
     n: int
     m: int | None = None
     T: int = 2
-    replicates: int = 50
+    replicates: int | None = None
     seed: int = 0
-    psi: str = "square"
-    coordinates: list = field(default_factory=lambda: [0])
+    psi: str | None = None
+    coordinates: list | None = None
     law_a: str = "gaussian"
     law_a_param: float | None = None
     law_b: str | None = None
@@ -152,6 +153,9 @@ class ExperimentConfig:
     program_params: dict = field(default_factory=dict)
 
     def validate(self):
+        """Check every set key, refuse a set optional key that the
+        experiment ignores, then give each unset optional key that it reads
+        its default (``_OPTIONAL_DEFAULTS``).  Returns the config."""
         if self.experiment not in EXPERIMENT_NAMES:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choices: {EXPERIMENT_NAMES}")
@@ -166,7 +170,7 @@ class ExperimentConfig:
                               f"{' or '.join(programs)}, got {self.program!r}")
         for key in ("seed", "n", "m", "T", "replicates", "mc_samples"):
             value = getattr(self, key)
-            if key == "m" and value is None:
+            if value is None and key in ("m", "replicates"):
                 continue
             if not _is_int(value):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -184,22 +188,24 @@ class ExperimentConfig:
                               f"{self.program!r} runs n x n")
         if self.T < 1:
             raise ConfigError("T must be >= 1")
-        if self.replicates < 2:
+        if self.replicates is not None and self.replicates < 2:
             raise ConfigError("replicates must be >= 2 (standard errors)")
         if self.mc_samples < 2:
             raise ConfigError("mc_samples must be >= 2")
-        resolve_psi(self.psi)
+        if self.psi is not None:
+            resolve_psi(self.psi)
         # coordinates index z, v or the estimate, all of width n
         coords = self.coordinates
-        if (not isinstance(coords, (list, tuple)) or not coords
-                or not all(_is_int(k) and 0 <= k < self.n for k in coords)):
-            raise ConfigError("coordinates must be a non-empty list of "
-                              f"integers in 0..{self.n - 1}, got {coords!r}")
-        if len(set(coords)) < len(coords):
-            raise ConfigError(f"coordinates must not repeat, got {coords!r}")
-        if self.experiment == "universality_entrywise" and len(coords) > 10:
-            raise ConfigError("universality_entrywise is limited to 10 "
-                              "coordinates")
+        if coords is not None:
+            if (not isinstance(coords, (list, tuple)) or not coords
+                    or not all(_is_int(k) and 0 <= k < self.n for k in coords)):
+                raise ConfigError("coordinates must be a non-empty list of "
+                                  f"integers in 0..{self.n - 1}, got {coords!r}")
+            if len(set(coords)) < len(coords):
+                raise ConfigError(f"coordinates must not repeat, got {coords!r}")
+            if self.experiment == "universality_entrywise" and len(coords) > 10:
+                raise ConfigError("universality_entrywise is limited to 10 "
+                                  "coordinates")
         for key in ("law_a_param", "law_b_param"):
             value = getattr(self, key)
             if value is not None and not _is_finite_real(value):
@@ -231,19 +237,15 @@ class ExperimentConfig:
         tol = self.tolerance
         if tol is not None and not (_is_finite_real(tol) and tol >= 0):
             raise ConfigError(f"tolerance must be a finite number >= 0, got {tol!r}")
-        return self.refuse_ignored(("law_b", "tolerance"))
-
-    def refuse_ignored(self, keys):
-        """Refuse any of ``keys`` that the experiment does not read, unless
-        it holds its default value, which the run would use anyway; so a
-        config written by ``to_dict`` parses again."""
-        default = ExperimentConfig(self.experiment, self.program, self.n)
         reads = _EXPERIMENT_KEYS[self.experiment]
-        for key in sorted(set(keys) & _OPTIONAL_KEYS - set(reads)):
-            if getattr(self, key) != getattr(default, key):
+        for key in sorted(_OPTIONAL_DEFAULTS):
+            if getattr(self, key) is not None and key not in reads:
                 readers = [e for e, ks in _EXPERIMENT_KEYS.items() if key in ks]
                 raise ConfigError(f"{key} is read only by {', '.join(readers)}; "
                                   f"{self.experiment} ignores it")
+        for key in reads:
+            if getattr(self, key) is None:
+                setattr(self, key, copy.copy(_OPTIONAL_DEFAULTS[key]))
         return self
 
     def to_dict(self):
@@ -260,7 +262,7 @@ class ExperimentConfig:
         missing = {"experiment", "program", "n"} - set(data)
         if missing:
             raise ConfigError(f"missing required config keys {sorted(missing)}")
-        return cls(**data).validate().refuse_ignored(data)
+        return cls(**data).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +544,12 @@ _EXPERIMENT_PROGRAMS = {
     "decay": ("pgd_linear", "gd_ridge"),
 }
 
-# the optional keys each experiment reads; a config that sets one that its
-# experiment ignores is refused.  mc_samples is not among them: whether a run
-# reads it depends on the program too (tanh_amp builds a limit law in any
-# experiment).
+# the optional keys each experiment reads, and the value an unset one takes
+# where it is read; a config that sets one that its experiment ignores is
+# refused.  mc_samples is not among them: whether a run reads it depends on
+# the program too (tanh_amp builds a limit law in any experiment).
+_OPTIONAL_DEFAULTS = {"replicates": 50, "psi": "square", "coordinates": [0],
+                      "law_b": None, "tolerance": None}
 _EXPERIMENT_KEYS = {
     "universality_averaged": ("replicates", "psi", "law_b", "tolerance"),
     "universality_entrywise": ("replicates", "psi", "coordinates", "law_b",
@@ -555,7 +559,6 @@ _EXPERIMENT_KEYS = {
     "decay": (),
     "delocalization": (),
 }
-_OPTIONAL_KEYS = {key for keys in _EXPERIMENT_KEYS.values() for key in keys}
 
 
 def build_plan(config):

@@ -342,9 +342,11 @@ def test_main_validate_rejects_a_law_b_the_run_would_ignore(tmp_path, capsys,
     (dict(program="power_iteration", m=20), "m"),
     (dict(m=20), "m"),
     (dict(program="tanh_amp", m=20), "m"),
-    (dict(experiment="decay", program="pgd_linear", m=16, tolerance=0.1),
+    # replicates unset, so tolerance is the one ignored key
+    (dict(experiment="decay", program="pgd_linear", m=16, replicates=None,
+          tolerance=0.1), "tolerance"),
+    (dict(experiment="delocalization", replicates=None, tolerance=0.1),
      "tolerance"),
-    (dict(experiment="delocalization", tolerance=0.1), "tolerance"),
     (dict(program="pgd_linear", m=16, program_params={"prox_lam": 0.2}),
      "prox_lam"),
     (dict(program="logistic", m=16,
@@ -371,14 +373,16 @@ def test_main_validate_rejects_keys_the_run_would_ignore(tmp_path, capsys,
     assert f"configuration error: {key} is read only by" in capsys.readouterr().err
 
 
+# 50 is the default replicate count, which decay ignores all the same
+@pytest.mark.parametrize("replicates", ["6", "50"])
 def test_main_run_rejects_a_replicates_override_the_run_would_ignore(
-        tmp_path, capsys):
+        tmp_path, capsys, replicates):
     path = tmp_path / "decay.json"
     path.write_text(json.dumps(dict(experiment="decay", program="pgd_linear",
                                     n=20, m=16, T=3)))
     out = tmp_path / "o"
     code = main(["run", "--config", str(path), "--out", str(out),
-                 "--replicates", "6"])
+                 "--replicates", replicates])
     assert code == 2
     assert ("configuration error: replicates is read only by"
             in capsys.readouterr().err)
@@ -387,9 +391,18 @@ def test_main_run_rejects_a_replicates_override_the_run_would_ignore(
 
 @pytest.mark.parametrize("experiment", list_experiments())
 def test_config_written_by_to_dict_parses_again(tmp_path, experiment):
-    # to_dict writes every key, those the experiment ignores at their defaults
+    # to_dict writes every key: those the experiment reads at their
+    # defaults, those it ignores as null
     cfg = ExperimentConfig(experiment=experiment, program="gd_ridge", n=20,
                            m=30).validate()
+    reads = {"universality_averaged": ("replicates", "psi"),
+             "universality_entrywise": ("replicates", "psi", "coordinates"),
+             "se_vs_simulation": ("replicates", "psi"),
+             "gd_gaussianity": ("replicates", "coordinates")}.get(experiment, ())
+    defaults = {"replicates": 50, "psi": "square", "coordinates": [0]}
+    for key, value in defaults.items():
+        assert getattr(cfg, key) == (value if key in reads else None), key
+    assert cfg.law_b is None and cfg.tolerance is None
     path = tmp_path / "cfg.json"
     write_json(path, cfg.to_dict())
     assert parse_config(path) == cfg

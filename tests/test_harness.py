@@ -163,6 +163,18 @@ def test_law_b_is_accepted_only_where_it_is_drawn(experiment):
         ExperimentConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("key, value", [("replicates", 2), ("replicates", 50),
+                                        ("psi", "square"), ("coordinates", [0])])
+def test_validate_refuses_an_ignored_key_of_a_config_built_in_code(key, value):
+    # not only a parsed config: the default value is refused too, since the
+    # run would ignore it all the same
+    cfg = ExperimentConfig(experiment="decay", program="pgd_linear", n=20,
+                           m=30, **{key: value})
+    with pytest.raises(ConfigError, match=f"{key} is read only by .*; "
+                                          "decay ignores it"):
+        cfg.validate()
+
+
 def test_config_unknown_and_missing_keys():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "decay", "program":
@@ -607,7 +619,7 @@ def test_gd_gaussianity_requires_gd_program():
 
 def test_decay_ridge_is_log_linear():
     cfg = ExperimentConfig(experiment="decay", program="pgd_linear", n=500,
-                           m=250, T=40, replicates=2, seed=0,
+                           m=250, T=40, seed=0,
                            program_params={"prox": "ridge", "prox_lam": 0.5})
     report = run_named_experiment(cfg)
     assert report.converged
@@ -696,7 +708,7 @@ def test_delocalization_tanh_amp_ratios_stay_small():
     worst = 0.0
     for seed in range(20):
         cfg = ExperimentConfig(experiment="delocalization", program="tanh_amp",
-                               n=1000, T=5, replicates=2, seed=seed,
+                               n=1000, T=5, seed=seed,
                                mc_samples=2000)
         report = run_named_experiment(cfg)
         worst = max(worst, *(r["ratio"] for r in report.rows))
