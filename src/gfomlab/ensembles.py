@@ -1,9 +1,8 @@
 """Random matrix ensembles with independent entries and variance profiles.
 
 Entry laws are standardized (mean 0, variance 1) and then scaled by the
-square root of a per-entry variance profile, with no entry cut or clipped,
-so two ensembles built on the same profile have exactly matching second
-moments whatever their laws.
+square root of a per-entry variance profile, so two ensembles built on the
+same profile have exactly matching second moments whatever their laws.
 Normalizations: 1/sqrt(n) for symmetric matrices, 1/sqrt(m) or 1/sqrt(m+n)
 for rectangular ones.
 
@@ -165,14 +164,18 @@ def constant_profile(shape, value=1.0):
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Entry law + profile + normalization for one random matrix ensemble:
-    entry (i, j) is a standardized variate of the law times sqrt(profile_ij),
-    divided by the normalization's denominator."""
+    """Entry law + profile + normalization for one random matrix ensemble.
+
+    ``truncate`` (default None = off, else finite and > 0) zeroes
+    pre-normalization entries with |A0_ij| > truncate * sqrt(log(max(m, n)));
+    a stress-testing knob only.
+    """
 
     law: EntryLaw
     profile: VarianceProfile
     normalization: str
     symmetric: bool
+    truncate: float | None = None
 
     def __post_init__(self):
         if self.normalization not in NORMALIZATIONS:
@@ -181,6 +184,10 @@ class EnsembleSpec:
             if self.normalization != "inv_sqrt_n":
                 raise ConfigError("symmetric ensembles use inv_sqrt_n")
             self.profile.require_symmetric()
+        cut = self.truncate
+        if cut is not None and (isinstance(cut, bool) or not isinstance(
+                cut, numbers.Real) or not 0 < cut < math.inf):
+            raise ConfigError(f"truncate must be finite and > 0, got {cut!r}")
         # sqrt of a constant profile, worked out once: the samplers scale by
         # this scalar instead of the per-entry sqrt(profile)
         scale = None
@@ -307,8 +314,8 @@ def _sample_strips(spec, m, n, seed):
     (``seeds.seek``) and draws the strip's words straight into its rows of
     the output.  Each strip then takes the same rounding steps in place:
     transform, scale by sqrt(profile) (a scale of exactly 1.0 changes no bit
-    and is skipped), divide.  Only a per-entry profile needs scratch, one
-    strip per thread, for its sqrt.
+    and is skipped), truncate, divide.  Only a per-entry profile or the
+    truncation needs scratch, one strip per thread.
 
     A symmetric strip works on its band of columns r0: only.  Its words left
     of the band are overwritten by a second pass, once every band is drawn:
@@ -324,12 +331,15 @@ def _sample_strips(spec, m, n, seed):
     a = np.empty((m, n))
     denom = spec.denominator(m, n)
     scale = spec._scale
+    cut = None
+    if spec.truncate is not None:
+        cut = spec.truncate * math.sqrt(math.log(max(m, n)))
 
     def band_fill():
         bits = np.random.Philox(seq)
         gen = np.random.Generator(bits)
         words = None
-        if scale is None:
+        if scale is None or cut is not None:
             words = np.empty(min(STRIP_ROWS, m) * n)
 
         def fill(r0, r1):
@@ -337,11 +347,14 @@ def _sample_strips(spec, m, n, seed):
             c0 = r0 if spec.symmetric else 0
             band = gen.random(out=a[r0:r1])[:, c0:]
             spec.law.transform(band, out=band)
+            if words is not None:
+                u = words[:band.size].reshape(band.shape)
             if scale is None:
-                band *= np.sqrt(spec.profile.values[r0:r1, c0:],
-                                out=words[:band.size].reshape(band.shape))
+                band *= np.sqrt(spec.profile.values[r0:r1, c0:], out=u)
             elif scale != 1.0:
                 band *= scale
+            if cut is not None:
+                band[np.abs(band, out=u) > cut] = 0.0
             if spec.symmetric and not scale:
                 band += 0.0
             band /= denom

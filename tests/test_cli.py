@@ -373,10 +373,7 @@ def test_main_validate_rejects_keys_the_run_would_ignore(tmp_path, capsys,
     assert f"configuration error: {key} is read only by" in capsys.readouterr().err
 
 
-# 50 is the default replicate count, which decay ignores all the same
-@pytest.mark.parametrize("replicates", ["6", "50"])
-def test_main_run_rejects_a_replicates_override_the_run_would_ignore(
-        tmp_path, capsys, replicates):
+def _run_decay_with_replicates(tmp_path, capsys, replicates):
     path = tmp_path / "decay.json"
     path.write_text(json.dumps(dict(experiment="decay", program="pgd_linear",
                                     n=20, m=16, T=3)))
@@ -387,6 +384,17 @@ def test_main_run_rejects_a_replicates_override_the_run_would_ignore(
     assert ("configuration error: replicates is read only by"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_main_run_rejects_a_replicates_override_the_run_would_ignore(
+        tmp_path, capsys):
+    _run_decay_with_replicates(tmp_path, capsys, "6")
+
+
+def test_main_run_rejects_the_default_replicates_where_the_run_ignores_it(
+        tmp_path, capsys):
+    # 50 is the default replicate count, which decay ignores all the same
+    _run_decay_with_replicates(tmp_path, capsys, "50")
 
 
 @pytest.mark.parametrize("experiment", list_experiments())

@@ -310,6 +310,28 @@ def test_determinism_and_seed_sensitivity():
     assert not np.array_equal(a1, a3)
 
 
+def test_truncation_zeroes_large_entries():
+    n = 50
+    spec = EnsembleSpec(gaussian_law(), constant_profile((n, n)),
+                        "inv_sqrt_n", symmetric=True)
+    cut = EnsembleSpec(gaussian_law(), constant_profile((n, n)),
+                       "inv_sqrt_n", symmetric=True, truncate=0.5)
+    a = sample_symmetric(spec, n, seed=4)
+    b = sample_symmetric(cut, n, seed=4)
+    thresh = 0.5 * math.sqrt(math.log(n)) / math.sqrt(n)
+    assert np.all(b[np.abs(a) > thresh] == 0.0)
+    assert np.array_equal(b[np.abs(a) <= thresh], a[np.abs(a) <= thresh])
+    assert np.any(b != a)
+
+
+@pytest.mark.parametrize("truncate", [-1.0, 0.0, float("nan"), float("inf"),
+                                      True, "0.5"])
+def test_truncation_must_be_finite_and_positive(truncate):
+    with pytest.raises(ConfigError, match="truncate"):
+        EnsembleSpec(gaussian_law(), constant_profile((4, 4)), "inv_sqrt_n",
+                     symmetric=True, truncate=truncate)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "7", True, None])
 def test_samplers_reject_bad_seeds(seed):
     sym = EnsembleSpec(gaussian_law(), constant_profile((3, 3)), "inv_sqrt_n",
@@ -359,12 +381,13 @@ ALL_LAWS = [gaussian_law(), rademacher_law(), uniform_pm_law(),
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
+@pytest.mark.parametrize("truncate", [None, 0.6])
 @pytest.mark.parametrize("rows", [1, 3, 5, STRIP_ROWS])
 @pytest.mark.parametrize("symmetric,shape", [(True, (67, 67)),
                                              (False, (130, 67))])
 @pytest.mark.parametrize("profile", ["zero_row", "ones", "zeros"])
-def test_strip_size_does_not_change_the_bits(monkeypatch, law, rows, symmetric,
-                                             shape, profile):
+def test_strip_size_does_not_change_the_bits(monkeypatch, law, truncate, rows,
+                                             symmetric, shape, profile):
     # odd n: a strip's word count is not a multiple of Philox's four words
     # per counter step, so strips start inside a step
     m, n = shape
@@ -379,7 +402,7 @@ def test_strip_size_does_not_change_the_bits(monkeypatch, law, rows, symmetric,
         values = np.full(shape, 1.0 if profile == "ones" else 0.0)
     spec = EnsembleSpec(law, VarianceProfile(values),
                         "inv_sqrt_n" if symmetric else "inv_sqrt_m_plus_n",
-                        symmetric=symmetric)
+                        symmetric=symmetric, truncate=truncate)
     ref = _drawn_at_once(spec, m, n, seed=17)
     monkeypatch.setattr(ensembles, "STRIP_ROWS", rows)
     assert _sample(spec, m, n, seed=17).tobytes() == ref.tobytes()
@@ -389,6 +412,8 @@ def _drawn_at_once(spec, m, n, seed):
     """The documented steps on the whole matrix's words, drawn at once."""
     u = entry_uniforms(np.random.SeedSequence(seed), m * n).reshape(m, n)
     x = spec.law.transform(u) * np.sqrt(spec.profile.values)
+    if spec.truncate is not None:
+        x[np.abs(x) > spec.truncate * math.sqrt(math.log(max(m, n)))] = 0.0
     if spec.symmetric:
         x = np.triu(x) + np.triu(x, 1).T
     return x / spec.denominator(m, n)
@@ -424,18 +449,20 @@ def _profile(kind, shape):
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
+@pytest.mark.parametrize("truncate", [None, 0.6])
 @pytest.mark.parametrize("profile", ["constant", "zero", "two_block"])
 @pytest.mark.parametrize("symmetric,shape", [
     (True, (67, 67)), (True, (130, 130)), (True, (5, 5)),
     (False, (130, 67)), (False, (67, 130)), (False, (5, 3))])
 def test_thread_count_does_not_change_the_bits(monkeypatch, strip_threads, law,
-                                               profile, symmetric, shape):
+                                               truncate, profile, symmetric,
+                                               shape):
     # 5-row strips start at words r0 * n that are not multiples of Philox's
     # four words per counter step, and no shape is a whole number of strips
     m, n = shape
     spec = EnsembleSpec(law, _profile(profile, shape),
                         "inv_sqrt_n" if symmetric else "inv_sqrt_m",
-                        symmetric=symmetric)
+                        symmetric=symmetric, truncate=truncate)
     ref = _drawn_at_once(spec, m, n, seed=23).tobytes()
     for rows in [5, STRIP_ROWS]:
         monkeypatch.setattr(ensembles, "STRIP_ROWS", rows)

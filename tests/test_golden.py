@@ -8,8 +8,8 @@ per case over every array of every side and two read-outs, and the
 gradient-descent limit law of ``gd_se``, as one digest per loss, profile
 and sample mask over every table, the key parameters at every step and the
 nested-sum coefficients.  ``golden/samples.json`` pins the sampled
-matrices, as one digest per sampler, law, profile and normalization over a
-grid of sizes and seeds.  ``golden/trajectories.json``
+matrices, as one digest per sampler, law, profile, truncation and
+normalization over a grid of sizes and seeds.  ``golden/trajectories.json``
 pins the iterates of every executor on sampled matrices, the corrected
 ones with non-zero memory tables.  A change that alters them
 on purpose re-records them with
@@ -259,6 +259,7 @@ def test_heterogeneous_record_does_not_depend_on_blas_threads():
 SAMPLE_LAWS = {"gaussian": gaussian_law(), "rademacher": rademacher_law(),
                "uniform_pm": uniform_pm_law(),
                "shifted_bernoulli": shifted_bernoulli_law(0.3)}
+TRUNCATIONS = {"off": None, "0.5": 0.5}
 SYM_SHAPES = [(n, n) for n in (1, 2, 63, 64, 65, 129)]
 ASYM_SHAPES = [(1, 1), (7, 3), (130, 300)]
 
@@ -278,18 +279,17 @@ SAMPLE_PROFILES = {"c1": lambda m, n: constant_profile((m, n), 1.0),
 
 
 def _sample_cases():
-    # "off" in each name stands for the truncation option the samplers once
-    # had; the digests were recorded under these names
     cases = {}
-    for law, prof in itertools.product(SAMPLE_LAWS, SAMPLE_PROFILES):
-        cases[f"symmetric/{law}/{prof}/off"] = (law, prof, "inv_sqrt_n",
-                                                SYM_SHAPES)
+    for law, prof, cut in itertools.product(SAMPLE_LAWS, SAMPLE_PROFILES,
+                                            TRUNCATIONS):
+        cases[f"symmetric/{law}/{prof}/{cut}"] = (
+            law, prof, cut, "inv_sqrt_n", SYM_SHAPES)
         for norm in NORMALIZATIONS:
-            cases[f"asymmetric/{law}/{prof}/off/{norm}"] = (law, prof, norm,
-                                                            ASYM_SHAPES)
+            cases[f"asymmetric/{law}/{prof}/{cut}/{norm}"] = (
+                law, prof, cut, norm, ASYM_SHAPES)
     for law in ("gaussian", "rademacher"):
-        cases[f"symmetric/{law}/c1/off/n1000"] = (law, "c1", "inv_sqrt_n",
-                                                  [(1000, 1000)])
+        cases[f"symmetric/{law}/c1/off/n1000"] = (
+            law, "c1", "off", "inv_sqrt_n", [(1000, 1000)])
     return cases
 
 
@@ -297,12 +297,12 @@ SAMPLE_CASES = _sample_cases()
 
 
 def _sample_digest(case):
-    law, prof, norm, shapes = SAMPLE_CASES[case]
+    law, prof, cut, norm, shapes = SAMPLE_CASES[case]
     symmetric = case.startswith("symmetric")
     h = hashlib.sha256()
     for m, n in shapes:
         spec = EnsembleSpec(SAMPLE_LAWS[law], SAMPLE_PROFILES[prof](m, n), norm,
-                            symmetric=symmetric)
+                            symmetric=symmetric, truncate=TRUNCATIONS[cut])
         for seed in (5, np.random.SeedSequence(2024, spawn_key=(3, 7, 0))):
             if symmetric:
                 a = sample_symmetric(spec, n, seed)
