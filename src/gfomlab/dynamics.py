@@ -24,10 +24,6 @@ class Trajectory:
         self.u = u
         self.v = v
 
-    @property
-    def symmetric(self):
-        return self.z is not None
-
 
 def _run(a, tracks, T, memory=None):
     """The iteration loop behind every executor.

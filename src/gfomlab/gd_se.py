@@ -17,8 +17,8 @@ the standard errors.  Sample coordinates draw independent paths, so a class
 average's standard error combines the per-coordinate ones exactly.
 
 Only the algebra is this module's own, as it cross-checks the general
-engine: the column-stream keys, the PSD floor (plain, as ``u_cov`` has no
-standard errors) and the range checks come from ``state_evolution``, the
+engine: the profile's scale, the column-stream keys, the PSD floor (read
+with ``u_cov_se``) and the range checks come from ``state_evolution``, the
 rate and mask checks from ``programs.gd_inputs``, as for ``build_gd_ridge``.
 """
 
@@ -27,13 +27,12 @@ import math
 
 import numpy as np
 
-from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
 from .programs import gd_inputs
 from .seeds import DOMAIN_SE, child_sequence
 from .state_evolution import (_BLOCK, DEFAULT_MC, PSD_FLOOR, _column_generators,
                               _draw_paths, _int_in, _mc_average, _sub_blocks,
-                              psd_factors)
+                              law_weights, psd_factors)
 
 NESTED_SUM_MAX_GAP = 8
 
@@ -44,12 +43,12 @@ class GdSeState:
     m_matrix[c] decomposes the centered estimate track: column t holds the
     loadings of iterate t on the signal direction (row 0) and on each fresh
     innovation (rows 1..t); unit diagonal, zero below.  u_cov[k] is the
-    covariance of the prediction-side Gaussian path at sample coordinate k;
-    v_cov[c] the innovation covariance (row/col 0 reserved for the signal).
-    w_pred (m, C) loads the classes onto the sample coordinates (through
-    u_cov and the f-tables); w_sig (C, m) averages sample coordinates back
-    into classes (through the g-tables and v_cov).  mu0 is None when the
-    classes carry no per-coordinate signal.
+    covariance of the prediction-side Gaussian path at sample coordinate k
+    (u_cov_se[k] its first-order error), v_cov[c] the innovation covariance
+    (row/col 0 reserved for the signal).  w_pred (m, C) loads the classes
+    onto the sample coordinates (through u_cov and the f-tables); w_sig
+    (C, m) averages them back into classes (through the g-tables and
+    v_cov).  mu0 is None when the classes carry no per-coordinate signal.
     """
 
     def __init__(self, loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig,
@@ -72,6 +71,7 @@ class GdSeState:
         self.v_cov[:, 0, 0] = mu0_sq
         self.v_cov_se = np.zeros((c, T + 1, T + 1))
         self.u_cov = np.zeros((m, T, T))
+        self.u_cov_se = np.zeros((m, T, T))
         self.f_tables = []   # step t -> (t-1, m)
         self.g_tables = []   # step t -> (t, C)
         self.g_tables_se = []
@@ -95,6 +95,7 @@ class GdSeState:
             "lam": self.lam,
             "m_matrix": self.m_matrix.tolist(),
             "u_cov": self.u_cov.tolist(),
+            "u_cov_se": self.u_cov_se.tolist(),
             "v_cov": self.v_cov.tolist(),
             "v_cov_se": self.v_cov_se.tolist(),
             "f_tables": [np.asarray(f).tolist() for f in self.f_tables],
@@ -126,8 +127,8 @@ def _average(state, t, n_stats, stat):
     eta, f_tables, masks, xi, loss = (state.eta, state.f_tables, state.masks,
                                       state.xi, state.loss)
     m = xi.shape[0]
-    # no standard errors enter u_cov, so the plain PSD floor applies
-    factors = psd_factors(state.u_cov[:, :t, :t], f"prediction side, step {t}")
+    factors = psd_factors(state.u_cov[:, :t, :t], f"prediction side, step {t}",
+                          state.u_cov_se[:, :t, :t])
     gens = _column_generators(child_sequence(state.seed, DOMAIN_SE, 0), t)
 
     def fill(n):
@@ -164,17 +165,18 @@ def _d_recursion(s, t, wvals, f_tables, eta):
 
 
 def gd_se(loss, eta, lam, mu0, xi, masks, profile, T, mc_samples=DEFAULT_MC,
-          seed=0, normalization="inv_sqrt_n"):
+          seed=0):
     """Run the four-stage recursion to horizon T, one class per signal
     coordinate.
 
     masks: None (full sample) or (T, m) 0/1 array; profile: un-normalized
-    per-entry second moments of the m x n design.  With constant-curvature
-    losses every quantity is exact (no sampling).
+    per-entry second moments of the m x n design, weighted by profile / n
+    (P n/m gives the 1/m law of P).  With constant-curvature losses every
+    quantity is exact (no sampling).
     """
     mu0 = np.asarray(mu0, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    weights = profile_weights(profile, xi.shape[0], mu0.shape[0], normalization)
+    weights = law_weights(profile, xi.shape[0], mu0.shape[0])
     return _run(loss, eta, lam, mu0, mu0**2, xi, masks, weights, weights.T, T,
                 mc_samples, seed)
 
@@ -208,13 +210,13 @@ def _run(loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig, T, mc, seed):
                       T, mc, seed)
     mm, vc, uc = state.m_matrix, state.v_cov, state.u_cov
     for t in range(1, T + 1):
-        # prediction-side covariance row t from the iterate decomposition
+        # prediction-side covariance row t, and its error |M| V_se |M|^T
+        pairs = ((uc, vc, mm), (state.u_cov_se, state.v_cov_se, np.abs(mm)))
         for s in range(1, t + 1):
-            q = np.einsum("li,lij,lj->l", mm[:, :t, t - 1], vc[:, :t, :t],
-                          mm[:, :t, s - 1])
-            col = w_pred @ q
-            uc[:, t - 1, s - 1] = col
-            uc[:, s - 1, t - 1] = col
+            for cov, v, load in pairs:
+                col = w_pred @ np.einsum("li,lij,lj->l", load[:, :t, t - 1],
+                                         v[:, :t, :t], load[:, :t, s - 1])
+                cov[:, t - 1, s - 1] = cov[:, s - 1, t - 1] = col
         # coupling coefficients into the prediction side
         ftab = np.stack([w_pred @ mm[:, s, t - 1] for s in range(1, t)]) \
             if t > 1 else np.zeros((0, m))

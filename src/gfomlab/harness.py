@@ -364,13 +364,12 @@ class _Plan:
     """Sampling side shared by every program plan: a constant variance
     profile over the matrix shape (n x n without ``m``, m x n with it), held
     as one broadcast value, one ensemble spec per entry law, built once, and
-    the matching sampler."""
+    the matching sampler, at ``inv_sqrt_n``: the scale of every limit law."""
 
     def __init__(self, n, m=None, data=None):
         self.n = n
         self.m = m
         self.data = data
-        self.kind = "symmetric" if m is None else "asymmetric"
         self.profile = constant_profile((n, n) if m is None else (m, n))
         self._specs = {}
 
@@ -388,15 +387,16 @@ class _Plan:
 
 
 class _SymGfomPlan(_Plan):
-    def __init__(self, prog):
+    def __init__(self, prog, mc, seed):
         super().__init__(prog.n)
-        self.prog = prog
+        self.prog, self.mc, self.seed = prog, mc, seed
 
     def simulate(self, a):
         return {"z": run_symmetric(a, self.prog).z}
 
-    def se_record(self, mc, seed):
-        return se_symmetric(self.prog, self.profile, mc_samples=mc, seed=seed)
+    def se_record(self):
+        return se_symmetric(self.prog, self.profile, mc_samples=self.mc,
+                            seed=self.seed)
 
 
 class _AmpSymPlan(_Plan):
@@ -407,34 +407,27 @@ class _AmpSymPlan(_Plan):
         # memory coefficients come from the limit law, shared by every replicate
         self.record = amp_se_symmetric(fns, self.profile, z0, mc_samples=mc,
                                        seed=seed)
-        self._record_key = (mc, seed)
 
     def simulate(self, a):
         coeffs = self.record.sides["z"].coeffs
         return {"z": run_amp_symmetric(a, self.fns, coeffs, self.z0).z}
 
-    def se_record(self, mc, seed):
-        # the record the plan was built with; the replicates ran with its
-        # coefficients, so no other sample count or seed can stand for them
-        if (mc, seed) != self._record_key:
-            raise ConfigError(f"the AMP plan's limit law was built with "
-                              f"(mc_samples, seed) = {self._record_key}, "
-                              f"not {(mc, seed)}")
+    def se_record(self):
         return self.record
 
 
 class _AsymGfomPlan(_Plan):
-    def __init__(self, prog, data):
+    def __init__(self, prog, data, mc, seed):
         super().__init__(prog.n, prog.m, data)
-        self.prog = prog
+        self.prog, self.mc, self.seed = prog, mc, seed
 
     def simulate(self, a):
         traj = run_asymmetric(a, self.prog)
         return {"u": traj.u, "v": traj.v}
 
-    def se_record(self, mc, seed):
-        return se_asymmetric(self.prog, self.profile, mc_samples=mc, seed=seed,
-                             normalization="inv_sqrt_n")
+    def se_record(self):
+        return se_asymmetric(self.prog, self.profile, mc_samples=self.mc,
+                             seed=self.seed)
 
 
 def _problem_data(config, **fields):
@@ -466,11 +459,13 @@ def _prox_from_params(params):
 
 
 def _build_power(config):
-    return _SymGfomPlan(build_power_iteration(config.T, np.ones(config.n)))
+    return _SymGfomPlan(build_power_iteration(config.T, np.ones(config.n)),
+                        config.mc_samples, config.seed)
 
 
 def _build_tanh_gfom(config):
-    return _SymGfomPlan(build_tanh_iteration(config.T, np.ones(config.n)))
+    return _SymGfomPlan(build_tanh_iteration(config.T, np.ones(config.n)),
+                        config.mc_samples, config.seed)
 
 
 def _build_tanh_amp(config):
@@ -501,19 +496,22 @@ def _logistic_fields(params):
 def _build_pgd_linear(config):
     d = _problem_data(config, **_pgd_fields(config.program_params))
     return _AsymGfomPlan(build_pgd_linear(d["loss"], d["prox"], d["eta"],
-                                          d["mu0"], d["xi"], config.T), d)
+                                          d["mu0"], d["xi"], config.T), d,
+                         config.mc_samples, config.seed)
 
 
 def _build_gd_ridge(config):
     d = _problem_data(config, **_gd_ridge_fields(config.program_params))
     return _AsymGfomPlan(build_gd_ridge(d["loss"], d["eta"], d["lam"], d["mu0"],
-                                        d["xi"], d["masks"], config.T), d)
+                                        d["xi"], d["masks"], config.T), d,
+                         config.mc_samples, config.seed)
 
 
 def _build_logistic(config):
     d = _problem_data(config, **_logistic_fields(config.program_params))
     return _AsymGfomPlan(build_logistic(d["prox"], d["eta"], d["sigma"], d["mu0"],
-                                        d["xi"], config.T), d)
+                                        d["xi"], config.T), d,
+                         config.mc_samples, config.seed)
 
 
 REGISTRY = {
@@ -700,7 +698,7 @@ def universality_entrywise(config, psi=None):
     coords = list(config.coordinates)
     psi = resolve_psi(config.psi if psi is None else psi)
     # entrywise statistics live on z (symmetric) or v (asymmetric)
-    track_key = "z" if plan.kind == "symmetric" else "v"
+    track_key = "z" if plan.m is None else "v"
 
     def stat(a):
         track = plan.simulate(a)[track_key][config.T]
@@ -723,7 +721,7 @@ def se_vs_simulation(config):
     tic = time.perf_counter()
     plan = build_plan(config)
     psi = resolve_psi(config.psi)
-    record = plan.se_record(config.mc_samples, config.seed)
+    record = plan.se_record()
     sides = list(record.sides)
     cells = [(s, t) for s in sides for t in range(1, config.T + 1)]
 

@@ -418,8 +418,7 @@ def test_gd_se_matches_two_sided_engine_on_gd_program():
     prof = constant_profile((m, n))
     st = gd_se(squared_loss(), eta, lam, mu0, xi, None, prof, T)
     prog = build_gd_ridge(squared_loss(), eta, lam, mu0, xi, None, T)
-    rec = se_asymmetric(prog, prof, mc_samples=20000, seed=0,
-                        normalization="inv_sqrt_n")
+    rec = se_asymmetric(prog, prof, mc_samples=20000, seed=0)
     coords = np.arange(5)
     for t in range(1, T + 1):
         law = gd_key_params(st, t)
@@ -428,6 +427,30 @@ def test_gd_se_matches_two_sided_engine_on_gd_program():
                                            n_paths=20000, seed=0)
         assert np.all(ses > 0)
         assert np.all(np.abs(means - want) <= 4.0 * ses), t
+
+
+def test_gd_se_monte_carlo_route_reaches_long_horizons():
+    # at T = 8 the prediction-side covariance is nearly singular, and under
+    # the plain PSD floor seeds 1 and 2 raised at step 7 (eigenvalues
+    # -4.8e-5 and -1.8e-4); u_cov_se lowers the floor to -4 ||SE||_F
+    n, m, T, eta, lam = 100, 200, 8, 0.3, 0.1
+    rng = np.random.default_rng(0)
+    mu0, xi = rng.normal(size=n), rng.normal(size=m)
+    prof = constant_profile((m, n))
+    rec = se_asymmetric(build_gd_ridge(wavy_loss(), eta, lam, mu0, xi, None, T),
+                        prof, mc_samples=2000, seed=0)
+    coords = np.arange(5)
+    preds = predict_entrywise(rec, coords, np.square,
+                              [("v", t) for t in range(1, T + 1)],
+                              n_paths=20000, seed=0)
+    for seed in (1, 2, 3):
+        st = gd_se(wavy_loss(), eta, lam, mu0, xi, None, prof, T,
+                   mc_samples=2000, seed=seed)
+        assert np.all(st.u_cov_se[:, 1:, 1:] > 0)
+        for t, (means, ses) in enumerate(preds, start=1):
+            law = gd_key_params(st, t)
+            want = (law.bias[coords] * mu0[coords])**2 + law.variance[coords]
+            assert np.all(np.abs(means - want) <= 4.0 * ses), (seed, t)
 
 
 # ---------------------------------------------------------------------------

@@ -327,7 +327,7 @@ def _flaky_plan_builder(threshold):
                 for t in range(2, T + 1)],
             z0=np.ones(n),
         )
-        return _SymGfomPlan(prog)
+        return _SymGfomPlan(prog, config.mc_samples, config.seed)
     return build
 
 
@@ -389,7 +389,7 @@ def _zero_start_odd_plan(config):
         add_fns=[zero_row_function(t) for t in range(1, config.T + 1)],
         z0=np.zeros(config.n),
     )
-    return _SymGfomPlan(prog)
+    return _SymGfomPlan(prog, config.mc_samples, config.seed)
 
 
 def test_entrywise_odd_updates_zero_start_mean_zero():
@@ -445,7 +445,7 @@ def _deterministic_plan(config):
         add_fns=[constant_rows(vals, t) for t in range(1, config.T + 1)],
         z0=np.zeros(config.n),
     )
-    return _SymGfomPlan(prog)
+    return _SymGfomPlan(prog, config.mc_samples, config.seed)
 
 
 def test_se_vs_simulation_deterministic_program_exact():
@@ -496,10 +496,9 @@ def test_amp_plan_refuses_a_record_it_was_not_built_with():
     cfg = ExperimentConfig(experiment="se_vs_simulation", program="tanh_amp",
                            n=20, T=2, replicates=2, seed=3, mc_samples=200)
     plan = build_plan(cfg)
-    assert plan.se_record(200, 3) is plan.record
-    for mc, seed in [(400, 3), (200, 4)]:
-        with pytest.raises(ConfigError, match="mc_samples, seed"):
-            plan.se_record(mc, seed)
+    # se_record takes no arguments: the plan serves the record its
+    # replicates ran with, built from the config's mc_samples and seed
+    assert plan.se_record() is plan.record
 
 
 def test_se_vs_simulation_reads_every_cell_in_one_pass(monkeypatch):

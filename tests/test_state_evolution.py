@@ -134,8 +134,7 @@ def test_two_sided_first_step_variance():
         u0=np.zeros(m),
         v0=-mu0,
     )
-    rec = se_asymmetric(prog, constant_profile((m, n)), mc_samples=200, seed=7,
-                        normalization="inv_sqrt_n")
+    rec = se_asymmetric(prog, constant_profile((m, n)), mc_samples=200, seed=7)
     assert rec.side("u").law.cov[..., 0, 0] == pytest.approx(np.sum(mu0 ** 2) / n,
                                                              rel=1e-13)
     assert rec.side("u").transform.coeffs[0].shape == (0, m)
@@ -252,7 +251,25 @@ def test_corrected_paths_do_not_collapse_under_two_block_profile():
                             seed=16)
     assert not rec.side("u").collapsed and not rec.side("v").collapsed
     assert np.allclose(rec.side("u").law.cov[:, 0, 0],
-                       prof.values.sum(axis=1) / m * tanh1_sq, rtol=1e-12)
+                       prof.values.sum(axis=1) / n * tanh1_sq, rtol=1e-12)
+
+
+def test_two_sided_law_has_the_scale_of_the_sampled_matrix():
+    # the harness samples m x n matrices at inv_sqrt_n; a law weighted by
+    # profile / m predicted E[u_1^2] = tanh(1)^2 n/m = 0.193 at 300 x 100,
+    # where the matrices give tanh(1)^2 = 0.580
+    m, n = 300, 100
+    fns = ([tanh_map(1, 0)], [tanh_map(2, 1)])
+    rec = amp_se_asymmetric(*fns, constant_profile((m, n)), np.ones(m),
+                            np.ones(n), mc_samples=400, seed=0)
+    spec = EnsembleSpec(gaussian_law(), constant_profile((m, n)), "inv_sqrt_n",
+                        symmetric=False)
+    means = [np.mean(run_amp_asymmetric(
+        sample_asymmetric(spec, m, n, seed), *fns, rec.side("u").coeffs,
+        rec.side("v").coeffs, np.ones(m), np.ones(n)).u[1]**2)
+        for seed in range(20)]
+    se = np.std(means, ddof=1) / np.sqrt(len(means))
+    assert abs(np.mean(means) - rec.side("u").law.cov[0, 0, 0]) <= 4.0 * se
 
 
 # ---------------------------------------------------------------------------

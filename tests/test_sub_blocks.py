@@ -127,8 +127,7 @@ def _read_out_records(kind):
     rng = np.random.default_rng(62)
     gd = se.se_asymmetric(build_gd_ridge(squared_loss(), 0.2, 0.1, rng.normal(size=n),
                                          rng.normal(size=m), None, T),
-                          _profile(kind, m, n), mc_samples=2000, seed=63,
-                          normalization="inv_sqrt_n")
+                          _profile(kind, m, n), mc_samples=2000, seed=63)
     sym = se.se_symmetric(build_tanh_iteration(T, rng.normal(size=n)),
                           _profile(kind, n, n), mc_samples=2000, seed=64)
     amp = se.amp_se_symmetric([tanh_map(t, t - 1) for t in range(1, T + 1)],
@@ -377,7 +376,7 @@ def test_two_sided_engine_memory_is_bounded(kind, m, n):
                           rng.normal(size=m), None, 3)
     prof = _profile(kind, m, n)
     peak = _peak_bytes(lambda: se.se_asymmetric(
-        prog, prof, mc_samples=4096, seed=52, normalization="inv_sqrt_n"))
+        prog, prof, mc_samples=4096, seed=52))
     assert peak < 32 * MIB, f"peak {peak / MIB:.0f} MiB"
 
 
