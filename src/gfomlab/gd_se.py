@@ -80,10 +80,6 @@ class GdSeState:
         self.betas = [None] if self.quadratic else None
         self.w_det = [None] if self.quadratic else None
 
-    @property
-    def n_coords(self):
-        return self.m_matrix.shape[0]
-
     def to_json_dict(self):
         return {
             "homogeneous": self.mu0 is None,

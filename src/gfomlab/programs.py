@@ -350,7 +350,7 @@ def build_pgd_linear(loss, prox, eta, mu0, xi, T):
         v_add_fns=v_add,
         u0=np.zeros(m),
         v0=np.zeros(n),
-        meta={"mu_from_v": lambda v: prox.apply(eta, v), "eta": eta},
+        meta={"mu_from_v": lambda v: prox.apply(eta, v)},
     )
 
 
@@ -413,7 +413,7 @@ def build_gd_ridge(loss, eta, lam, mu0, xi, subsample_masks, T):
         v_add_fns=[decay(t) for t in range(1, T + 1)],
         u0=np.zeros_like(xi),
         v0=-mu0,
-        meta={"mu_from_v": lambda v: v + mu0, "eta": eta, "masks": masks},
+        meta={"mu_from_v": lambda v: v + mu0},
     )
 
 
@@ -472,8 +472,7 @@ def build_logistic(prox, eta, sigma, mu0, xi, T, clamp=None):
         v_add_fns=v_add,
         u0=np.zeros(m),
         v0=np.zeros(n),
-        meta={"mu_from_v": lambda v: prox.apply(eta, v), "eta": eta, "sigma": sigma,
-              "clamp": clamp},
+        meta={"mu_from_v": lambda v: prox.apply(eta, v)},
     )
 
 
@@ -542,7 +541,6 @@ def symmetrize(prog, m, n):
         mat_fns=mat_fns,
         add_fns=add_fns,
         z0=np.concatenate([prog.u0, np.zeros(n)]),
-        meta={"embedded_T": T, "m": m, "n": n},
     )
 
 

@@ -221,9 +221,6 @@ class GaussianLawTable:
     def coords(self):
         return self.x0.shape[0]
 
-    def coord_cov(self, k):
-        return self.cov[0 if self.homogeneous else k]
-
     def factors(self, t, coords=None):
         """(C', t, t) matrices M with M M^T = leading covariance block,
         floored by its standard errors (see ``psd_factors``)."""

@@ -60,8 +60,7 @@ def test_parse_rejects_bad_values(tmp_path):
     ("mc_samples", "500"),
     ("coordinates", [1.5]), ("coordinates", ["a"]), ("coordinates", 3),
     ("coordinates", [True]), ("coordinates", []), ("coordinates", [-1]),
-    ("tolerance", "x"), ("tolerance", float("nan")), ("tolerance", True),
-    ("tolerance", -0.1), ("law_a_param", "x"), ("law_b_param", "x"),
+    ("law_a_param", "x"), ("law_b_param", "x"),
     ("law_b_param", float("inf")), ("law_a_param", False),
 ])
 def test_main_rejects_non_integer_counts_and_negative_seeds(tmp_path, capsys,
@@ -231,7 +230,10 @@ def test_main_run_pass_and_overrides(tmp_path, capsys):
 
 
 def test_main_run_tolerance_failure_exit_1(tmp_path, capsys):
-    path = write_config(tmp_path, law_b="rademacher", tolerance=1e-18)
+    # about one large entry per row under law B moves psi = abs by 6 to 10
+    # SE at t=2 (seeds 0-9), well beyond the 4-SE gate
+    path = write_config(tmp_path, n=200, replicates=30, psi="abs",
+                        law_b="shifted_bernoulli", law_b_param=0.005)
     code = main(["run", "--config", str(path), "--out",
                  str(tmp_path / "fail_out")])
     assert code == 1
@@ -342,11 +344,10 @@ def test_main_validate_rejects_a_law_b_the_run_would_ignore(tmp_path, capsys,
     (dict(program="power_iteration", m=20), "m"),
     (dict(m=20), "m"),
     (dict(program="tanh_amp", m=20), "m"),
-    # replicates unset, so tolerance is the one ignored key
-    (dict(experiment="decay", program="pgd_linear", m=16, replicates=None,
-          tolerance=0.1), "tolerance"),
-    (dict(experiment="delocalization", replicates=None, tolerance=0.1),
-     "tolerance"),
+    (dict(program="logistic", m=16, program_params={"prox_lam": 0.2}),
+     "prox_lam"),
+    (dict(program="pgd_linear", m=16,
+          program_params={"prox": "zero", "prox_lam": 0.2}), "prox_lam"),
     (dict(program="pgd_linear", m=16, program_params={"prox_lam": 0.2}),
      "prox_lam"),
     (dict(program="logistic", m=16,
@@ -365,9 +366,9 @@ def test_main_validate_rejects_a_law_b_the_run_would_ignore(tmp_path, capsys,
 ])
 def test_main_validate_rejects_keys_the_run_would_ignore(tmp_path, capsys,
                                                          overrides, key):
-    # m on an n x n program, a tolerance where no row has a gap, a prox
-    # weight without a prox to weigh, and replicates, psi or coordinates
-    # where the experiment reads none: each used to be accepted and ignored
+    # m on an n x n program, a prox weight without a prox to weigh, and
+    # replicates, psi or coordinates where the experiment reads none: each
+    # used to be accepted and ignored
     path = write_config(tmp_path, **overrides)
     assert main(["validate", "--config", str(path)]) == 2
     assert f"configuration error: {key} is read only by" in capsys.readouterr().err
@@ -410,7 +411,7 @@ def test_config_written_by_to_dict_parses_again(tmp_path, experiment):
     defaults = {"replicates": 50, "psi": "square", "coordinates": [0]}
     for key, value in defaults.items():
         assert getattr(cfg, key) == (value if key in reads else None), key
-    assert cfg.law_b is None and cfg.tolerance is None
+    assert cfg.law_b is None
     path = tmp_path / "cfg.json"
     write_json(path, cfg.to_dict())
     assert parse_config(path) == cfg

@@ -113,7 +113,7 @@ def test_decomposition_matrix_structure(loss_name):
     loss = squared_loss() if loss_name == "quadratic" else wavy_loss()
     st = small_state(T=3, loss=loss, seed=7, mc=200)
     T = st.T
-    for c in range(st.n_coords):
+    for c in range(st.m_matrix.shape[0]):
         mm = st.m_matrix[c]
         assert np.all(np.diag(mm) == 1.0)
         assert np.all(mm[np.tril_indices(T + 1, k=-1)] == 0.0)

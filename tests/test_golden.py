@@ -100,6 +100,8 @@ STATISTIC_KEYS = {"label", "estimate_a", "estimate_b", "gap", "se",
 def test_report_json_keys(case, tmp_path):
     config = parse_config(GOLDEN / f"{case}.json")
     manifest = run_experiment(config, tmp_path)
+    # every golden config passes its own gates
+    assert manifest.passed is True
     report = json.loads((tmp_path / f"{config.experiment}.json").read_text())
     assert set(report) == REPORT_KEYS[config.experiment]
     assert report["name"] == config.experiment

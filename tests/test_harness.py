@@ -98,6 +98,7 @@ def test_default_tolerance_fixture():
     assert tols["sigmas"] == 4.0
     assert tols["gd_gaussianity"]["ks"] == 0.06
     assert tols["gd_gaussianity"]["variance_rel"] == 0.15
+    assert tols["gd_gaussianity"]["replicates"] == 1000
     assert tols["decay"]["r_squared"] == 0.95
     assert tols["delocalization"]["prefactor"] == 10.0
 
@@ -125,7 +126,6 @@ def test_config_round_trip_and_defaults():
     {"coordinates": [-1]},
     {"law_a": "cauchy"},
     {"law_b": "cauchy"},
-    {"tolerance": -0.1},
     {"program_params": {"bogus": 1}},
     {"program_params": {"eta": "x"}},
     {"program_params": {"eta": True}},
@@ -396,8 +396,8 @@ def test_entrywise_odd_updates_zero_start_mean_zero():
     with temp_program("odd_zero", _zero_start_odd_plan):
         cfg = base_config(experiment="universality_entrywise",
                           program="odd_zero", law_b="rademacher",
-                          coordinates=[1])
-        report = universality_entrywise(cfg, psi=lambda x: x)
+                          coordinates=[1], psi=lambda x: x)
+        report = universality_entrywise(cfg)
     st = report.statistic("entry[k=1,t=2]")
     assert st.estimate_a == 0.0 and st.estimate_b == 0.0
     assert report.passed
@@ -746,14 +746,55 @@ def test_null_calibration_se_vs_simulation():
     assert passes >= 38
 
 
+def _gd_gaussianity_config(replicates, seed):
+    return ExperimentConfig(experiment="gd_gaussianity", program="gd_ridge",
+                            n=100, m=200, T=2, replicates=replicates,
+                            seed=seed, coordinates=[0],
+                            program_params={"eta": 0.2, "lam": 0.1})
+
+
+@pytest.mark.parametrize("replicates", [50, 200])
+def test_null_calibration_gd_gaussianity_below_the_fixture_count(replicates):
+    # the variance and KS gates scale with the replicates kept; fixed at the
+    # values set for 1000 replicates, they passed 1 of 20 seeds at 50
+    passes = sum(gd_gaussianity_test(_gd_gaussianity_config(replicates, seed))
+                 .passed for seed in range(20))
+    assert passes >= 19
+
+
+def test_gd_gaussianity_gates_at_the_fixture_count_are_the_fixture_values():
+    cfg = ExperimentConfig(experiment="gd_gaussianity", program="gd_ridge",
+                           n=20, m=30, T=2, replicates=1000, seed=0,
+                           coordinates=[0, 1],
+                           program_params={"eta": 0.2, "lam": 0.1})
+    report = gd_gaussianity_test(cfg)
+    assert report.details["replicates_used"] == 1000
+    for ell in (0, 1):
+        var_row = report.statistic(f"variance[l={ell}]")
+        assert var_row.tolerance == 0.15 * var_row.estimate_b
+        assert report.statistic(f"ks[l={ell}]").tolerance == 0.06
+
+
+def test_gd_gaussianity_rejects_a_doubled_variance(monkeypatch):
+    import gfomlab.harness as harness
+    true_params = harness.gd_key_params
+
+    def doubled(state, t):
+        law = true_params(state, t)
+        law.variance = 2.0 * law.variance
+        return law
+
+    monkeypatch.setattr(harness, "gd_key_params", doubled)
+    for seed in range(5):
+        report = gd_gaussianity_test(_gd_gaussianity_config(200, seed))
+        assert not report.statistic("variance[l=0]").passed, seed
+
+
 def test_null_calibration_gd_gaussianity():
     passes = 0
     trials = 12
     for seed in range(trials):
-        cfg = ExperimentConfig(experiment="gd_gaussianity",
-                               program="gd_ridge", n=100, m=200, T=2,
-                               replicates=1000, seed=seed, coordinates=[0],
-                               program_params={"eta": 0.2, "lam": 0.1})
+        cfg = _gd_gaussianity_config(1000, seed)
         passes += gd_gaussianity_test(cfg).passed
     assert passes >= 11
 

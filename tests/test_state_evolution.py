@@ -184,7 +184,7 @@ def test_constant_profile_collapses_to_single_law():
                            mc_samples=400, seed=11)
     assert rec.side("z").law.homogeneous
     assert rec.side("z").law.cov.shape == (1, T, T)
-    seen = {tuple(rec.side("z").law.coord_cov(k).ravel()) for k in range(n)}
+    seen = {tuple(cov.ravel()) for cov in rec.side("z").law.cov}
     assert len(seen) == 1
 
 
@@ -554,7 +554,7 @@ def test_row_dependent_wrappers_reproduce_shared_law():
     rec_f = se_symmetric(forced, constant_profile((n, n)), mc_samples=mc, seed=32)
     rec_c = se_symmetric(build_tanh_iteration(T, np.ones(n)),
                          constant_profile((n, n)), mc_samples=mc, seed=32)
-    seen = {tuple(rec_f.side("z").law.coord_cov(k).ravel()) for k in range(n)}
+    seen = {tuple(cov.ravel()) for cov in rec_f.side("z").law.cov}
     assert len(seen) == 1
     gap = np.abs(rec_f.side("z").law.cov - rec_c.side("z").law.cov)
     band = 4.0 * np.hypot(rec_f.side("z").law.cov_se,
