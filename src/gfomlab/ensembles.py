@@ -10,7 +10,8 @@ Sampling is counter-based: each entry consumes exactly one 64-bit uniform at
 a fixed flat index of a Philox stream (see seeds.py), so a matrix is a pure
 function of (spec, dims, seed).  The samplers cut the matrix into strips of
 rows and hand them to every CPU the process may run on: the calling thread
-and a process-wide pool of helper threads, started by the first sample.
+and a process-wide pool of helper threads, started by the first sample or
+limit law (the limit laws draw their normals ahead on one helper).
 Each strip draws its words at its own offset straight into its rows of the
 output and takes them from words to entries in place with in-place entry
 laws (the Philox fill, ``ndtri`` and the ufuncs release the GIL); a
@@ -240,10 +241,11 @@ _pool = None
 
 def _strip_pool():
     """(helpers, threads): the process-wide pool of ``threads - 1`` helper
-    threads that draw strips beside the caller, with ``threads = _cpus()``.
-    It is started by the first sample, so importing the package starts no
-    thread; with one CPU there is no pool and ``helpers`` is None.  Its
-    threads end with the interpreter."""
+    threads that draw strips beside the caller, with ``threads = _cpus()``;
+    the limit laws of ``state_evolution`` and ``gd_se`` draw their normals
+    ahead on one of them.  It is started by the first sample or limit law,
+    so importing the package starts no thread; with one CPU there is no
+    pool and ``helpers`` is None.  Its threads end with the interpreter."""
     global _pool
     with _pool_lock:
         if _pool is None:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .programs import gd_inputs
 from .seeds import DOMAIN_SE, child_sequence
-from .state_evolution import (_BLOCK, DEFAULT_MC, PSD_FLOOR, _column_generators,
+from .state_evolution import (_BLOCK, DEFAULT_MC, PSD_FLOOR, _column_draws,
                               _draw_paths, _int_in, _mc_average, _sub_blocks,
                               law_weights, psd_factors)
 
@@ -116,22 +116,22 @@ def _average(state, t, n_stats, stat):
     ``stat(pvals, wvals)`` yields the n_stats statistics of a piece of b
     paths, each (b, m), from the masked loss slopes and curvatures of the
     correction recursion, 1-indexed by step.  The paths are drawn in
-    sub-blocks, one stream per path column, and mixed by ``_draw_paths``:
-    both coefficient routes share samples whatever the sub-block size, and
-    so do shorter horizons.
+    sub-blocks, one stream per path column (``_column_draws``, which draws
+    the next sub-block's columns ahead on the strip pool's helper), and
+    mixed by ``_draw_paths``: both coefficient routes share samples
+    whatever the sub-block size or the thread that drew them, and so do
+    shorter horizons.
     """
     eta, f_tables, masks, xi, loss = (state.eta, state.f_tables, state.masks,
                                       state.xi, state.loss)
     m = xi.shape[0]
     factors = psd_factors(state.u_cov[:, :t, :t], f"prediction side, step {t}",
                           state.u_cov_se[:, :t, :t])
-    gens = _column_generators(child_sequence(state.seed, DOMAIN_SE, 0), t)
 
     def fill(n):
         vals = np.empty((n_stats, m, n))
         for lo, hi in _sub_blocks(n, m * (t + 1)):
-            u = _draw_paths([g.standard_normal((hi - lo, m)) for g in gens],
-                            factors, np.zeros(m), hi - lo)
+            u = _draw_paths(columns.take(), factors, np.zeros(m), hi - lo)
             pvals, wvals = [None], [None]
             for tau in range(1, t + 1):
                 phi = np.array(u[..., tau])
@@ -144,7 +144,9 @@ def _average(state, t, n_stats, stat):
                 vals[i, :, lo:hi] = x.T
         return vals.reshape(n_stats * m, n)
 
-    mean, se = _mc_average(n_stats * m, state.mc, _BLOCK, fill)
+    with _column_draws(child_sequence(state.seed, DOMAIN_SE, 0), t, m,
+                       n_stats * m, state.mc) as columns:
+        mean, se = _mc_average(n_stats * m, state.mc, _BLOCK, fill)
     return mean.reshape(n_stats, m), se.reshape(n_stats, m)
 
 

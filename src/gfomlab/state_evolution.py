@@ -33,20 +33,28 @@ two-block profile keeps one or two rows per statistic, however many
 coordinates it has.  A leaf's paths are mixed by _draw_paths, the package's
 one Gaussian path sampler (``gd_se`` uses it too), from the normal columns
 it is handed: in the engines and ``gd_se``, one stream per column from
-_column_generators, the one owner of the column-stream keys, drawn by the
-engines into one buffer per column and mixed into one path buffer, all of
-which every sub-block of a step reuses; in the read-out, the columns of the
-one prediction stream, each copied to a contiguous plane before it is
-mixed.  The read-out holds one workspace per call (normal planes, paths
-and a leaf's statistics, each sized for the largest sub-block or leaf of
-any cell) and reuses it for every leaf of every cell, so no leaf hands its
-buffers back to the allocator, which would trim them and fault them in
-again for the next.  The history transform overwrites the paths it is
-given, column by column (see _forward), so no second set of planes holds
-the transformed history; a caller that needs its paths afterwards passes
-a copy.  Every path array is stored as column planes: one contiguous
-(samples, R) block per path column, handed out as a (samples, R, p+1)
-view, so each per-column operation streams through memory.  Partials
+_column_generators, the one owner of the column-stream keys, mixed into one
+path buffer that every sub-block of a step reuses; in the read-out, strided
+views of the columns of the one prediction stream, mixed straight from its
+tape with no copy to planes (the mixing is elementwise, so the layout moves
+no byte).  Who draws: every stream here is read in order, and each knows
+its pieces before the first is drawn (an average's sub-blocks from _leaves
+and _sub_blocks, the read-out's stream from its total length).  So
+_DrawAhead has the strip pool's helper (``ensembles._strip_pool``) draw the
+next pieces into a small ring while the caller mixes and transforms the
+current one.  A piece that the helper has not begun when the caller needs
+it (one CPU, or the helper busy) the caller draws itself, through the same
+function and in the same order, so no byte depends on who drew it.  The
+read-out holds one workspace per call (paths and a leaf's statistics, each
+sized for the largest sub-block or leaf of any cell) and reuses it for
+every leaf of every cell, so no leaf hands its buffers back to the
+allocator, which would trim them and fault them in again for the next.
+The history transform overwrites the paths it is given, column by column
+(see _forward), so no second set of planes holds the transformed history;
+a caller that needs its paths afterwards passes a copy.  Every path array
+is stored as column planes: one contiguous (samples, R) block per path
+column, handed out as a (samples, R, p+1) view, so each per-column
+operation streams through memory.  Partials
 that do not vary over the samples stay (R,) rows through the chain rule
 (see _forward) and are broadcast to planes only where a plane is
 consumed.  The sampler mixes the normal draws into the planes with
@@ -72,12 +80,13 @@ does the BLAS thread count.
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .ensembles import profile_weights
+from .ensembles import _strip_pool, profile_weights
 from .errors import ConfigError, NumericalError
 from .programs import (RowFunction, SymmetricProgram, _sel, asymmetric_tracks,
                        central_difference, check_tracks, fixed_order_sum,
@@ -93,6 +102,11 @@ _SUB_BLOCK_BYTES = 1 << 20
 # sub-blocks hold a multiple of this many samples while one fits, else of 8:
 # BLAS matrix-vector kernels treat the last (row count mod 4) rows differently
 _SUB_ALIGN = 64
+# the read-out's stream is drawn ahead in pieces of this many normals, into a
+# ring of this many pieces (512 KiB): a 768 KiB ring of 3 pieces ran no
+# faster and raised the process's peak RSS by 0.2 MB more
+_TAPE_PIECE = 1 << 14
+_TAPE_SLOTS = 4
 
 
 def _sub_blocks(b, row_values):
@@ -435,6 +449,127 @@ def _mc_average(dim, total, block, fill):
     return acc.mean(), acc.se()
 
 
+class _DrawAhead:
+    """``count`` pieces of Gaussian streams that are read in order, drawn
+    by ``draw(i, slot)`` into slot i % ``slots`` of a ring and handed to
+    the caller, in order, by ``take``, as ``view(i, slot)``.  The caller
+    holds that slot until it calls ``release`` or takes the next piece.
+
+    A task on the strip pool's helper (ensembles._strip_pool) draws the
+    pieces after the one the caller holds while a slot is free, and returns
+    when none is, so it never waits on the caller.  A piece that no one has
+    begun when the caller takes it (one CPU, or the helper busy) the caller
+    draws itself, through the same ``draw``.  One thread draws at a time,
+    always the next piece, so each stream is read in the order one thread
+    would read it and no byte depends on who drew it.  Leaving the ``with``
+    block waits for a draw in flight, and a task still queued then returns
+    at once, so a caller that fails leaves no draw behind.
+    """
+
+    def __init__(self, count, slots, draw, view):
+        self.count, self.slots, self.draw, self.view = count, slots, draw, view
+        self.drawn = self.taken = 0
+        self.drawing = self.queued = self.closed = self.held = False
+        self.error = None
+        self.cond = threading.Condition()
+        self.helpers = _strip_pool()[0]
+        self.task = None
+
+    def __enter__(self):
+        self._start()
+        return self
+
+    def __exit__(self, *exc):
+        with self.cond:
+            self.closed = True
+            while self.drawing:
+                self.cond.wait()
+        if self.task is not None:
+            self.task.cancel()
+
+    def _free(self):
+        # under the lock: the next piece may be drawn into a slot the caller
+        # does not hold (it holds that of the last piece taken until it
+        # releases it or takes the next)
+        limit = self.taken + self.slots - self.held
+        return (not (self.drawing or self.closed) and self.error is None
+                and self.drawn < min(self.count, limit))
+
+    def _start(self):
+        with self.cond:
+            if self.helpers is not None and not self.queued and self._free():
+                self.queued = True
+                self.task = self.helpers.submit(self._produce)
+
+    def _produce(self):
+        while True:
+            with self.cond:
+                if not self._free():
+                    self.queued = False
+                    return
+                self.drawing = True
+            self._draw()
+
+    def _draw(self):
+        # draw the next piece, claimed by setting ``drawing``; an error is
+        # kept for take to raise on the caller
+        i, error = self.drawn, None
+        try:
+            self.draw(i, i % self.slots)
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            with self.cond:
+                self.drawing = False
+                self.drawn += error is None
+                if error is not None:
+                    self.error = error
+                self.cond.notify_all()
+
+    def take(self):
+        """The next piece, drawn: view(i, slot)."""
+        i = self.taken
+        with self.cond:
+            self.taken, self.held = i + 1, True
+            while self.drawing and self.drawn == i:   # the helper draws it
+                self.cond.wait()
+            if self.error is not None:
+                raise self.error
+            inline = self.drawn == i
+            if inline:
+                self.drawing = True
+        if inline:
+            self._draw()
+        self._start()
+        return self.view(i, i % self.slots)
+
+    def release(self):
+        """Hand back the slot of the piece last taken."""
+        with self.cond:
+            self.held = False
+        self._start()
+
+
+def _column_draws(seq, p, r, dim, total):
+    """A _DrawAhead over the p normal columns of every sub-block of a
+    ``total``-sample average of ``dim`` statistics (see _mc_average) over
+    paths of ``r`` rows: take() gives the next sub-block's p (b, r)
+    columns, column j drawn from its own stream (_column_generators), into
+    the other of two draw buffers while the caller works on this one."""
+    gens = _column_generators(seq, p)
+    sizes = [hi - lo for n, _ in _leaves(total, _BLOCK, _leaf_size(dim))
+             for lo, hi in _sub_blocks(n, r * (p + 1))]
+    draws = np.empty((2, p, max(sizes), r))
+
+    def draw(i, slot):
+        for g, d in zip(gens, draws[slot]):
+            g.standard_normal(out=d[:sizes[i]])
+
+    return _DrawAhead(len(sizes) if p else 0, 2, draw,
+                      lambda i, slot: list(draws[slot, :, :sizes[i]]))
+
+
 class _SideEngine:
     """Monte Carlo driver building one Gaussian law.
 
@@ -507,20 +642,16 @@ class _SideEngine:
         factors = self.path_law.factors(p) if p > 0 else None
         k = 1 if self.path_collapsed else self.class_rows.shape[0]
         r = x0.shape[0]
-        # fresh generators per outer step = common random numbers across steps
-        gens = _column_generators(self.seed_seq, p)
-        # one draw buffer per column and one path buffer, as large as the
-        # largest sub-block, which _forward transforms in place
+        # one path buffer, as large as the largest sub-block, which _forward
+        # transforms in place
         piece = _sub_blocks(min(_BLOCK, self.mc), r * (p + 1))[0][1]
-        draws = np.empty((p, piece, r))
         buf = np.empty(piece * r * (p + 1))
 
         def fill(n):
             # rows: the p coefficient statistics, then the t products
             vals = np.empty((p + t, k, n))
             for lo, hi in _sub_blocks(n, r * (p + 1)):
-                paths = _draw_paths([g.standard_normal(out=d[:hi - lo])
-                                     for g, d in zip(gens, draws)], factors, x0,
+                paths = _draw_paths(columns.take() if p else [], factors, x0,
                                     hi - lo, buf)
                 _, inner, dinner = _forward(self.tr, paths, rows, inner_upto=t,
                                             with_partials=True)
@@ -532,7 +663,9 @@ class _SideEngine:
                     self._sample_stat(et * inner[tau], vals[p + tau - 1, :, lo:hi])
             return vals.reshape((p + t) * k, n)
 
-        avg = _mc_average((p + t) * k, self.mc, _BLOCK, fill)
+        # fresh generators per outer step = common random numbers across steps
+        with _column_draws(self.seed_seq, p, r, (p + t) * k, self.mc) as columns:
+            avg = _mc_average((p + t) * k, self.mc, _BLOCK, fill)
         if self.fd_check and p > 0:
             # the probe redraws the step's first block whole
             b = min(_BLOCK, self.mc)
@@ -753,20 +886,40 @@ def gfom_to_amp(prog, record):
 
 
 class _Tape:
-    """A window of one Gaussian stream in a preallocated buffer: ``buf``
-    holds the normals at stream positions base .. base + filled - 1."""
+    """A window of the first ``total`` normals of one Gaussian stream in a
+    preallocated buffer: ``buf`` holds the normals at stream positions
+    base .. base + filled - 1.  The stream is drawn ahead (_DrawAhead) in
+    pieces of _TAPE_PIECE normals, into a ring of _TAPE_SLOTS pieces, which
+    the window copies as it grows."""
 
-    def __init__(self, gen, size):
-        self.gen = gen
+    def __init__(self, gen, size, total):
         self.buf = np.empty(size)
         self.base = self.filled = 0
+        step = min(_TAPE_PIECE, total)
+        ring = np.empty((_TAPE_SLOTS, step))
+
+        def piece(i, slot):
+            return ring[slot, :min(step, total - i * step)]
+
+        def draw(i, slot):
+            gen.standard_normal(out=piece(i, slot))
+
+        self.ahead = _DrawAhead(-(-total // step) if step else 0, _TAPE_SLOTS,
+                                draw, piece)
+        self.piece = ring[0, :0]   # the ring's normals not yet in the window
 
     def read(self, lo, hi):
-        """The normals at positions lo .. hi - 1 (lo >= base), drawing those
-        past the window."""
-        if hi - self.base > self.filled:
-            self.gen.standard_normal(out=self.buf[self.filled:hi - self.base])
-            self.filled = hi - self.base
+        """The normals at positions lo .. hi - 1 (lo >= base), taking those
+        past the window from the ring."""
+        while hi - self.base > self.filled:
+            if not self.piece.size:
+                self.piece = self.ahead.take()
+            k = min(self.piece.size, hi - self.base - self.filled)
+            self.buf[self.filled:self.filled + k] = self.piece[:k]
+            self.piece = self.piece[k:]
+            self.filled += k
+            if not self.piece.size:
+                self.ahead.release()
         return self.buf[lo - self.base:hi - self.base]
 
     def trim(self, lo):
@@ -811,8 +964,7 @@ class _Cell:
         top = min(leaf, _PREDICT_BLOCK, n_paths)
         piece = _sub_blocks(top, dim * (self.t + 1))[0][1]
         self.span = self.width * top
-        self.needs = {"normals": piece * self.width,
-                      "paths": piece * dim * (self.t + 1), "stats": dim * top}
+        self.needs = {"paths": piece * dim * (self.t + 1), "stats": dim * top}
         self.cursor = 0
         self.acc = _MeanAccumulator(dim)
 
@@ -824,18 +976,17 @@ class _Cell:
         if not n:
             return False
         dim, t, w = len(self.sel), self.t, self.width
-        normals = tape.read(self.cursor, self.cursor + n * w)
-        self.cursor += n * w
         vals = work["stats"][:dim * n].reshape(dim, n)
         for lo, hi in _sub_blocks(n, dim * (t + 1)):
-            # the strided stream columns, copied to planes before mixing
-            cols = _planes((hi - lo, dim, t), work["normals"])
-            cols[...] = normals[lo * w:hi * w].reshape(hi - lo, dim, t)
+            # read as it is mixed, straight from the strided stream columns
+            cols = tape.read(self.cursor + lo * w, self.cursor + hi * w)
+            cols = cols.reshape(hi - lo, dim, t)
             paths = _draw_paths([cols[..., j] for j in range(t)], self.factors,
                                 self.x0, hi - lo, buf=work["paths"])
             _forward(self.transform, paths, self.sel, inner_upto=0,
                      with_partials=False)
             vals[:, lo:hi] = self.psi(paths[..., t]).T
+        self.cursor += n * w
         self.acc.fold(vals, closes)
         return True
 
@@ -864,23 +1015,26 @@ def predict_entrywise(record, coords, psi, cells, n_paths=DEFAULT_MC, seed=0):
     behind in the stream.  So each normal is drawn once, and a tape of
     normals between the slowest and fastest cells, trimmed after every
     leaf, never holds more than the largest leaf's: about _SUB_BLOCK_BYTES
-    (more only where 128 samples exceed it), whatever the path count.  One
-    workspace serves every leaf of every cell: flat buffers for a
-    sub-block's normal planes and paths, which the history transform
-    overwrites in place, and for a leaf's statistics, each as large as the
-    largest any cell needs, so no leaf allocates them afresh.
+    (more only where 128 samples exceed it), whatever the path count, and
+    the ring it copies from holds 512 KiB drawn ahead.  One workspace
+    serves every leaf of every cell: flat buffers for a sub-block's paths,
+    which the history transform overwrites in place, and for a leaf's
+    statistics, each as large as the largest any cell needs, so no leaf
+    allocates them afresh.
     """
     n_paths = _int_in(n_paths, 2, None, "n_paths")
     reads = [_Cell(record, side, t, coords, psi, n_paths) for side, t in cells]
-    tape = _Tape(Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0))),
-                 max((c.span for c in reads), default=0))
     work = {key: np.empty(max((c.needs[key] for c in reads), default=0))
-            for key in ("normals", "paths", "stats")}
-    pending = list(reads)
-    while pending:
-        cell = min(pending, key=lambda c: c.cursor)
-        if not cell.run_leaf(tape, work):
-            pending.remove(cell)
-        if pending:
-            tape.trim(min(c.cursor for c in pending))
+            for key in ("paths", "stats")}
+    tape = _Tape(Generator(Philox(child_sequence(seed, DOMAIN_PREDICT, 0))),
+                 max((c.span for c in reads), default=0),
+                 n_paths * max((c.width for c in reads), default=0))
+    with tape.ahead:
+        pending = list(reads)
+        while pending:
+            cell = min(pending, key=lambda c: c.cursor)
+            if not cell.run_leaf(tape, work):
+                pending.remove(cell)
+            if pending:
+                tape.trim(min(c.cursor for c in pending))
     return [c.result() for c in reads]

@@ -1,7 +1,10 @@
-"""Shared randomized-instance builders used by several test modules."""
+"""Shared randomized-instance builders and fixtures used by several test
+modules."""
 
 import numpy as np
+import pytest
 
+from gfomlab import ensembles
 from gfomlab.ensembles import VarianceProfile
 from gfomlab.erm import Loss
 from gfomlab.programs import (
@@ -79,3 +82,22 @@ def counting_generator(drawn):
             return got
 
     return CountingGenerator
+
+
+@pytest.fixture
+def strip_threads(monkeypatch):
+    """``strip_threads(k)`` runs the strip pool (``ensembles._strip_pool``)
+    on k threads, the caller and k - 1 helpers, whatever the machine's CPU
+    count: the samplers draw their strips there, and the limit laws draw
+    their normals ahead on one helper."""
+    pools = []
+
+    def force(k):
+        monkeypatch.setattr(ensembles, "_cpus", lambda: k)
+        monkeypatch.setattr(ensembles, "_pool", None)
+        pools.append(ensembles._strip_pool()[0])
+
+    yield force
+    for pool in pools:
+        if pool is not None:
+            pool.shutdown()

@@ -425,23 +425,6 @@ def _sample(spec, m, n, seed):
     return sample_asymmetric(spec, m, n, seed)
 
 
-@pytest.fixture
-def strip_threads(monkeypatch):
-    """``strip_threads(k)`` makes the samplers draw strips on k threads, the
-    caller and k - 1 helpers, whatever the machine's CPU count."""
-    pools = []
-
-    def force(k):
-        monkeypatch.setattr(ensembles, "_cpus", lambda: k)
-        monkeypatch.setattr(ensembles, "_pool", None)
-        pools.append(ensembles._strip_pool()[0])
-
-    yield force
-    for pool in pools:
-        if pool is not None:
-            pool.shutdown()
-
-
 def _profile(kind, shape):
     if kind == "two_block":
         return two_block_profile(*shape)

@@ -19,9 +19,11 @@ on purpose re-records them with
 and says in CHANGES.md which bytes moved and why.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +44,7 @@ from gfomlab.ensembles import (NORMALIZATIONS, EnsembleSpec, VarianceProfile,
                                shifted_bernoulli_law, uniform_pm_law)
 from gfomlab.erm import prox_lasso, prox_ridge, squared_loss
 from gfomlab.gd_se import g_coefficient_nested_sum, gd_key_params, gd_se
+from gfomlab import state_evolution
 from gfomlab.harness import EXPERIMENTS
 from gfomlab.programs import (build_gd_ridge, build_logistic,
                               build_pgd_linear, build_tanh_iteration, tanh_map)
@@ -194,11 +197,18 @@ def _gd_digest(case):
     return h.hexdigest()
 
 
-def _record_digest(case):
+def _record_digest(case, one_pass=False):
+    """The case's digest; with ``one_pass`` a record's read-outs come from
+    one predict_entrywise call over every (side, step) cell, which must
+    give each cell the bytes of its own call."""
     if case.startswith("gd_se/"):
         return _gd_digest(case)
     builder, kind = case.split("/")
     rec = _build(builder, kind)
+    if one_pass:
+        cells = [(name, t) for name in rec.sides for t in range(1, T + 1)]
+        preds = dict(zip(cells, predict_entrywise(rec, None, np.tanh, cells,
+                                                  n_paths=3000, seed=77)))
     h = hashlib.sha256(repr(rec.fd_gap).encode())
     for name, side in rec.sides.items():
         h.update(name.encode())
@@ -206,8 +216,10 @@ def _record_digest(case):
                   *side.coeffs, *side.coeffs_se):
             _put(h, a)
         for t in (1, T):
-            for a in predict_entrywise(rec, np.arange(side.law.coords), np.tanh,
-                                       [(name, t)], n_paths=3000, seed=77)[0]:
+            pred = preds[(name, t)] if one_pass else predict_entrywise(
+                rec, np.arange(side.law.coords), np.tanh, [(name, t)],
+                n_paths=3000, seed=77)[0]
+            for a in pred:
                 _put(h, a)
     return h.hexdigest()
 
@@ -217,17 +229,78 @@ def test_records_match_golden_digests(case):
     assert _record_digest(case) == json.loads(RECORDS.read_text())[case]
 
 
+# the limit laws draw their normals ahead on the strip pool's helper when one
+# is free, and on the caller when none is: no byte may depend on which.  The
+# two-sided records, each read out through one six-cell call, and a Monte
+# Carlo gd_se record, under 1, 2 and 3 forced threads
+
+THREADED_CASES = [f"{b}/{k}" for b in ("se_asymmetric", "se_asymmetric_fd",
+                                       "amp_se_asymmetric")
+                  for k in PROFILES] + ["gd_se/wavy/two_block/masked"]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_records_do_not_depend_on_the_helper_threads(strip_threads, threads):
+    strip_threads(threads)
+    pinned = json.loads(RECORDS.read_text())
+    for case in THREADED_CASES:
+        assert _record_digest(case, one_pass=True) == pinned[case], case
+
+
+def _tripwire(fn, left):
+    """The row function ``fn``, raising on the call that brings left[0]
+    down to 0 (never while it is infinite)."""
+
+    def trip(h, rows):
+        left[0] -= 1
+        if left[0] == 0:
+            raise RuntimeError("row function failed")
+        return fn.fn(h, rows)
+
+    return dataclasses.replace(fn, fn=trip)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("stage", ["step", "read_out"])
+def test_a_failed_limit_law_leaves_no_draw_behind(monkeypatch, strip_threads,
+                                                  stage, threads):
+    # 8-sample sub-blocks: a step runs 625 of them and a read-out cell 375,
+    # each drawn ahead, so the failure comes while the helper may be drawing
+    # the next piece.  The error reaches the caller, and the next record
+    # still has its pinned bytes
+    strip_threads(threads)
+    prog = mixed_asymmetric_program(M, N, T, seed=73)
+    left = [math.inf]
+    prog.u_mat_fns[0] = _tripwire(prog.u_mat_fns[0], left)
+    prof = two_block_profile(M, N)
+    with monkeypatch.context() as mp:
+        mp.setattr(state_evolution, "_SUB_BLOCK_BYTES", 1)
+        if stage == "read_out":
+            rec = se_asymmetric(prog, prof, mc_samples=MC, seed=74)
+        left[0] = 1000 if stage == "step" else 500
+        with pytest.raises(RuntimeError, match="row function failed"):
+            if stage == "step":
+                se_asymmetric(prog, prof, mc_samples=MC, seed=74)
+            else:
+                predict_entrywise(rec, None, np.tanh,
+                                  [(s, t) for s in "uv" for t in (1, 2, 3)],
+                                  n_paths=3000, seed=77)
+    assert left[0] == 0   # nothing ran on after the failure
+    case = "se_asymmetric/two_block"
+    assert _record_digest(case) == json.loads(RECORDS.read_text())[case]
+
+
 # a heterogeneous record, of the two-sided engine or of gd_se's Monte Carlo
-# route, must not depend on how many threads BLAS splits its products over;
-# a fresh interpreter per thread count, since OpenBLAS reads the setting
-# when it loads
+# route, and its read-out must not depend on how many threads BLAS splits
+# its products over; a fresh interpreter per thread count, since OpenBLAS
+# reads the setting when it loads
 
 _THREADED_RECORD = """
 import hashlib, json
 import numpy as np
 from conftest import mixed_asymmetric_program, two_block_profile, wavy_loss
 from gfomlab.gd_se import gd_se
-from gfomlab.state_evolution import se_asymmetric
+from gfomlab.state_evolution import predict_entrywise, se_asymmetric
 rec = se_asymmetric(mixed_asymmetric_program(300, 150, 3, seed=80),
                     two_block_profile(300, 150), mc_samples=5000, seed=81)
 rng = np.random.default_rng(82)
@@ -236,6 +309,12 @@ st = gd_se(wavy_loss(), 0.3, 0.2, rng.normal(size=150),
            mc_samples=5000, seed=83)
 for d in (rec.to_json_dict(), st.to_json_dict()):
     print(hashlib.sha256(json.dumps(d).encode()).hexdigest())
+h = hashlib.sha256()
+for means, ses in predict_entrywise(rec, None, np.tanh,
+                                    [(s, t) for s in "uv" for t in (1, 2, 3)],
+                                    n_paths=5000, seed=84):
+    h.update(means.tobytes() + ses.tobytes())
+print(h.hexdigest())
 """
 
 
@@ -249,7 +328,7 @@ def test_heterogeneous_record_does_not_depend_on_blas_threads():
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
         digests.append(out.stdout.split())
-    assert len(digests[0]) == 2 and digests[0] == digests[1]
+    assert len(digests[0]) == 3 and digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------

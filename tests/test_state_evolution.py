@@ -2,13 +2,19 @@
 correspondence between plain and corrected iterations."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (counting_generator, mixed_asymmetric_program,
                       mixed_symmetric_program, two_block_profile, wavy_loss)
-from gfomlab import programs, state_evolution
+from gfomlab import ensembles, programs, state_evolution
 from gfomlab.dynamics import (
     run_amp_asymmetric,
     run_amp_symmetric,
@@ -509,6 +515,170 @@ def test_prediction_of_no_coordinates_is_empty():
                        constant_profile((n, n)), mc_samples=100, seed=28)
     [(means, ses)] = predict_entrywise(rec, [], np.tanh, [("z", 2)], n_paths=300)
     assert means.shape == ses.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# drawing ahead: a helper of the strip pool draws the pieces of a stream
+# after the caller's while a ring slot is free, the caller those that no one
+# has begun, and one thread draws at a time, in order
+
+def _draws_by(who):
+    """draw(i, slot) for a _DrawAhead, noting (i, drawn on the caller)."""
+    def draw(i, slot):
+        who.append((i, threading.current_thread() is threading.main_thread()))
+    return draw
+
+
+def _wait_for(cond):
+    for _ in range(3000):
+        if cond():
+            return
+        time.sleep(0.01)
+    raise AssertionError("timed out")
+
+
+def test_the_helper_draws_ahead_into_free_slots_only(strip_threads):
+    strip_threads(2)
+    who = []
+    with state_evolution._DrawAhead(5, 2, _draws_by(who),
+                                    lambda i, slot: (i, slot)) as ahead:
+        assert ahead.take() == (0, 0)
+        # piece 1 goes to the free slot; piece 2 would overwrite the slot
+        # of piece 0, which the caller holds until it releases it
+        _wait_for(lambda: ahead.drawn == 2 and not ahead.queued)
+        assert who[1] == (1, False)
+        ahead.release()
+        _wait_for(lambda: ahead.drawn == 3 and not ahead.queued)
+        assert who[2] == (2, False)
+        assert [ahead.take() for _ in range(4)] == [(1, 1), (2, 0), (3, 1), (4, 0)]
+    assert [i for i, _ in who] == list(range(5))
+
+
+def test_the_caller_draws_what_the_helper_has_not_begun(strip_threads):
+    strip_threads(2)
+    helpers = ensembles._strip_pool()[0]
+    release = threading.Event()
+    busy = helpers.submit(release.wait, 30)
+    who = []
+    try:
+        with state_evolution._DrawAhead(5, 2, _draws_by(who),
+                                        lambda i, slot: i) as ahead:
+            assert [ahead.take() for _ in range(5)] == list(range(5))
+    finally:
+        release.set()
+    assert busy.result(timeout=30)
+    assert who == [(i, True) for i in range(5)]
+    # the task queued behind the busy one returned at once
+    assert helpers.submit(lambda: 7).result(timeout=30) == 7
+
+
+def test_a_helper_draw_error_reaches_the_caller(strip_threads):
+    strip_threads(2)
+    helper_failed = threading.Event()
+
+    def draw(i, slot):
+        if threading.current_thread() is not threading.main_thread():
+            helper_failed.set()
+            raise RuntimeError("draw failed")
+
+    with pytest.raises(RuntimeError, match="draw failed"):
+        with state_evolution._DrawAhead(4, 2, draw, lambda i, slot: i) as ahead:
+            ahead.take()
+            helper_failed.wait(timeout=30)
+            ahead.take()
+    assert helper_failed.is_set()
+    assert ensembles._strip_pool()[0].submit(lambda: 7).result(timeout=30) == 7
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_the_read_out_draws_its_stream_to_the_end_and_no_further(
+        monkeypatch, strip_threads, threads):
+    # 30001 paths of 6 coordinates x 2 steps: 21 whole tape pieces and a
+    # ragged 22nd
+    strip_threads(threads)
+    n, T = 6, 2
+    rec = se_symmetric(build_tanh_iteration(T, np.linspace(0.0, 1.0, n)),
+                       constant_profile((n, n)), mc_samples=100, seed=28)
+    want = predict_entrywise(rec, None, np.tanh, [("z", T)], n_paths=30001)
+    drawn = [0]
+    monkeypatch.setattr(state_evolution, "Generator", counting_generator(drawn))
+    got = predict_entrywise(rec, None, np.tanh, [("z", 1), ("z", T)],
+                            n_paths=30001)
+    assert drawn[0] == 30001 * n * T
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1], want[0]))
+
+
+def test_concurrent_limit_laws_on_more_threads_than_cores(monkeypatch,
+                                                        strip_threads):
+    # 8-sample sub-blocks and 1000-normal tape pieces on 3 threads, with a
+    # short switch interval, from two callers sharing the pool: a piece
+    # drawn out of order, twice, or into a slot its caller holds would move
+    # a byte of the record or of its read-out
+    monkeypatch.setattr(state_evolution, "_SUB_BLOCK_BYTES", 1)
+    monkeypatch.setattr(state_evolution, "_TAPE_PIECE", 1000)
+    prog = mixed_asymmetric_program(12, 10, 3, seed=90)
+    prof = two_block_profile(12, 10)
+    cells = [(s, t) for s in "uv" for t in (1, 2, 3)]
+
+    def digest():
+        rec = se_asymmetric(prog, prof, mc_samples=1000, seed=91)
+        preds = predict_entrywise(rec, None, np.tanh, cells, n_paths=1000,
+                                  seed=92)
+        return (json.dumps(rec.to_json_dict()),
+                [(m.tobytes(), s.tobytes()) for m, s in preds])
+
+    strip_threads(1)
+    want = digest()
+    strip_threads(3)
+    got = {}
+
+    def run(k):
+        for _ in range(3):
+            got.setdefault(k, []).append(digest())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == {k: [want] * 3 for k in (0, 1)}
+
+
+_FAILED_STEP = """
+import dataclasses
+from conftest import mixed_asymmetric_program, two_block_profile
+from gfomlab.state_evolution import se_asymmetric
+prog = mixed_asymmetric_program(300, 150, 3, seed=80)
+fn = prog.u_mat_fns[0]
+calls = [0]
+
+def trip(h, rows):
+    calls[0] += 1
+    if calls[0] == 10:
+        raise RuntimeError("row function failed")
+    return fn.fn(h, rows)
+
+prog.u_mat_fns[0] = dataclasses.replace(fn, fn=trip)
+se_asymmetric(prog, two_block_profile(300, 150), mc_samples=20000, seed=81)
+"""
+
+
+def test_a_failed_limit_law_lets_the_interpreter_exit():
+    # an error partway through a step, uncaught; the timeout fails the test
+    # if a helper kept the process alive
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    out = subprocess.run([sys.executable, "-c", _FAILED_STEP], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1
+    assert "RuntimeError: row function failed" in out.stderr
 
 
 # ---------------------------------------------------------------------------
