@@ -3,8 +3,8 @@
 Entry laws are standardized (mean 0, variance 1) and then scaled by the
 square root of a per-entry variance profile, so two ensembles built on the
 same profile have exactly matching second moments whatever their laws.
-Normalizations: 1/sqrt(n) for symmetric matrices, 1/sqrt(m) or 1/sqrt(m+n)
-for rectangular ones.
+One scale: a matrix of n columns is divided by sqrt(n), so E A_ij^2 =
+P_ij / n, the weights of every limit law (``profile_weights``).
 
 Sampling is counter-based: each entry consumes exactly one 64-bit uniform at
 a fixed flat index of a Philox stream (see seeds.py), so a matrix is a pure
@@ -24,7 +24,7 @@ import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -33,8 +33,7 @@ from .errors import ConfigError
 from .seeds import seek
 
 LAW_KINDS = ("gaussian", "rademacher", "uniform_pm", "shifted_bernoulli")
-# each normalization's divisor of the second moments, as a function of the
-# dimensions (m, n); entries are divided by its square root
+# each normalization's divisor of the second moments, of the dimensions (m, n)
 _NORM_SIZE = {"inv_sqrt_n": lambda m, n: n, "inv_sqrt_m": lambda m, n: m,
               "inv_sqrt_m_plus_n": lambda m, n: m + n}
 NORMALIZATIONS = tuple(_NORM_SIZE)
@@ -165,17 +164,19 @@ def constant_profile(shape, value=1.0):
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Entry law + profile + normalization for one random matrix ensemble.
+    """Entry law + profile for one random matrix ensemble, at scale 1/sqrt(n).
 
-    ``truncate`` (default None = off, else finite and > 0) zeroes
-    pre-normalization entries with |A0_ij| > truncate * sqrt(log(max(m, n)));
-    a stress-testing knob only.
+    The keyword options remain only for the tests that pin their bytes; no
+    run sets them.  ``normalization`` divides by sqrt(m) or sqrt(m + n)
+    instead, and ``truncate`` (finite, > 0) zeroes entries with
+    |A0_ij| > truncate * sqrt(log(max(m, n))) before scaling.
     """
 
     law: EntryLaw
     profile: VarianceProfile
-    normalization: str
     symmetric: bool
+    _: KW_ONLY
+    normalization: str = "inv_sqrt_n"
     truncate: float | None = None
 
     def __post_init__(self):
@@ -200,8 +201,9 @@ class EnsembleSpec:
         return math.sqrt(_NORM_SIZE[self.normalization](m, n))
 
 
-def profile_weights(profile, m, n, normalization):
-    """E A_kl^2 matrix for a profile under a named normalization.
+def profile_weights(profile, m, n):
+    """E A_kl^2 = profile / n of an m x n matrix at the samplers' scale: the
+    weights of every limit law.  The 1/m law of a profile P is that of P n/m.
 
     ``profile`` may be a VarianceProfile or a raw (m, n) array of
     un-normalized per-entry second moments, which is validated as one.
@@ -214,9 +216,7 @@ def profile_weights(profile, m, n, normalization):
     values = profile.values
     if values.shape != (m, n):
         raise ConfigError(f"profile shape {values.shape} != ({m}, {n})")
-    if normalization not in NORMALIZATIONS:
-        raise ConfigError(f"unknown normalization {normalization!r}")
-    return values / _NORM_SIZE[normalization](m, n)
+    return values / n
 
 
 def _as_seedseq(seed):

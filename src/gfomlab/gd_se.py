@@ -17,9 +17,9 @@ the standard errors.  Sample coordinates draw independent paths, so a class
 average's standard error combines the per-coordinate ones exactly.
 
 Only the algebra is this module's own, as it cross-checks the general
-engine: the profile's scale, the column-stream keys, the PSD floor (read
-with ``u_cov_se``) and the range checks come from ``state_evolution``, the
-rate and mask checks from ``programs.gd_inputs``, as for ``build_gd_ridge``.
+engine: the scale from ``ensembles.profile_weights``, the column-stream keys,
+the PSD floor (read with ``u_cov_se``) and the range checks from
+``state_evolution``, the rate and mask checks from ``programs.gd_inputs``.
 """
 
 import itertools
@@ -27,12 +27,13 @@ import math
 
 import numpy as np
 
+from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
 from .programs import gd_inputs
 from .seeds import DOMAIN_SE, child_sequence
 from .state_evolution import (_BLOCK, DEFAULT_MC, PSD_FLOOR, _column_draws,
                               _draw_paths, _int_in, _mc_average, _sub_blocks,
-                              law_weights, psd_factors)
+                              psd_factors)
 
 NESTED_SUM_MAX_GAP = 8
 
@@ -169,12 +170,12 @@ def gd_se(loss, eta, lam, mu0, xi, masks, profile, T, mc_samples=DEFAULT_MC,
 
     masks: None (full sample) or (T, m) 0/1 array; profile: un-normalized
     per-entry second moments of the m x n design, weighted by profile / n
-    (P n/m gives the 1/m law of P).  With constant-curvature losses every
+    (``ensembles.profile_weights``).  With constant-curvature losses every
     quantity is exact (no sampling).
     """
     mu0 = np.asarray(mu0, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    weights = law_weights(profile, xi.shape[0], mu0.shape[0])
+    weights = profile_weights(profile, xi.shape[0], mu0.shape[0])
     return _run(loss, eta, lam, mu0, mu0**2, xi, masks, weights, weights.T, T,
                 mc_samples, seed)
 

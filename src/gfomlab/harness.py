@@ -12,8 +12,8 @@ All four replicate experiments run one loop, ``_replicates``, with a
 per-experiment statistic.  Its seed contract: replicate r draws law A's
 matrix from the stream ``(seed, REPLICATE, r, ENSEMBLE_A)`` and law B's
 from ``(seed, REPLICATE, r, ENSEMBLE_B)``, so the two matrices are
-independent while the shared profile and normalization match their second
-moments exactly.  Law A's matrix is drawn and run, then law B's, so a
+independent while the shared profile and scale match their second moments
+exactly.  Law A's matrix is drawn and run, then law B's, so a
 replicate holds one matrix at a time; a divergence under either law drops
 the whole replicate and is counted against that law, and law B is not
 drawn when law A diverges.  The decay and delocalization diagnostics draw
@@ -187,6 +187,8 @@ class ExperimentConfig:
                               f"{self.program!r} runs n x n")
         if self.T < 1:
             raise ConfigError("T must be >= 1")
+        if self.program == "logistic" and self.n < 2:
+            raise ConfigError("n must be >= 2 for logistic (score clamp 20 log n)")
         if self.replicates is not None and self.replicates < 2:
             raise ConfigError("replicates must be >= 2 (standard errors)")
         if self.mc_samples < 2:
@@ -231,6 +233,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be a finite number, got {value!r}")
             elif key == "subsample" and not 0.0 < value <= 1.0:
                 raise ConfigError(f"subsample must be in (0, 1], got {value!r}")
+        if self.experiment == "decay" and "subsample" in params:
+            raise ConfigError("decay runs the full sample and ignores subsample")
         if REGISTRY[self.program].fields is not None:
             REGISTRY[self.program].fields(params)
         reads = _EXPERIMENT_KEYS[self.experiment]
@@ -360,7 +364,7 @@ class _Plan:
     """Sampling side shared by every program plan: a constant variance
     profile over the matrix shape (n x n without ``m``, m x n with it), held
     as one broadcast value, one ensemble spec per entry law, built once, and
-    the matching sampler, at ``inv_sqrt_n``: the scale of every limit law."""
+    the matching sampler."""
 
     def __init__(self, n, m=None, data=None):
         self.n = n
@@ -371,7 +375,7 @@ class _Plan:
 
     def ensemble_spec(self, law):
         if law not in self._specs:
-            self._specs[law] = EnsembleSpec(law, self.profile, "inv_sqrt_n",
+            self._specs[law] = EnsembleSpec(law, self.profile,
                                             symmetric=self.m is None)
         return self._specs[law]
 

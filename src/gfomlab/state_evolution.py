@@ -754,12 +754,6 @@ def _horizon(T, T_max, name="horizon"):
     return _int_in(T_max if T is None else T, 1, T_max, name)
 
 
-def law_weights(profile, m, n):
-    """E A_kl^2 of every limit law: profile / n, the samplers' ``inv_sqrt_n``
-    scale for an m x n matrix.  The 1/m law of a profile P is that of P n/m."""
-    return profile_weights(profile, m, n, "inv_sqrt_n")
-
-
 def _record(kind, tracks, profile, T, mc, seed, fd_check):
     """Build the limit law of an iteration from its side table.
 
@@ -768,8 +762,8 @@ def _record(kind, tracks, profile, T, mc, seed, fd_check):
     has none, for corrected iterations).  X's engine averages over t-1+offset
     columns of its source's paths, drawn through the source's transform;
     its coefficients for step t join X's transform before the next side
-    steps.  The first side weighs by ``law_weights`` (profile / n), the
-    second by their transpose.
+    steps.  The first side weighs by ``ensembles.profile_weights``
+    (profile / n), the second by their transpose.
     """
     first = next(iter(tracks.values()))
     T_max = len(first.mat_fns)
@@ -777,8 +771,8 @@ def _record(kind, tracks, profile, T, mc, seed, fd_check):
     T = _horizon(T, T_max)
     mc = _int_in(mc, 2, None, "mc_samples")
     raw = first.add_fns is None
-    w = law_weights(profile, first.x0.shape[0],
-                    tracks[first.source].x0.shape[0])
+    w = profile_weights(profile, first.x0.shape[0],
+                        tracks[first.source].x0.shape[0])
     weights = dict(zip(tracks, (w, w.T)))
     reader = {tr.source: name for name, tr in tracks.items()}
     transforms = {
@@ -821,7 +815,7 @@ def se_symmetric(prog, profile, z0=None, T=None, mc_samples=DEFAULT_MC, seed=0,
 def amp_se_symmetric(fns, profile, z0, T=None, mc_samples=DEFAULT_MC, seed=0,
                      fd_check=False):
     """Gaussian law + memory coefficients for a corrected symmetric
-    iteration, weighted by profile / n (see ``law_weights``)."""
+    iteration, weighted by profile / n (see ``ensembles.profile_weights``)."""
     return _record("amp_symmetric", symmetric_tracks(fns, None, z0), profile, T,
                    mc_samples, seed, fd_check)
 
@@ -829,7 +823,7 @@ def amp_se_symmetric(fns, profile, z0, T=None, mc_samples=DEFAULT_MC, seed=0,
 def se_asymmetric(prog, profile, u0=None, v0=None, T=None,
                   mc_samples=DEFAULT_MC, seed=0, fd_check=False):
     """Gaussian laws + history transforms for an asymmetric program, weighted
-    by profile / n: P n/m gives the 1/m law of P (see ``law_weights``)."""
+    by profile / n (see ``ensembles.profile_weights``)."""
     tracks = asymmetric_tracks(prog.u_mat_fns, prog.u_add_fns, prog.v_mat_fns,
                                prog.v_add_fns, prog.u0 if u0 is None else u0,
                                prog.v0 if v0 is None else v0)

@@ -45,12 +45,12 @@ from gfomlab.state_evolution import gfom_to_amp, se_asymmetric, se_symmetric
 
 def _sym_spec(n):
     return EnsembleSpec(gaussian_law(), constant_profile((n, n)),
-                        "inv_sqrt_n", symmetric=True)
+                        symmetric=True)
 
 
 def _asym_spec(m, n):
     return EnsembleSpec(gaussian_law(), constant_profile((m, n)),
-                        "inv_sqrt_n", symmetric=False)
+                        symmetric=False)
 
 
 def test_criterion_01_plain_vs_corrected_iteration_correspondence():

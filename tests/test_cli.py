@@ -374,6 +374,36 @@ def test_main_validate_rejects_keys_the_run_would_ignore(tmp_path, capsys,
     assert f"configuration error: {key} is read only by" in capsys.readouterr().err
 
 
+def test_main_validate_rejects_a_subsample_that_decay_ignores(tmp_path, capsys):
+    # decay runs the full sample, so with subsample it used to write the
+    # full-sample run's decay.csv byte for byte
+    data = dict(experiment="decay", program="gd_ridge", n=20, m=40, T=5)
+    path = tmp_path / "decay.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(dict(data, program_params={"subsample": 0.5})))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert ("configuration error: decay runs the full sample and ignores "
+            "subsample" in capsys.readouterr().err)
+
+
+def test_main_validate_rejects_logistic_at_n_1(tmp_path, capsys):
+    # the score clamp 20 log n is 0 at n = 1: validate said "config ok", and
+    # run exited 2 on a clamp that no config key sets
+    data = dict(experiment="delocalization", program="logistic", n=1, m=4)
+    path = tmp_path / "logistic.json"
+    path.write_text(json.dumps(data))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+        assert main(command + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: n must be >= 2 for logistic" in err
+        assert "clamp must be" not in err
+    assert not (tmp_path / "o").exists()
+    path.write_text(json.dumps(dict(data, n=2)))
+    assert main(["validate", "--config", str(path)]) == 0
+
+
 def _run_decay_with_replicates(tmp_path, capsys, replicates):
     path = tmp_path / "decay.json"
     path.write_text(json.dumps(dict(experiment="decay", program="pgd_linear",

@@ -34,7 +34,7 @@ from gfomlab.programs import (
 
 def _wigner(n, seed):
     spec = EnsembleSpec(gaussian_law(), constant_profile((n, n)),
-                        "inv_sqrt_n", symmetric=True)
+                        symmetric=True)
     return sample_symmetric(spec, n, seed=seed)
 
 

@@ -117,41 +117,41 @@ def test_profile_checks_on_dense_and_broadcast_values(form):
         VarianceProfile(_rows_of(form, [1.0, -0.5, 2.0], 3))
     zeros = VarianceProfile(_rows_of(form, [-0.0, 0.0, -0.0], 3))
     assert zeros.is_constant()
-    EnsembleSpec(gaussian_law(), zeros, "inv_sqrt_n", symmetric=True)
+    EnsembleSpec(gaussian_law(), zeros, symmetric=True)
     assert not VarianceProfile(_rows_of(form, [1.0, 2.0, 1.0], 3)).is_constant()
     # equal rows of distinct entries are not symmetric
     with pytest.raises(ConfigError, match="symmetric profile"):
         EnsembleSpec(gaussian_law(), VarianceProfile(_rows_of(form, [1.0, 2.0, 3.0], 3)),
-                     "inv_sqrt_n", symmetric=True)
+                     symmetric=True)
     # a symmetric non-constant profile over more than one strip, then made
     # asymmetric at one pair of entries: inside the last strip, or across
     # the last rows of two strips
     n = 2 * STRIP_ROWS + 3
     sym = np.add.outer(np.arange(n), np.arange(n)) % 7 + 1.0
     as_form = np.array if form == "dense" else lambda v: np.broadcast_to(v, v.shape)
-    EnsembleSpec(gaussian_law(), VarianceProfile(as_form(sym)), "inv_sqrt_n",
+    EnsembleSpec(gaussian_law(), VarianceProfile(as_form(sym)),
                  symmetric=True)
     for i, j in [(n - 1, n - 3), (2 * STRIP_ROWS - 1, STRIP_ROWS - 1)]:
         broken = sym.copy()
         broken[i, j] += 1.0
         with pytest.raises(ConfigError, match="symmetric profile"):
             EnsembleSpec(gaussian_law(), VarianceProfile(as_form(broken)),
-                         "inv_sqrt_n", symmetric=True)
+                         symmetric=True)
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
 def test_empty_profile_is_constant(shape):
     prof = VarianceProfile(np.zeros(shape))
     assert prof.is_constant()
-    spec = EnsembleSpec(gaussian_law(), prof, "inv_sqrt_m", symmetric=False)
+    spec = EnsembleSpec(gaussian_law(), prof, symmetric=False)
     # no entry to take a scale from: the sampler reads the (empty) profile
     assert spec._scale is None
     assert sample_asymmetric(spec, *shape, seed=0).shape == shape
     if shape[0] == shape[1]:
-        EnsembleSpec(gaussian_law(), prof, "inv_sqrt_n", symmetric=True)
+        EnsembleSpec(gaussian_law(), prof, symmetric=True)
     else:
         with pytest.raises(ConfigError, match="not square"):
-            EnsembleSpec(gaussian_law(), prof, "inv_sqrt_n", symmetric=True)
+            EnsembleSpec(gaussian_law(), prof, symmetric=True)
 
 
 def test_constant_profile_holds_one_value():
@@ -159,7 +159,7 @@ def test_constant_profile_holds_one_value():
     tracemalloc.start()
     try:
         prof = constant_profile((n, n), 2.0)
-        specs = [EnsembleSpec(law, prof, "inv_sqrt_n", symmetric=True)
+        specs = [EnsembleSpec(law, prof, symmetric=True)
                  for law in (gaussian_law(), rademacher_law())]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -173,27 +173,29 @@ def test_constant_profile_holds_one_value():
 def test_normalization_consistency_enforced():
     prof = constant_profile((4, 4))
     with pytest.raises(ConfigError):
-        EnsembleSpec(gaussian_law(), prof, "inv_sqrt_m", symmetric=True).denominator(4, 4)
+        EnsembleSpec(gaussian_law(), prof, symmetric=True,
+                     normalization="inv_sqrt_m").denominator(4, 4)
     with pytest.raises(ConfigError):
-        EnsembleSpec(gaussian_law(), prof, "inv_sqrt_q", symmetric=False)
+        EnsembleSpec(gaussian_law(), prof, symmetric=False,
+                     normalization="inv_sqrt_q")
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_zero_profile_gives_zero_matrix(symmetric):
     if symmetric:
         spec = EnsembleSpec(gaussian_law(), constant_profile((5, 5), 0.0),
-                            "inv_sqrt_n", symmetric=True)
+                            symmetric=True)
         a = sample_symmetric(spec, 5, seed=7)
     else:
         spec = EnsembleSpec(gaussian_law(), constant_profile((3, 5), 0.0),
-                            "inv_sqrt_m", symmetric=False)
+                            symmetric=False)
         a = sample_asymmetric(spec, 3, 5, seed=7)
     assert np.all(a == 0.0)
 
 
 def test_rademacher_two_by_two_support_and_symmetry():
     spec = EnsembleSpec(rademacher_law(), constant_profile((2, 2)),
-                        "inv_sqrt_n", symmetric=True)
+                        symmetric=True)
     a = sample_symmetric(spec, 2, seed=5)
     r = 1.0 / math.sqrt(2.0)
     assert set(np.abs(a).ravel()) == {r}
@@ -204,7 +206,7 @@ def test_gaussian_row_norms_in_expected_band():
     # max_k ||A_k.|| concentrates near sqrt(2) at this size
     n = 500
     spec = EnsembleSpec(gaussian_law(), constant_profile((n, n)),
-                        "inv_sqrt_n", symmetric=True)
+                        symmetric=True)
     hits = 0
     for seed in range(100):
         a = sample_symmetric(spec, n, seed=seed)
@@ -215,18 +217,21 @@ def test_gaussian_row_norms_in_expected_band():
 
 def test_single_entry_scaled_rademacher():
     spec = EnsembleSpec(rademacher_law(), constant_profile((1, 1), 4.0),
-                        "inv_sqrt_m", symmetric=False)
+                        symmetric=False)
     vals = {sample_asymmetric(spec, 1, 1, seed=s)[0, 0] for s in range(40)}
     assert vals == {-2.0, 2.0}
 
 
 def test_rectangular_mean_square_matches_normalization():
+    # the sampler's mean square is the limit laws' weight profile / n, not
+    # profile / m; its relative standard error here is sqrt(2 / (m n)) = 0.25%
     m, n = 800, 400
     spec = EnsembleSpec(gaussian_law(), constant_profile((m, n)),
-                        "inv_sqrt_m", symmetric=False)
+                        symmetric=False)
     a = sample_asymmetric(spec, m, n, seed=2)
     assert a.shape == (m, n)
-    assert abs((a ** 2).mean() - 1.0 / m) < 3e-3
+    w = profile_weights(spec.profile, m, n)
+    assert abs((a ** 2).mean() / w.mean() - 1.0) < 0.01
 
 
 def test_replicate_streams_entry_variance_across_laws():
@@ -245,7 +250,7 @@ def test_replicate_streams_same_law_draw_independent_matrices():
     # replicate r's law-A and law-B matrices come from the streams
     # (seed, REPLICATE, r, ENSEMBLE_A) and (seed, REPLICATE, r, ENSEMBLE_B)
     spec = EnsembleSpec(gaussian_law(), constant_profile((6, 6)),
-                        "inv_sqrt_n", symmetric=True)
+                        symmetric=True)
     a, b = (x[1] for x in replicate_matrices(gaussian_law(), 6, 2, seed=19))
     for got, dom in ((a, DOMAIN_ENSEMBLE_A), (b, DOMAIN_ENSEMBLE_B)):
         assert np.array_equal(got, sample_symmetric(spec, 6, child_sequence(
@@ -257,35 +262,40 @@ def test_replicate_streams_same_law_draw_independent_matrices():
 
 def test_row_varying_profile_reproduced_in_second_moments():
     # sigma2_ij = (i+1)/m depends on the row only; averaging squared entries
-    # along each row over several seeds recovers the profile
-    m = n = 500
+    # along each row over several seeds recovers the limit laws' weights
+    # profile / n, which differ from profile / m by a factor 2 here
+    m, n = 250, 500
     prof = VarianceProfile(np.tile(((np.arange(m) + 1.0) / m)[:, None], (1, n)))
-    spec = EnsembleSpec(gaussian_law(), prof, "inv_sqrt_m", symmetric=False)
+    spec = EnsembleSpec(gaussian_law(), prof, symmetric=False)
     acc = np.zeros((m, n))
     seeds = 40
     for s in range(seeds):
         acc += sample_asymmetric(spec, m, n, seed=s) ** 2
-    est = acc.mean(axis=1) * m / seeds
-    rel = np.abs(est / ((np.arange(m) + 1.0) / m) - 1.0)
+    est = acc.mean(axis=1) / seeds
+    rel = np.abs(est / profile_weights(prof, m, n)[:, 0] - 1.0)
     assert rel.max() < 0.05
 
 
 def test_profile_weights_expose_entry_second_moments():
     prof = constant_profile((3, 6), 2.0)
-    w = profile_weights(prof, 3, 6, "inv_sqrt_m_plus_n")
+    w = profile_weights(prof, 3, 6)
     assert w.shape == (3, 6)
     # a dense array with the bits of dividing a dense profile, as the
     # engines sum its rows and columns
     assert w.flags.c_contiguous and w.flags.writeable
-    assert w.tobytes() == (np.full((3, 6), 2.0) / 9.0).tobytes()
-    assert np.all(w == 2.0 / 9.0)
+    assert w.tobytes() == (np.full((3, 6), 2.0) / 6.0).tobytes()
+    assert np.all(w == 2.0 / 6.0)
+    # every squared Rademacher entry is its weight, up to rounding
+    a = sample_asymmetric(EnsembleSpec(rademacher_law(), prof, symmetric=False),
+                          3, 6, seed=0)
+    assert np.allclose(a ** 2, w, rtol=1e-15, atol=0.0)
     with pytest.raises(ConfigError):
-        profile_weights(prof, 4, 6, "inv_sqrt_m")
+        profile_weights(prof, 4, 6)
 
 
 def test_symmetry_is_exact():
     spec = EnsembleSpec(uniform_pm_law(), constant_profile((31, 31)),
-                        "inv_sqrt_n", symmetric=True)
+                        symmetric=True)
     a = sample_symmetric(spec, 31, seed=13)
     assert np.array_equal(a, a.T)
 
@@ -302,7 +312,7 @@ def test_replicate_streams_second_moments_within_band():
 
 def test_determinism_and_seed_sensitivity():
     spec = EnsembleSpec(gaussian_law(), constant_profile((8, 8)),
-                        "inv_sqrt_n", symmetric=True)
+                        symmetric=True)
     a1 = sample_symmetric(spec, 8, seed=99)
     a2 = sample_symmetric(spec, 8, seed=99)
     a3 = sample_symmetric(spec, 8, seed=100)
@@ -313,9 +323,9 @@ def test_determinism_and_seed_sensitivity():
 def test_truncation_zeroes_large_entries():
     n = 50
     spec = EnsembleSpec(gaussian_law(), constant_profile((n, n)),
-                        "inv_sqrt_n", symmetric=True)
+                        symmetric=True)
     cut = EnsembleSpec(gaussian_law(), constant_profile((n, n)),
-                       "inv_sqrt_n", symmetric=True, truncate=0.5)
+                       symmetric=True, truncate=0.5)
     a = sample_symmetric(spec, n, seed=4)
     b = sample_symmetric(cut, n, seed=4)
     thresh = 0.5 * math.sqrt(math.log(n)) / math.sqrt(n)
@@ -328,15 +338,15 @@ def test_truncation_zeroes_large_entries():
                                       True, "0.5"])
 def test_truncation_must_be_finite_and_positive(truncate):
     with pytest.raises(ConfigError, match="truncate"):
-        EnsembleSpec(gaussian_law(), constant_profile((4, 4)), "inv_sqrt_n",
+        EnsembleSpec(gaussian_law(), constant_profile((4, 4)),
                      symmetric=True, truncate=truncate)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "7", True, None])
 def test_samplers_reject_bad_seeds(seed):
-    sym = EnsembleSpec(gaussian_law(), constant_profile((3, 3)), "inv_sqrt_n",
+    sym = EnsembleSpec(gaussian_law(), constant_profile((3, 3)),
                        symmetric=True)
-    asym = EnsembleSpec(gaussian_law(), constant_profile((1, 1)), "inv_sqrt_m",
+    asym = EnsembleSpec(gaussian_law(), constant_profile((1, 1)),
                         symmetric=False)
     with pytest.raises(ConfigError, match="seed"):
         sample_symmetric(sym, 3, seed)
@@ -361,7 +371,6 @@ def test_entry_uniforms_start_continues_the_flat_stream(start):
                                              (False, (800, 400))])
 def test_sampler_scratch_stays_below_half_the_output(symmetric, shape):
     spec = EnsembleSpec(gaussian_law(), constant_profile(shape),
-                        "inv_sqrt_n" if symmetric else "inv_sqrt_m",
                         symmetric=symmetric)
     tracemalloc.start()
     try:
@@ -400,23 +409,32 @@ def test_strip_size_does_not_change_the_bits(monkeypatch, law, truncate, rows,
         values[:, 2] = 0.0
     else:
         values = np.full(shape, 1.0 if profile == "ones" else 0.0)
-    spec = EnsembleSpec(law, VarianceProfile(values),
-                        "inv_sqrt_n" if symmetric else "inv_sqrt_m_plus_n",
-                        symmetric=symmetric, truncate=truncate)
-    ref = _drawn_at_once(spec, m, n, seed=17)
+    spec = EnsembleSpec(law, VarianceProfile(values), symmetric=symmetric,
+                        truncate=truncate)
+    refs = [_drawn_at_once(spec, m, n, seed).tobytes()
+            for seed in _seed_forms(17)]
     monkeypatch.setattr(ensembles, "STRIP_ROWS", rows)
-    assert _sample(spec, m, n, seed=17).tobytes() == ref.tobytes()
+    assert [_sample(spec, m, n, seed).tobytes()
+            for seed in _seed_forms(17)] == refs
+
+
+def _seed_forms(seed):
+    """Both forms a sampler takes its seed in: an int, and a spawned
+    SeedSequence, as every replicate passes (``harness._replicates``)."""
+    return seed, child_sequence(seed, DOMAIN_REPLICATE, 1, DOMAIN_ENSEMBLE_A)
 
 
 def _drawn_at_once(spec, m, n, seed):
     """The documented steps on the whole matrix's words, drawn at once."""
-    u = entry_uniforms(np.random.SeedSequence(seed), m * n).reshape(m, n)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    u = entry_uniforms(seed, m * n).reshape(m, n)
     x = spec.law.transform(u) * np.sqrt(spec.profile.values)
     if spec.truncate is not None:
         x[np.abs(x) > spec.truncate * math.sqrt(math.log(max(m, n)))] = 0.0
     if spec.symmetric:
         x = np.triu(x) + np.triu(x, 1).T
-    return x / spec.denominator(m, n)
+    return x / math.sqrt(n)
 
 
 def _sample(spec, m, n, seed):
@@ -443,15 +461,16 @@ def test_thread_count_does_not_change_the_bits(monkeypatch, strip_threads, law,
     # 5-row strips start at words r0 * n that are not multiples of Philox's
     # four words per counter step, and no shape is a whole number of strips
     m, n = shape
-    spec = EnsembleSpec(law, _profile(profile, shape),
-                        "inv_sqrt_n" if symmetric else "inv_sqrt_m",
-                        symmetric=symmetric, truncate=truncate)
-    ref = _drawn_at_once(spec, m, n, seed=23).tobytes()
+    spec = EnsembleSpec(law, _profile(profile, shape), symmetric=symmetric,
+                        truncate=truncate)
+    refs = [_drawn_at_once(spec, m, n, seed).tobytes()
+            for seed in _seed_forms(23)]
     for rows in [5, STRIP_ROWS]:
         monkeypatch.setattr(ensembles, "STRIP_ROWS", rows)
         for threads in [1, 2, 3]:
             strip_threads(threads)
-            assert _sample(spec, m, n, seed=23).tobytes() == ref, (rows, threads)
+            assert [_sample(spec, m, n, seed).tobytes()
+                    for seed in _seed_forms(23)] == refs, (rows, threads)
 
 
 def test_concurrent_callers_on_more_threads_than_cores(monkeypatch,
@@ -461,7 +480,7 @@ def test_concurrent_callers_on_more_threads_than_cores(monkeypatch,
     # as garbage in the uninitialised output
     strip_threads(3)
     monkeypatch.setattr(ensembles, "STRIP_ROWS", 1)
-    specs = [EnsembleSpec(law, constant_profile((150, 150)), "inv_sqrt_n",
+    specs = [EnsembleSpec(law, constant_profile((150, 150)),
                           symmetric=True) for law in ALL_LAWS[:2]]
     refs = [_drawn_at_once(spec, 150, 150, seed=4).tobytes() for spec in specs]
     got = {}
@@ -489,7 +508,7 @@ def test_a_helper_strip_error_reaches_the_caller(monkeypatch, strip_threads):
     strip_threads(2)
     monkeypatch.setattr(ensembles, "STRIP_ROWS", 4)
     spec = EnsembleSpec(gaussian_law(), constant_profile((16, 12)),
-                        "inv_sqrt_m", symmetric=False)
+                        symmetric=False)
     expected = sample_asymmetric(spec, 16, 12, seed=2).tobytes()
     helper_failed = threading.Event()
     transform = EntryLaw.transform
@@ -517,7 +536,7 @@ def test_a_caller_strip_error_reaches_the_caller(monkeypatch, strip_threads,
     strip_threads(threads)
     monkeypatch.setattr(ensembles, "STRIP_ROWS", 4)
     spec = EnsembleSpec(rademacher_law(), constant_profile((20, 20)),
-                        "inv_sqrt_n", symmetric=True)
+                        symmetric=True)
     expected = sample_symmetric(spec, 20, seed=6).tobytes()
     transform = EntryLaw.transform
 
@@ -542,7 +561,7 @@ parse_config(sys.argv[1]).validate()
 print(threading.active_count())
 spec = gfomlab.EnsembleSpec(gfomlab.gaussian_law(),
                             gfomlab.constant_profile((200, 200)),
-                            "inv_sqrt_n", symmetric=True)
+                            symmetric=True)
 gfomlab.sample_symmetric(spec, 200, seed=1)
 print(threading.active_count(), _strip_pool()[1])
 """
@@ -570,7 +589,7 @@ import os, signal
 import gfomlab
 spec = gfomlab.EnsembleSpec(gfomlab.gaussian_law(),
                             gfomlab.constant_profile((200, 200)),
-                            "inv_sqrt_n", symmetric=True)
+                            symmetric=True)
 a = gfomlab.sample_symmetric(spec, 200, seed=1)
 pid = os.fork()
 if pid == 0:

@@ -69,7 +69,7 @@ def test_first_step_mean_matches_simulated_descent():
     mu0 = rng.normal(size=n)
     xi = 0.3 * rng.normal(size=m)
     spec = EnsembleSpec(gaussian_law(), constant_profile((m, n)),
-                        "inv_sqrt_n", symmetric=False)
+                        symmetric=False)
     reps = []
     for seed in range(60):
         a = sample_asymmetric(spec, m, n, seed=seed)
@@ -130,7 +130,7 @@ def test_prediction_covariance_is_quadratic_form_in_decomposition(loss_name):
     m, n = 8, 5
     prof = VarianceProfile(np.add.outer(np.arange(1.0, m + 1), np.zeros(n)) / m)
     st = small_state(T=3, n=n, m=m, loss=loss, seed=8, mc=200, profile=prof)
-    wts = profile_weights(prof, m, n, "inv_sqrt_n")
+    wts = profile_weights(prof, m, n)
     for t in range(1, st.T + 1):
         for s in range(1, t + 1):
             want = np.zeros(m)

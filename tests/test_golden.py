@@ -382,8 +382,9 @@ def _sample_digest(case):
     symmetric = case.startswith("symmetric")
     h = hashlib.sha256()
     for m, n in shapes:
-        spec = EnsembleSpec(SAMPLE_LAWS[law], SAMPLE_PROFILES[prof](m, n), norm,
-                            symmetric=symmetric, truncate=TRUNCATIONS[cut])
+        spec = EnsembleSpec(SAMPLE_LAWS[law], SAMPLE_PROFILES[prof](m, n),
+                            symmetric=symmetric, normalization=norm,
+                            truncate=TRUNCATIONS[cut])
         for seed in (5, np.random.SeedSequence(2024, spawn_key=(3, 7, 0))):
             if symmetric:
                 a = sample_symmetric(spec, n, seed)
@@ -415,7 +416,7 @@ TRAJECTORY_CASES = ("run_symmetric/mixed", "run_leave_k_out/mixed",
 def _gaussian_matrix(m, n, seed):
     symmetric = m is None
     spec = EnsembleSpec(gaussian_law(), constant_profile((m or n, n)),
-                        "inv_sqrt_n", symmetric=symmetric)
+                        symmetric=symmetric)
     if symmetric:
         return sample_symmetric(spec, n, seed)
     return sample_asymmetric(spec, m, n, seed)

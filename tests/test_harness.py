@@ -1,6 +1,7 @@
 """Replicate experiments: configs, reports, comparisons, diagnostics."""
 
 import contextlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -22,6 +23,8 @@ from gfomlab.harness import (
     RegistryEntry,
     Statistic,
     comparison_report,
+    _EXPERIMENT_KEYS,
+    _EXPERIMENT_PROGRAMS,
     _SymGfomPlan,
     _ks_statistic,
     _laws,
@@ -203,6 +206,39 @@ def test_asymmetric_programs_require_m():
                        program_params={"subsample": 2.0})
     with pytest.raises(ConfigError):
         build_plan(cfg2)
+
+
+def test_a_config_that_validate_accepts_runs_at_any_size():
+    # validate is the one refusal path, so no run refuses a config that it
+    # accepted; tiny sizes reach the bounds (a logistic run at n = 1 used to
+    # fail on a clamp of 0 that no config key sets)
+    swept, refused, failed = 0, [], []
+    for experiment, program, (n, m, T) in itertools.product(
+            EXPERIMENT_NAMES, REGISTRY,
+            [(1, 1, 1), (2, 1, 1), (1, 2, 2), (3, 5, 1)]):
+        if program not in _EXPERIMENT_PROGRAMS.get(experiment, REGISTRY):
+            continue
+        cfg = ExperimentConfig(
+            experiment=experiment, program=program, n=n, T=T, mc_samples=50,
+            m=m if REGISTRY[program].fields else None,
+            replicates=3 if "replicates" in _EXPERIMENT_KEYS[experiment] else None)
+        swept += 1
+        try:
+            cfg.validate()
+        except ConfigError:
+            refused.append((experiment, program, n))
+            continue
+        try:
+            run_named_experiment(cfg)
+        except ConfigError as err:
+            failed.append((experiment, program, (n, m, T), str(err)))
+    assert swept == 108
+    assert failed == []
+    # logistic at n = 1 at both of its sizes, in each experiment that runs
+    # any program, is the only refusal
+    assert sorted(refused) == sorted(
+        (e, "logistic", 1) for e in EXPERIMENT_NAMES
+        if e not in _EXPERIMENT_PROGRAMS for _ in range(2))
 
 
 def test_registry_listings():
@@ -630,7 +666,7 @@ def test_decay_ridge_is_log_linear():
 
 def _ridge_problem(seed, n=60, m=90, lam=0.4):
     spec = EnsembleSpec(gaussian_law(), constant_profile((m, n)),
-                        "inv_sqrt_n", symmetric=False)
+                        symmetric=False)
     a = sample_asymmetric(spec, m, n, seed=seed)
     rng = np.random.default_rng(seed)
     return ErmProblem(a=a, prox=prox_ridge(lam), eta=0.2, loss=squared_loss(),

@@ -45,7 +45,7 @@ from gfomlab.programs import (
 
 def _asym_matrix(m, n, seed):
     spec = EnsembleSpec(gaussian_law(), constant_profile((m, n)),
-                        "inv_sqrt_m", symmetric=False)
+                        symmetric=False)
     return sample_asymmetric(spec, m, n, seed=seed)
 
 

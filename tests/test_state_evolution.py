@@ -261,14 +261,14 @@ def test_corrected_paths_do_not_collapse_under_two_block_profile():
 
 
 def test_two_sided_law_has_the_scale_of_the_sampled_matrix():
-    # the harness samples m x n matrices at inv_sqrt_n; a law weighted by
+    # the harness samples m x n matrices at 1/sqrt(n); a law weighted by
     # profile / m predicted E[u_1^2] = tanh(1)^2 n/m = 0.193 at 300 x 100,
     # where the matrices give tanh(1)^2 = 0.580
     m, n = 300, 100
     fns = ([tanh_map(1, 0)], [tanh_map(2, 1)])
     rec = amp_se_asymmetric(*fns, constant_profile((m, n)), np.ones(m),
                             np.ones(n), mc_samples=400, seed=0)
-    spec = EnsembleSpec(gaussian_law(), constant_profile((m, n)), "inv_sqrt_n",
+    spec = EnsembleSpec(gaussian_law(), constant_profile((m, n)),
                         symmetric=False)
     means = [np.mean(run_amp_asymmetric(
         sample_asymmetric(spec, m, n, seed), *fns, rec.side("u").coeffs,
@@ -284,7 +284,7 @@ def test_two_sided_law_has_the_scale_of_the_sampled_matrix():
 def test_single_identity_step_correspondence():
     n = 5
     spec = EnsembleSpec(gaussian_law(), constant_profile((n, n)),
-                        "inv_sqrt_n", symmetric=True)
+                        symmetric=True)
     a = sample_symmetric(spec, n, seed=15)
     prog = build_power_iteration(1, np.ones(n))
     rec = se_symmetric(prog, constant_profile((n, n)), mc_samples=100, seed=16)
@@ -300,7 +300,7 @@ def test_single_identity_step_correspondence():
 def test_correspondence_mixed_symmetric(seed):
     n, T = 30, 3
     spec = EnsembleSpec(gaussian_law(), constant_profile((n, n)),
-                        "inv_sqrt_n", symmetric=True)
+                        symmetric=True)
     a = sample_symmetric(spec, n, seed=40 + seed)
     prog = mixed_symmetric_program(n, T, seed=50 + seed)
     rec = se_symmetric(prog, constant_profile((n, n)), mc_samples=400, seed=17)
@@ -316,7 +316,7 @@ def test_correspondence_mixed_symmetric(seed):
 def test_correspondence_mixed_asymmetric(seed):
     m, n, T = 20, 25, 3
     spec = EnsembleSpec(gaussian_law(), constant_profile((m, n)),
-                        "inv_sqrt_m", symmetric=False)
+                        symmetric=False)
     a = sample_asymmetric(spec, m, n, seed=60 + seed)
     prog = mixed_asymmetric_program(m, n, T, seed=70 + seed)
     rec = se_asymmetric(prog, constant_profile((m, n)), mc_samples=400, seed=18)
