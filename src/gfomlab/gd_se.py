@@ -10,20 +10,23 @@ class in ``gd_se``, and ``gd_se_homogeneous`` is the one-class case.  For
 losses with constant curvature the whole recursion is closed-form and runs
 with no Monte Carlo at all.  Otherwise expectations are Monte Carlo averages
 with common random numbers across outer steps, taken per sample coordinate
-by the averaging driver of ``state_evolution``: its path sampler draws the
-paths in sub-blocks of bounded size, one stream per path column, so a run
-at a shorter horizon repeats the steps it shares, and every sample enters
-the standard errors.  Sample coordinates draw independent paths, so a class
-average's standard error combines the per-coordinate ones exactly.
+through ``state_evolution._path_average``, the sampling loop of the general
+engine: it draws the paths in sub-blocks of bounded size, one stream per
+path column, so a run at a shorter horizon repeats the steps it shares, and
+every sample enters the standard errors.  Sample coordinates draw
+independent paths, so a class average's standard error combines the
+per-coordinate ones exactly.
 
 Only the algebra is this module's own, as it cross-checks the general
-engine: the scale from ``ensembles.profile_weights``, the column-stream keys,
-the PSD floor (read with ``u_cov_se``) and the range checks from
-``state_evolution``, the rate and mask checks from ``programs.gd_inputs``.
+engine: the scale from ``ensembles.profile_weights``, the sampling loop with
+its column-stream keys, the PSD floor (read with ``u_cov_se``) and the range
+checks from ``state_evolution``, the rate and mask checks from
+``programs.gd_inputs``.
 """
 
 import itertools
 import math
+from contextlib import closing
 
 import numpy as np
 
@@ -31,9 +34,8 @@ from .ensembles import profile_weights
 from .errors import ConfigError, NumericalError
 from .programs import gd_inputs
 from .seeds import DOMAIN_SE, child_sequence
-from .state_evolution import (_BLOCK, DEFAULT_MC, PSD_FLOOR, _column_draws,
-                              _draw_paths, _int_in, _mc_average, _sub_blocks,
-                              psd_factors)
+from .state_evolution import (DEFAULT_MC, PSD_FLOOR, _int_in, _MeanAccumulator,
+                              _path_average, psd_factors)
 
 NESTED_SUM_MAX_GAP = 8
 
@@ -116,23 +118,21 @@ def _average(state, t, n_stats, stat):
 
     ``stat(pvals, wvals)`` yields the n_stats statistics of a piece of b
     paths, each (b, m), from the masked loss slopes and curvatures of the
-    correction recursion, 1-indexed by step.  The paths are drawn in
-    sub-blocks, one stream per path column (``_column_draws``, which draws
-    the next sub-block's columns ahead on the strip pool's helper), and
-    mixed by ``_draw_paths``: both coefficient routes share samples
-    whatever the sub-block size or the thread that drew them, and so do
-    shorter horizons.
+    correction recursion, 1-indexed by step.  The paths come from
+    ``state_evolution._path_average``, which draws them in sub-blocks, one
+    stream per path column, ahead on the strip pool's helper: both
+    coefficient routes share samples whatever the sub-block size or the
+    thread that drew them, and so do shorter horizons.
     """
     eta, f_tables, masks, xi, loss = (state.eta, state.f_tables, state.masks,
                                       state.xi, state.loss)
     m = xi.shape[0]
     factors = psd_factors(state.u_cov[:, :t, :t], f"prediction side, step {t}",
                           state.u_cov_se[:, :t, :t])
-
-    def fill(n):
-        vals = np.empty((n_stats, m, n))
-        for lo, hi in _sub_blocks(n, m * (t + 1)):
-            u = _draw_paths(columns.take(), factors, np.zeros(m), hi - lo)
+    acc = _MeanAccumulator(n_stats * m)
+    with closing(_path_average(child_sequence(state.seed, DOMAIN_SE, 0), factors,
+                               np.zeros(m), n_stats * m, state.mc, acc)) as pieces:
+        for u, out in pieces:
             pvals, wvals = [None], [None]
             for tau in range(1, t + 1):
                 phi = np.array(u[..., tau])
@@ -141,14 +141,9 @@ def _average(state, t, n_stats, stat):
                     phi += eta * ftab[r - 1] * pvals[r]
                 pvals.append(masks[tau - 1] * loss.d1(xi - phi))
                 wvals.append(masks[tau - 1] * loss.d2(xi - phi))
-            for i, x in enumerate(stat(pvals, wvals)):
-                vals[i, :, lo:hi] = x.T
-        return vals.reshape(n_stats * m, n)
-
-    with _column_draws(child_sequence(state.seed, DOMAIN_SE, 0), t, m,
-                       n_stats * m, state.mc) as columns:
-        mean, se = _mc_average(n_stats * m, state.mc, _BLOCK, fill)
-    return mean.reshape(n_stats, m), se.reshape(n_stats, m)
+            for row, x in zip(out.reshape(n_stats, m, -1), stat(pvals, wvals)):
+                row[...] = x.T
+    return acc.mean().reshape(n_stats, m), acc.se().reshape(n_stats, m)
 
 
 def _d_recursion(s, t, wvals, f_tables, eta):

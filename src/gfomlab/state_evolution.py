@@ -23,52 +23,53 @@ read-out, of normals), never fewer than numpy's unsplit 128-sample block,
 is summed by numpy itself.  _MeanAccumulator.fold adds a leaf and closes
 the nodes it completes, so only the open nodes' sums are held, and each row
 total has the bytes of numpy's sum over the whole block row.  The
-recursions and ``gd_se`` run one average at a time through _mc_average.
-The read-out runs all the (side, step) cells it is asked for in one pass
-over its stream, always advancing the cell furthest behind, so a bounded
-tape of normals serves them all (see predict_entrywise).  The recursion's
-rows are its statistics per class of identical weight rows: a coordinate's
-law depends on the weights only through its own row, so a constant or
-two-block profile keeps one or two rows per statistic, however many
-coordinates it has.  A leaf's paths are mixed by _draw_paths, the package's
-one Gaussian path sampler (``gd_se`` uses it too), from the normal columns
-it is handed: in the engines and ``gd_se``, one stream per column from
+recursions and ``gd_se`` run one average at a time through the generator
+_path_average, which yields each sub-block's paths with the statistics the
+caller fills, so the loop and its temporaries stay with the caller.  The
+read-out runs all the (side, step) cells it is asked for in one pass over
+its stream, always advancing the cell furthest behind, so a bounded tape of
+normals serves them all (see predict_entrywise).  The recursion's rows are
+its statistics per class of identical weight rows: a coordinate's law
+depends on the weights only through its own row, so a constant or two-block
+profile keeps one or two rows per statistic, however many coordinates it
+has.  A leaf's paths are mixed by _draw_paths, the package's one Gaussian
+path sampler (``gd_se`` uses it too), from the normal columns it is handed:
+in the engines and ``gd_se``, one stream per column from
 _column_generators, the one owner of the column-stream keys, mixed into one
-path buffer that every sub-block of a step reuses; in the read-out, strided
-views of the columns of the one prediction stream, mixed straight from its
-tape with no copy to planes (the mixing is elementwise, so the layout moves
-no byte).  Who draws: every stream here is read in order, and each knows
-its pieces before the first is drawn (an average's sub-blocks from _leaves
-and _sub_blocks, the read-out's stream from its total length).  So
-_DrawAhead has the strip pool's helper (``ensembles._strip_pool``) draw the
-next pieces into a small ring while the caller mixes and transforms the
-current one.  A piece that the helper has not begun when the caller needs
-it (one CPU, or the helper busy) the caller draws itself, through the same
-function and in the same order, so no byte depends on who drew it.  The
-read-out holds one workspace per call (paths and a leaf's statistics, each
-sized for the largest sub-block or leaf of any cell) and reuses it for
-every leaf of every cell, so no leaf hands its buffers back to the
-allocator, which would trim them and fault them in again for the next.
-The history transform overwrites the paths it is given, column by column
-(see _forward), so no second set of planes holds the transformed history;
-a caller that needs its paths afterwards passes a copy.  Every path array
-is stored as column planes: one contiguous (samples, R) block per path
-column, handed out as a (samples, R, p+1) view, so each per-column
-operation streams through memory.  Partials
+path buffer that every sub-block of an average reuses; in the read-out,
+strided views of the columns of the one prediction stream, mixed straight
+from its tape with no copy to planes (the mixing is elementwise, so the
+layout moves no byte).  Who draws: every stream here is read in order, in
+pieces known before the first is drawn, so _DrawAhead has the strip pool's
+helper (``ensembles._strip_pool``) draw the next pieces where the caller
+will read them (the other of two column buffers, or the tape past the
+window; see _Tape) while the caller mixes the current one.  A piece that
+the helper has not begun when the caller needs it (one CPU, or the helper
+busy) the caller draws itself, through the same function and in the same
+order, so no byte depends on who drew it.  The read-out holds one workspace
+per call (paths and a leaf's statistics, each sized for the largest
+sub-block or leaf of any cell) and reuses it for every leaf of every cell,
+so no leaf hands its buffers back to the allocator, which would trim them
+and fault them in again for the next.  The history transform overwrites the
+paths it is given, column by column (see _forward), so no second set of
+planes holds the transformed history; a caller that needs its paths
+afterwards passes a copy.  Every path array is stored as column planes: one
+contiguous (samples, R) block per path column, handed out as a (samples, R,
+p+1) view, so each per-column operation streams through memory.  Partials
 that do not vary over the samples stay (R,) rows through the chain rule
-(see _forward) and are broadcast to planes only where a plane is
-consumed.  The sampler mixes the normal draws into the planes with
-explicit multiply-adds summed in one fixed order
-(``programs.fixed_order_sum``), whatever the layout, which up to 7 columns
-is the order numpy's einsum took here.  The paths are pushed through the
-history transform in sub-blocks along the sample axis, each holding at most
-_SUB_BLOCK_BYTES of path values: a multiple of _SUB_ALIGN samples while one
-fits, else of 8 samples.  A leaf that fits stays whole.  The transform's
-intermediates are thus sized by the budget, not by the coordinate count, up
-to 16384 path values per sample (R (p+1) floats), where one 8-sample
-sub-block fills the budget.  The finite-difference probe of ``fd_check`` is
-a pass of its own after a step's average: it redraws the step's first block
-whole from the same column streams, so it sees the variates the average saw
+(see _forward) and are broadcast to planes only where a plane is consumed.
+The sampler mixes the normal draws into the planes with explicit
+multiply-adds summed in one fixed order (``programs.fixed_order_sum``),
+whatever the layout, which up to 7 columns is the order numpy's einsum took
+here.  The paths are pushed through the history transform in sub-blocks
+along the sample axis, each holding at most _SUB_BLOCK_BYTES of path
+values: a multiple of _SUB_ALIGN samples while one fits, else of 8
+samples.  A leaf that fits stays whole.  The transform's intermediates are
+thus sized by the budget, not by the coordinate count, up to 16384 path
+values per sample (R (p+1) floats), where one 8-sample sub-block fills the
+budget.  The finite-difference probe of ``fd_check`` is a pass of its own
+after a step's average: it redraws the step's first block whole from the
+same column streams (_first_block), so it sees the variates the average saw
 and changes no byte of the law.  The statistics reach the accumulators
 exactly as an unsplit block's would: normals come sequentially from the
 same streams, every per-sample operation acts row by row, and the
@@ -81,6 +82,7 @@ does the BLAS thread count.
 import math
 import numbers
 import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +104,10 @@ _SUB_BLOCK_BYTES = 1 << 20
 # sub-blocks hold a multiple of this many samples while one fits, else of 8:
 # BLAS matrix-vector kernels treat the last (row count mod 4) rows differently
 _SUB_ALIGN = 64
-# the read-out's stream is drawn ahead in pieces of this many normals, into a
-# ring of this many pieces (512 KiB): a 768 KiB ring of 3 pieces ran no
-# faster and raised the process's peak RSS by 0.2 MB more
+# the read-out's stream is drawn ahead in pieces of this many normals, into
+# this many normals (512 KiB) of its tape past the window the caller reads
 _TAPE_PIECE = 1 << 14
-_TAPE_SLOTS = 4
+_TAPE_AHEAD = 1 << 16
 
 
 def _sub_blocks(b, row_values):
@@ -147,8 +148,9 @@ def _draw_paths(cols, factors, x0, b, buf=None):
 
     Column 0 holds x0; columns 1..p hold the p (b, R) standard-normal
     arrays ``cols`` mixed by ``factors`` ((1 or R, p, p); None when p = 0)
-    through _mix.  The engines hand it one stream's draws per column, the
-    read-out contiguous copies of the columns of one stream's draws.
+    through _mix.  The engines hand it one stream's draws per column
+    (_path_average), the read-out strided views of the columns of its one
+    stream's tape (_Cell.run_leaf).
     """
     r = x0.shape[0]
     p = 0 if factors is None else factors.shape[-1]
@@ -435,48 +437,36 @@ def _leaf_size(row_values):
     return max(128, _SUB_BLOCK_BYTES // (8 * max(1, row_values)))
 
 
-def _mc_average(dim, total, block, fill):
-    """(mean, se) of ``dim`` statistics over ``total`` samples that
-    ``fill(n)`` returns n at a time, one statistic per row of a C-contiguous
-    (dim, n) buffer it may overwrite.
-
-    The samples come in blocks of ``block``, each summed down numpy's
-    pairwise tree (_leaf_schedule) to leaves of _leaf_size(dim) samples.
-    """
-    acc = _MeanAccumulator(dim)
-    for n, closes in _leaves(total, block, _leaf_size(dim)):
-        acc.fold(fill(n), closes)
-    return acc.mean(), acc.se()
-
-
 class _DrawAhead:
-    """``count`` pieces of Gaussian streams that are read in order, drawn
-    by ``draw(i, slot)`` into slot i % ``slots`` of a ring and handed to
-    the caller, in order, by ``take``, as ``view(i, slot)``.  The caller
-    holds that slot until it calls ``release`` or takes the next piece.
+    """``count`` pieces of Gaussian streams that are read in order: ``take``
+    makes the next piece ready for the caller, and ``draw(i)`` draws piece i
+    into the place the caller reads it from.  ``room(i, taken)`` tells
+    whether piece i may be drawn once the caller has taken ``taken`` pieces,
+    that is, whether its place holds nothing the caller still reads.
 
     A task on the strip pool's helper (ensembles._strip_pool) draws the
-    pieces after the one the caller holds while a slot is free, and returns
-    when none is, so it never waits on the caller.  A piece that no one has
-    begun when the caller takes it (one CPU, or the helper busy) the caller
-    draws itself, through the same ``draw``.  One thread draws at a time,
-    always the next piece, so each stream is read in the order one thread
-    would read it and no byte depends on who drew it.  Leaving the ``with``
-    block waits for a draw in flight, and a task still queued then returns
-    at once, so a caller that fails leaves no draw behind.
+    pieces after the last one taken while room admits them, and returns when
+    it does not, so it never waits on the caller; ``take`` and ``start``
+    queue it again.  A piece that no one has begun when the caller takes it
+    (one CPU, or the helper busy) the caller draws itself, through the same
+    ``draw``, once it has made the piece's room.  One thread draws at a
+    time, always the next piece, so each stream is read in the order one
+    thread would read it and no byte depends on who drew it.  Leaving the
+    ``with`` block waits for a draw in flight, and a task still queued then
+    returns at once, so a caller that fails leaves no draw behind.
     """
 
-    def __init__(self, count, slots, draw, view):
-        self.count, self.slots, self.draw, self.view = count, slots, draw, view
+    def __init__(self, count, draw, room):
+        self.count, self.draw, self.room = count, draw, room
         self.drawn = self.taken = 0
-        self.drawing = self.queued = self.closed = self.held = False
+        self.drawing = self.queued = self.closed = False
         self.error = None
         self.cond = threading.Condition()
         self.helpers = _strip_pool()[0]
         self.task = None
 
     def __enter__(self):
-        self._start()
+        self.start()
         return self
 
     def __exit__(self, *exc):
@@ -488,14 +478,12 @@ class _DrawAhead:
             self.task.cancel()
 
     def _free(self):
-        # under the lock: the next piece may be drawn into a slot the caller
-        # does not hold (it holds that of the last piece taken until it
-        # releases it or takes the next)
-        limit = self.taken + self.slots - self.held
+        # under the lock
         return (not (self.drawing or self.closed) and self.error is None
-                and self.drawn < min(self.count, limit))
+                and self.drawn < self.count and self.room(self.drawn, self.taken))
 
-    def _start(self):
+    def start(self):
+        """Queue the helper to draw what room admits now."""
         with self.cond:
             if self.helpers is not None and not self.queued and self._free():
                 self.queued = True
@@ -515,7 +503,7 @@ class _DrawAhead:
         # kept for take to raise on the caller
         i, error = self.drawn, None
         try:
-            self.draw(i, i % self.slots)
+            self.draw(i)
         except BaseException as exc:
             error = exc
             raise
@@ -527,11 +515,21 @@ class _DrawAhead:
                     self.error = error
                 self.cond.notify_all()
 
+    def stalled(self):
+        """The next piece's index when room does not admit it and no draw
+        is in flight, else None: the helper then waits for the caller to
+        make room and ``start`` it."""
+        with self.cond:
+            i = self.drawn
+            if not self.drawing and i < self.count and not self.room(i, self.taken):
+                return i
+
     def take(self):
-        """The next piece, drawn: view(i, slot)."""
+        """Make the next piece ready, drawing it here if no one has begun
+        it; returns its index."""
         i = self.taken
         with self.cond:
-            self.taken, self.held = i + 1, True
+            self.taken = i + 1
             while self.drawing and self.drawn == i:   # the helper draws it
                 self.cond.wait()
             if self.error is not None:
@@ -541,33 +539,56 @@ class _DrawAhead:
                 self.drawing = True
         if inline:
             self._draw()
-        self._start()
-        return self.view(i, i % self.slots)
-
-    def release(self):
-        """Hand back the slot of the piece last taken."""
-        with self.cond:
-            self.held = False
-        self._start()
+        self.start()
+        return i
 
 
-def _column_draws(seq, p, r, dim, total):
-    """A _DrawAhead over the p normal columns of every sub-block of a
-    ``total``-sample average of ``dim`` statistics (see _mc_average) over
-    paths of ``r`` rows: take() gives the next sub-block's p (b, r)
-    columns, column j drawn from its own stream (_column_generators), into
-    the other of two draw buffers while the caller works on this one."""
+def _path_average(seq, factors, x0, dim, total, acc):
+    """Gaussian paths for a ``total``-sample average of ``dim`` statistics,
+    which the caller computes and ``acc`` (a _MeanAccumulator) sums.
+
+    Yields (paths, out) per sub-block (_sub_blocks): its b samples' (b, R,
+    p+1) paths (_draw_paths), which the caller may overwrite, and the
+    (dim, b) statistics it fills, one per row.  The samples come in blocks
+    of _BLOCK, each summed down numpy's pairwise tree (_leaf_schedule) to
+    leaves of _leaf_size(dim) samples, which acc folds once filled.  Path
+    column j comes from its own stream (_column_generators), drawn ahead
+    (_DrawAhead) into the other of two buffers.  One path buffer and one
+    statistics buffer serve every sub-block and leaf.  A caller that stops
+    early closes the generator, so no draw runs on.
+    """
+    r = x0.shape[0]
+    p = 0 if factors is None else factors.shape[-1]
+    leaves = list(_leaves(total, _BLOCK, _leaf_size(dim)))
+    sizes = [hi - lo for n, _ in leaves for lo, hi in _sub_blocks(n, r * (p + 1))]
     gens = _column_generators(seq, p)
-    sizes = [hi - lo for n, _ in _leaves(total, _BLOCK, _leaf_size(dim))
-             for lo, hi in _sub_blocks(n, r * (p + 1))]
     draws = np.empty((2, p, max(sizes), r))
+    buf = np.empty(max(sizes) * r * (p + 1))
+    stats = np.empty(dim * max(n for n, _ in leaves))
 
-    def draw(i, slot):
-        for g, d in zip(gens, draws[slot]):
+    def draw(i):
+        for g, d in zip(gens, draws[i % 2]):
             g.standard_normal(out=d[:sizes[i]])
 
-    return _DrawAhead(len(sizes) if p else 0, 2, draw,
-                      lambda i, slot: list(draws[slot, :, :sizes[i]]))
+    # piece i goes to the buffer of piece i - 2, which the caller is done
+    # with once it has taken piece i - 1
+    with _DrawAhead(len(sizes) if p else 0, draw,
+                    lambda i, taken: i <= taken) as ahead:
+        for n, closes in leaves:
+            vals = stats[:dim * n].reshape(dim, n)
+            for lo, hi in _sub_blocks(n, r * (p + 1)):
+                cols = list(draws[ahead.take() % 2, :, :hi - lo]) if p else []
+                yield _draw_paths(cols, factors, x0, hi - lo, buf), vals[:, lo:hi]
+            acc.fold(vals, closes)
+
+
+def _first_block(seq, factors, x0, total):
+    """The paths of an average's first block (see _path_average), drawn
+    whole from the same column streams."""
+    b = min(_BLOCK, total)
+    cols = [g.standard_normal((b, len(x0)))
+            for g in _column_generators(seq, factors.shape[-1])]
+    return _draw_paths(cols, factors, x0, b)
 
 
 class _SideEngine:
@@ -641,38 +662,25 @@ class _SideEngine:
         rows = np.array([0]) if self.path_collapsed else None
         factors = self.path_law.factors(p) if p > 0 else None
         k = 1 if self.path_collapsed else self.class_rows.shape[0]
-        r = x0.shape[0]
-        # one path buffer, as large as the largest sub-block, which _forward
-        # transforms in place
-        piece = _sub_blocks(min(_BLOCK, self.mc), r * (p + 1))[0][1]
-        buf = np.empty(piece * r * (p + 1))
-
-        def fill(n):
-            # rows: the p coefficient statistics, then the t products
-            vals = np.empty((p + t, k, n))
-            for lo, hi in _sub_blocks(n, r * (p + 1)):
-                paths = _draw_paths(columns.take() if p else [], factors, x0,
-                                    hi - lo, buf)
+        # rows: the p coefficient statistics, then the t products
+        acc = _MeanAccumulator((p + t) * k)
+        # fresh generators per outer step = common random numbers across steps
+        with closing(_path_average(self.seed_seq, factors, x0, (p + t) * k,
+                                   self.mc, acc)) as pieces:
+            for paths, out in pieces:
+                out = out.reshape(p + t, k, -1)
                 _, inner, dinner = _forward(self.tr, paths, rows, inner_upto=t,
                                             with_partials=True)
                 et = inner[t]
                 for s in range(1, p + 1):
                     self._sample_stat(np.broadcast_to(dinner.get((t, s), 0.0), et.shape),
-                                      vals[s - 1, :, lo:hi])
+                                      out[s - 1])
                 for tau in range(1, t + 1):
-                    self._sample_stat(et * inner[tau], vals[p + tau - 1, :, lo:hi])
-            return vals.reshape((p + t) * k, n)
-
-        # fresh generators per outer step = common random numbers across steps
-        with _column_draws(self.seed_seq, p, r, (p + t) * k, self.mc) as columns:
-            avg = _mc_average((p + t) * k, self.mc, _BLOCK, fill)
+                    self._sample_stat(et * inner[tau], out[p + tau - 1])
         if self.fd_check and p > 0:
-            # the probe redraws the step's first block whole
-            b = min(_BLOCK, self.mc)
-            cols = [g.standard_normal((b, x0.shape[0]))
-                    for g in _column_generators(self.seed_seq, p)]
-            self._fd_probe(_draw_paths(cols, factors, x0, b), rows, t, p)
-        mean, se = (self._extract(a.reshape(p + t, k)) for a in avg)
+            self._fd_probe(_first_block(self.seed_seq, factors, x0, self.mc), rows, t, p)
+        mean, se = (self._extract(a.reshape(p + t, k))
+                    for a in (acc.mean(), acc.se()))
         c = self.law.cov.shape[0]
         self.law.cov[:, t - 1, :t] = self.law.cov[:, :t, t - 1] = mean[p:, :c].T
         self.law.cov_se[:, t - 1, :t] = self.law.cov_se[:, :t, t - 1] = se[p:, :c].T
@@ -880,53 +888,48 @@ def gfom_to_amp(prog, record):
 
 
 class _Tape:
-    """A window of the first ``total`` normals of one Gaussian stream in a
-    preallocated buffer: ``buf`` holds the normals at stream positions
-    base .. base + filled - 1.  The stream is drawn ahead (_DrawAhead) in
-    pieces of _TAPE_PIECE normals, into a ring of _TAPE_SLOTS pieces, which
-    the window copies as it grows."""
+    """The first ``total`` normals of one Gaussian stream, read in order from
+    a buffer: stream position q sits at buf[q - shift], and the caller reads
+    at most ``size`` normals past ``base``.  The stream is drawn ahead
+    (_DrawAhead) in pieces of _TAPE_PIECE normals straight into the buffer
+    past them, while they fit in its ``size`` + _TAPE_AHEAD normals (at
+    least one piece).  What the caller still reads moves to the front only
+    when the next piece does not fit and then would, so never while a piece
+    is drawn: pieces are drawn in order, and only where they fit."""
 
     def __init__(self, gen, size, total):
-        self.buf = np.empty(size)
-        self.base = self.filled = 0
-        step = min(_TAPE_PIECE, total)
-        ring = np.empty((_TAPE_SLOTS, step))
+        self.gen, self.total = gen, total
+        self.buf = np.empty(size + _TAPE_AHEAD)
+        self.base = self.shift = 0
+        self.step = min(_TAPE_PIECE, total)
+        self.ahead = _DrawAhead(-(-total // self.step) if total else 0, self._draw,
+                                lambda i, taken: self._stop(i) <= self.buf.size)
 
-        def piece(i, slot):
-            return ring[slot, :min(step, total - i * step)]
+    def _stop(self, i):
+        # the buffer offset just past stream piece i
+        return min(self.total, (i + 1) * self.step) - self.shift
 
-        def draw(i, slot):
-            gen.standard_normal(out=piece(i, slot))
+    def _draw(self, i):
+        self.gen.standard_normal(out=self.buf[i * self.step - self.shift:self._stop(i)])
 
-        self.ahead = _DrawAhead(-(-total // step) if step else 0, _TAPE_SLOTS,
-                                draw, piece)
-        self.piece = ring[0, :0]   # the ring's normals not yet in the window
+    def _fit(self):
+        # the caller makes room as soon as the helper waits for it, so the
+        # helper keeps drawing ahead while the caller mixes
+        i = self.ahead.stalled()
+        if i is not None and self._stop(i) + self.shift - self.base <= self.buf.size:
+            # numpy copies a forward overlap of one dimension in place
+            k, at = i * self.step - self.base, self.base - self.shift
+            self.buf[:k] = self.buf[at:at + k]
+            self.shift = self.base
+            self.ahead.start()
 
     def read(self, lo, hi):
-        """The normals at positions lo .. hi - 1 (lo >= base), taking those
-        past the window from the ring."""
-        while hi - self.base > self.filled:
-            if not self.piece.size:
-                self.piece = self.ahead.take()
-            k = min(self.piece.size, hi - self.base - self.filled)
-            self.buf[self.filled:self.filled + k] = self.piece[:k]
-            self.piece = self.piece[k:]
-            self.filled += k
-            if not self.piece.size:
-                self.ahead.release()
-        return self.buf[lo - self.base:hi - self.base]
-
-    def trim(self, lo):
-        """Drop the normals before position lo.  The window moves down in
-        pieces no longer than the drop, so no piece overlaps its source and
-        numpy copies it without a temporary."""
-        k = lo - self.base
-        if k:
-            keep = self.filled - k
-            for i in range(0, keep, k):
-                j = min(i + k, keep)
-                self.buf[i:j] = self.buf[i + k:j + k]
-            self.base, self.filled = lo, keep
+        """The normals at stream positions lo .. hi - 1 (lo >= base)."""
+        self._fit()
+        while hi > self.ahead.taken * self.step:
+            self.ahead.take()
+            self._fit()
+        return self.buf[lo - self.shift:hi - self.shift]
 
 
 class _Cell:
@@ -1004,13 +1007,14 @@ def predict_entrywise(record, coords, psi, cells, n_paths=DEFAULT_MC, seed=0):
     Each cell's result has the bytes of a one-cell call, and all of them
     come from one pass over the prediction stream.  Every cell reads the
     same normals in the same order, coordinates x t per sample; a cell's
-    leaves are those _mc_average would walk, of _leaf_size(coordinates x t)
-    samples, and the next leaf to run is always that of the cell furthest
-    behind in the stream.  So each normal is drawn once, and a tape of
-    normals between the slowest and fastest cells, trimmed after every
-    leaf, never holds more than the largest leaf's: about _SUB_BLOCK_BYTES
-    (more only where 128 samples exceed it), whatever the path count, and
-    the ring it copies from holds 512 KiB drawn ahead.  One workspace
+    leaves split blocks of _PREDICT_BLOCK samples down numpy's pairwise
+    tree (_leaves) to _leaf_size(coordinates x t) samples, and the next
+    leaf to run is always that of the cell furthest behind in the stream.
+    So each normal is drawn once, and the window of the tape between the
+    slowest and fastest cells, trimmed after every leaf, never holds more
+    than the largest leaf's normals: about _SUB_BLOCK_BYTES (more only
+    where 128 samples exceed it), whatever the path count.  Past the window
+    the tape holds 512 KiB of normals drawn ahead.  One workspace
     serves every leaf of every cell: flat buffers for a sub-block's paths,
     which the history transform overwrites in place, and for a leaf's
     statistics, each as large as the largest any cell needs, so no leaf
@@ -1029,6 +1033,6 @@ def predict_entrywise(record, coords, psi, cells, n_paths=DEFAULT_MC, seed=0):
             cell = min(pending, key=lambda c: c.cursor)
             if not cell.run_leaf(tape, work):
                 pending.remove(cell)
-            if pending:
-                tape.trim(min(c.cursor for c in pending))
+            if pending:   # drop the normals every cell has read
+                tape.base = min(c.cursor for c in pending)
     return [c.result() for c in reads]

@@ -177,13 +177,17 @@ def _put(h, a):
     h.update(a.tobytes())
 
 
-def _gd_digest(case):
-    _, loss, kind, sample = case.split("/")
+def _gd_record(loss, kind, sample):
     rng = np.random.default_rng(78)
     mu0, xi = rng.normal(size=GD_N), 0.5 * rng.normal(size=GD_M)
     masks = (rng.random((GD_T, GD_M)) < 0.7) * 1.0 if sample == "masked" else None
-    st = gd_se(GD_LOSSES[loss](), 0.3, 0.2, mu0, xi, masks,
-               PROFILES[kind](GD_M, GD_N), GD_T, mc_samples=MC, seed=79)
+    return gd_se(loss, 0.3, 0.2, mu0, xi, masks, PROFILES[kind](GD_M, GD_N),
+                 GD_T, mc_samples=MC, seed=79)
+
+
+def _gd_digest(case):
+    _, loss, kind, sample = case.split("/")
+    st = _gd_record(GD_LOSSES[loss](), kind, sample)
     h = hashlib.sha256()
     for a in (st.m_matrix, st.u_cov, st.v_cov, st.v_cov_se, *st.f_tables,
               *st.g_tables, *st.g_tables_se):
@@ -248,45 +252,52 @@ def test_records_do_not_depend_on_the_helper_threads(strip_threads, threads):
 
 
 def _tripwire(fn, left):
-    """The row function ``fn``, raising on the call that brings left[0]
-    down to 0 (never while it is infinite)."""
+    """``fn``, raising on the call that brings left[0] down to 0 (never
+    while it is infinite)."""
 
-    def trip(h, rows):
+    def trip(*args):
         left[0] -= 1
         if left[0] == 0:
-            raise RuntimeError("row function failed")
-        return fn.fn(h, rows)
+            raise RuntimeError("tripwire")
+        return fn(*args)
 
-    return dataclasses.replace(fn, fn=trip)
+    return trip
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-@pytest.mark.parametrize("stage", ["step", "read_out"])
+@pytest.mark.parametrize("stage", ["step", "read_out", "gd_se"])
 def test_a_failed_limit_law_leaves_no_draw_behind(monkeypatch, strip_threads,
                                                   stage, threads):
-    # 8-sample sub-blocks: a step runs 625 of them and a read-out cell 375,
-    # each drawn ahead, so the failure comes while the helper may be drawing
-    # the next piece.  The error reaches the caller, and the next record
-    # still has its pinned bytes
+    # 8-sample sub-blocks: a step runs 625 of them, a read-out cell 375 and
+    # gd_se's second step calls the loss slope twice in each of its 625, each
+    # drawn ahead, so the failure comes while the helper may be drawing the
+    # next piece.  The error reaches the caller, and the next record still
+    # has its pinned bytes
     strip_threads(threads)
-    prog = mixed_asymmetric_program(M, N, T, seed=73)
     left = [math.inf]
-    prog.u_mat_fns[0] = _tripwire(prog.u_mat_fns[0], left)
+    prog = mixed_asymmetric_program(M, N, T, seed=73)
+    fn = prog.u_mat_fns[0]
+    prog.u_mat_fns[0] = dataclasses.replace(fn, fn=_tripwire(fn.fn, left))
     prof = two_block_profile(M, N)
+    loss = wavy_loss()
+    loss = dataclasses.replace(loss, d1=_tripwire(loss.d1, left))
     with monkeypatch.context() as mp:
         mp.setattr(state_evolution, "_SUB_BLOCK_BYTES", 1)
         if stage == "read_out":
             rec = se_asymmetric(prog, prof, mc_samples=MC, seed=74)
-        left[0] = 1000 if stage == "step" else 500
-        with pytest.raises(RuntimeError, match="row function failed"):
+        left[0] = {"step": 1000, "read_out": 500, "gd_se": 1000}[stage]
+        with pytest.raises(RuntimeError, match="tripwire"):
             if stage == "step":
                 se_asymmetric(prog, prof, mc_samples=MC, seed=74)
-            else:
+            elif stage == "read_out":
                 predict_entrywise(rec, None, np.tanh,
                                   [(s, t) for s in "uv" for t in (1, 2, 3)],
                                   n_paths=3000, seed=77)
+            else:
+                _gd_record(loss, "two_block", "masked")
     assert left[0] == 0   # nothing ran on after the failure
-    case = "se_asymmetric/two_block"
+    case = ("gd_se/wavy/two_block/masked" if stage == "gd_se"
+            else "se_asymmetric/two_block")
     assert _record_digest(case) == json.loads(RECORDS.read_text())[case]
 
 

@@ -519,12 +519,12 @@ def test_prediction_of_no_coordinates_is_empty():
 
 # ---------------------------------------------------------------------------
 # drawing ahead: a helper of the strip pool draws the pieces of a stream
-# after the caller's while a ring slot is free, the caller those that no one
+# after the caller's while room admits them, the caller those that no one
 # has begun, and one thread draws at a time, in order
 
 def _draws_by(who):
-    """draw(i, slot) for a _DrawAhead, noting (i, drawn on the caller)."""
-    def draw(i, slot):
+    """draw(i) for a _DrawAhead, noting (i, drawn on the caller)."""
+    def draw(i):
         who.append((i, threading.current_thread() is threading.main_thread()))
     return draw
 
@@ -538,20 +538,19 @@ def _wait_for(cond):
 
 
 def test_the_helper_draws_ahead_into_free_slots_only(strip_threads):
+    # room for two pieces past the caller's: once the helper is idle, it has
+    # drawn every piece the rule admits and no more, in order, and waits for
+    # room for the next one, if any is left
     strip_threads(2)
     who = []
-    with state_evolution._DrawAhead(5, 2, _draws_by(who),
-                                    lambda i, slot: (i, slot)) as ahead:
-        assert ahead.take() == (0, 0)
-        # piece 1 goes to the free slot; piece 2 would overwrite the slot
-        # of piece 0, which the caller holds until it releases it
-        _wait_for(lambda: ahead.drawn == 2 and not ahead.queued)
-        assert who[1] == (1, False)
-        ahead.release()
-        _wait_for(lambda: ahead.drawn == 3 and not ahead.queued)
-        assert who[2] == (2, False)
-        assert [ahead.take() for _ in range(4)] == [(1, 1), (2, 0), (3, 1), (4, 0)]
-    assert [i for i, _ in who] == list(range(5))
+    with state_evolution._DrawAhead(5, _draws_by(who),
+                                    lambda i, taken: i < taken + 2) as ahead:
+        for taken in range(6):
+            _wait_for(lambda: not ahead.queued)
+            assert who == [(i, False) for i in range(min(5, taken + 2))]
+            assert ahead.stalled() == (taken + 2 if taken + 2 < 5 else None)
+            if taken < 5:
+                assert ahead.take() == taken
 
 
 def test_the_caller_draws_what_the_helper_has_not_begun(strip_threads):
@@ -561,8 +560,8 @@ def test_the_caller_draws_what_the_helper_has_not_begun(strip_threads):
     busy = helpers.submit(release.wait, 30)
     who = []
     try:
-        with state_evolution._DrawAhead(5, 2, _draws_by(who),
-                                        lambda i, slot: i) as ahead:
+        with state_evolution._DrawAhead(5, _draws_by(who),
+                                        lambda i, taken: i <= taken) as ahead:
             assert [ahead.take() for _ in range(5)] == list(range(5))
     finally:
         release.set()
@@ -576,13 +575,14 @@ def test_a_helper_draw_error_reaches_the_caller(strip_threads):
     strip_threads(2)
     helper_failed = threading.Event()
 
-    def draw(i, slot):
+    def draw(i):
         if threading.current_thread() is not threading.main_thread():
             helper_failed.set()
             raise RuntimeError("draw failed")
 
     with pytest.raises(RuntimeError, match="draw failed"):
-        with state_evolution._DrawAhead(4, 2, draw, lambda i, slot: i) as ahead:
+        with state_evolution._DrawAhead(4, draw,
+                                        lambda i, taken: i <= taken) as ahead:
             ahead.take()
             helper_failed.wait(timeout=30)
             ahead.take()
@@ -610,12 +610,15 @@ def test_the_read_out_draws_its_stream_to_the_end_and_no_further(
 
 def test_concurrent_limit_laws_on_more_threads_than_cores(monkeypatch,
                                                         strip_threads):
-    # 8-sample sub-blocks and 1000-normal tape pieces on 3 threads, with a
-    # short switch interval, from two callers sharing the pool: a piece
-    # drawn out of order, twice, or into a slot its caller holds would move
-    # a byte of the record or of its read-out
+    # 8-sample sub-blocks, and 1000-normal tape pieces with room for one
+    # piece past the window, so the window moves to the front of the tape
+    # for one piece in two (18 of the read-out's 36); on 2 and 3 threads,
+    # with a short switch interval, from two callers sharing the pool: a
+    # piece drawn out of order, twice, or over normals its caller still
+    # reads would move a byte of the record or of its read-out
     monkeypatch.setattr(state_evolution, "_SUB_BLOCK_BYTES", 1)
     monkeypatch.setattr(state_evolution, "_TAPE_PIECE", 1000)
+    monkeypatch.setattr(state_evolution, "_TAPE_AHEAD", 1000)
     prog = mixed_asymmetric_program(12, 10, 3, seed=90)
     prof = two_block_profile(12, 10)
     cells = [(s, t) for s in "uv" for t in (1, 2, 3)]
@@ -629,25 +632,26 @@ def test_concurrent_limit_laws_on_more_threads_than_cores(monkeypatch,
 
     strip_threads(1)
     want = digest()
-    strip_threads(3)
-    got = {}
+    for threads in (2, 3):
+        strip_threads(threads)
+        got = {}
 
-    def run(k):
-        for _ in range(3):
-            got.setdefault(k, []).append(digest())
+        def run(k):
+            for _ in range(3):
+                got.setdefault(k, []).append(digest())
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(caller.is_alive() for caller in callers)
-    assert got == {k: [want] * 3 for k in (0, 1)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == {k: [want] * 3 for k in (0, 1)}, threads
 
 
 _FAILED_STEP = """
