@@ -18,7 +18,7 @@ from .erm import (ErmProblem, FixedPointResult, Loss, ProxSpec, default_eta,
                   prox_smooth, prox_zero, solve_fixed_point, squared_loss)
 from .errors import ConfigError, DivergenceError, NumericalError
 from .gd_se import (GdLaw, GdSeState, g_coefficient_nested_sum,
-                    gd_key_params, gd_se, gd_se_homogeneous)
+                    gd_key_params, gd_se)
 from .harness import (ComparisonReport, ExperimentConfig, PSI_MENU,
                       convergence_decay_report, delocalization_report,
                       gd_gaussianity_test, list_experiments, list_programs,

@@ -4,10 +4,9 @@ Tracks ridge-penalized gradient descent on the linear model through its
 Gaussian limit: per-signal-class decomposition matrices M (how the centered
 iterate loads on the signal and on fresh Gaussian innovations),
 per-sample-coordinate covariance tables for the prediction-side process,
-and the correction-coefficient tables coupling the two sides.  A class is a
-group of signal coordinates sharing one law: every coordinate is its own
-class in ``gd_se``, and ``gd_se_homogeneous`` is the one-class case.  For
-losses with constant curvature the whole recursion is closed-form and runs
+and the correction-coefficient tables coupling the two sides.  There is one
+class per signal coordinate, with its own signal entry and weight column.
+For losses with constant curvature the whole recursion is closed-form and runs
 with no Monte Carlo at all.  Otherwise expectations are Monte Carlo averages
 with common random numbers across outer steps, taken per sample coordinate
 through ``state_evolution._path_average``, the sampling loop of the general
@@ -25,7 +24,6 @@ checks from ``state_evolution``, the rate and mask checks from
 """
 
 import itertools
-import math
 from contextlib import closing
 
 import numpy as np
@@ -41,37 +39,37 @@ NESTED_SUM_MAX_GAP = 8
 
 
 class GdSeState:
-    """Gaussian-limit state for gradient descent, per signal class.
+    """Gaussian-limit state for gradient descent, one class per signal
+    coordinate.
 
     m_matrix[c] decomposes the centered estimate track: column t holds the
     loadings of iterate t on the signal direction (row 0) and on each fresh
     innovation (rows 1..t); unit diagonal, zero below.  u_cov[k] is the
     covariance of the prediction-side Gaussian path at sample coordinate k
     (u_cov_se[k] its first-order error), v_cov[c] the innovation covariance
-    (row/col 0 reserved for the signal).  w_pred (m, C) loads the classes
-    onto the sample coordinates (through u_cov and the f-tables); w_sig
-    (C, m) averages them back into classes (through the g-tables and
-    v_cov).  mu0 is None when the classes carry no per-coordinate signal.
+    (row/col 0 reserved for the signal).  The (m, C) weights load the
+    classes onto the sample coordinates (through u_cov and the f-tables);
+    w_sig, their (C, m) transpose, averages them back into classes (through
+    the g-tables and v_cov).
     """
 
-    def __init__(self, loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig,
-                 T, mc, seed):
+    def __init__(self, loss, eta, lam, mu0, xi, masks, weights, T, mc, seed):
         self.loss = loss
         self.eta = float(eta)
         self.lam = float(lam)
         self.mu0 = mu0
         self.xi = xi
         self.masks = masks
-        self.w_sig = w_sig
+        self.w_sig = weights.T
         self.T = int(T)
         self.mc = int(mc)
         self.seed = seed
         self.quadratic = bool(getattr(loss, "quadratic", False))
-        m, c = w_pred.shape
+        m, c = weights.shape
         self.m_matrix = np.zeros((c, T + 1, T + 1))
         self.m_matrix[:, 0, 0] = 1.0
         self.v_cov = np.zeros((c, T + 1, T + 1))
-        self.v_cov[:, 0, 0] = mu0_sq
+        self.v_cov[:, 0, 0] = mu0**2
         self.v_cov_se = np.zeros((c, T + 1, T + 1))
         self.u_cov = np.zeros((m, T, T))
         self.u_cov_se = np.zeros((m, T, T))
@@ -85,7 +83,6 @@ class GdSeState:
 
     def to_json_dict(self):
         return {
-            "homogeneous": self.mu0 is None,
             "quadratic": self.quadratic,
             "T": self.T,
             "mc": self.mc,
@@ -163,56 +160,30 @@ def gd_se(loss, eta, lam, mu0, xi, masks, profile, T, mc_samples=DEFAULT_MC,
     """Run the four-stage recursion to horizon T, one class per signal
     coordinate.
 
-    masks: None (full sample) or (T, m) 0/1 array; profile: un-normalized
-    per-entry second moments of the m x n design, weighted by profile / n
-    (``ensembles.profile_weights``).  With constant-curvature losses every
-    quantity is exact (no sampling).
+    masks: None (full sample) or (T, m) 0/1 array, checked as for
+    ``build_gd_ridge``; profile: un-normalized per-entry second moments of
+    the m x n design, weighted by profile / n (``ensembles.profile_weights``).
+    With constant-curvature losses every quantity is exact (no sampling).
     """
     mu0 = np.asarray(mu0, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    weights = profile_weights(profile, xi.shape[0], mu0.shape[0])
-    return _run(loss, eta, lam, mu0, mu0**2, xi, masks, weights, weights.T, T,
-                mc_samples, seed)
-
-
-def gd_se_homogeneous(loss, eta, lam, mu0_sq_mean, xi, phi, T,
-                      mc_samples=DEFAULT_MC, seed=0):
-    """One-class recursion: full sample, constant per-entry second moment.
-
-    mu0_sq_mean is the mean squared signal entry; phi the ratio of sample
-    to signal dimensions.  All signal coordinates form one class, so the
-    signal-side tables carry one value per step pair; agrees with gd_se
-    under a constant profile.
-    """
-    xi = np.asarray(xi, dtype=float)
     m = xi.shape[0]
-    if not (math.isfinite(mu0_sq_mean) and mu0_sq_mean >= 0
-            and math.isfinite(phi) and phi > 0):
-        raise ConfigError("need mu0_sq_mean >= 0 and phi > 0")
-    return _run(loss, eta, lam, None, [mu0_sq_mean], xi, None, np.ones((m, 1)),
-                np.full((1, m), phi / m), T, mc_samples, seed)
-
-
-def _run(loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig, T, mc, seed):
-    """The step loop behind both entry points; ``masks`` as for
-    ``build_gd_ridge``, whose input checks it shares."""
+    weights = profile_weights(profile, m, mu0.shape[0])
     T = _int_in(T, 1, None, "horizon")
-    mc = _int_in(mc, 2, None, "mc_samples")
-    m = xi.shape[0]
+    mc = _int_in(mc_samples, 2, None, "mc_samples")
     masks = gd_inputs(eta, lam, masks, T, m)
-    state = GdSeState(loss, eta, lam, mu0, mu0_sq, xi, masks, w_pred, w_sig,
-                      T, mc, seed)
+    state = GdSeState(loss, eta, lam, mu0, xi, masks, weights, T, mc, seed)
     mm, vc, uc = state.m_matrix, state.v_cov, state.u_cov
     for t in range(1, T + 1):
         # prediction-side covariance row t, and its error |M| V_se |M|^T
         pairs = ((uc, vc, mm), (state.u_cov_se, state.v_cov_se, np.abs(mm)))
         for s in range(1, t + 1):
             for cov, v, load in pairs:
-                col = w_pred @ np.einsum("li,lij,lj->l", load[:, :t, t - 1],
-                                         v[:, :t, :t], load[:, :t, s - 1])
+                col = weights @ np.einsum("li,lij,lj->l", load[:, :t, t - 1],
+                                          v[:, :t, :t], load[:, :t, s - 1])
                 cov[:, t - 1, s - 1] = cov[:, s - 1, t - 1] = col
         # coupling coefficients into the prediction side
-        ftab = np.stack([w_pred @ mm[:, s, t - 1] for s in range(1, t)]) \
+        ftab = np.stack([weights @ mm[:, s, t - 1] for s in range(1, t)]) \
             if t > 1 else np.zeros((0, m))
         state.f_tables.append(ftab)
 

@@ -142,42 +142,6 @@ def prox_column(prox, eta, t):
     return scalar_map(t, t - 1, lambda v: prox.apply(eta, v), lambda v: prox.dapply(eta, v))
 
 
-def fixed_order_sum(cols, coefs, out=None):
-    """sum_j coefs[j] * cols[j], summed in one order whatever the memory
-    layout: the even-indexed terms left to right, then the odd-indexed
-    ones, then the two sums.  Each term is rounded before it is added.
-    ``out``, when given, receives the result."""
-    total = np.multiply(cols[0], coefs[0], out=out)
-    if len(cols) == 1:
-        return total
-    sums = [total, np.multiply(cols[1], coefs[1])]
-    term = np.empty_like(sums[1])
-    for j in range(2, len(cols)):
-        sums[j % 2] += np.multiply(cols[j], coefs[j], out=term)
-    sums[0] += sums[1]
-    return sums[0]
-
-
-def affine_combination(arity, weights, intercept=0.0):
-    """sum_j weights[j] * h_j + intercept; intercept may vary per row."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (arity,):
-        raise ConfigError("weights must have one entry per history column")
-    intercept = np.asarray(intercept, dtype=float)
-    per_row = intercept.ndim > 0
-
-    def fn(h, rows):
-        out = fixed_order_sum([h[..., j] for j in range(arity)], weights)
-        return out + (_sel(intercept, rows) if per_row else float(intercept))
-
-    return RowFunction(
-        arity=arity,
-        fn=fn,
-        dfn=lambda h, rows, which: np.full(_row(h), weights[which]),
-        row_constant=not per_row,
-    )
-
-
 class Track(NamedTuple):
     """One side of an iteration.
 
@@ -400,10 +364,12 @@ def build_gd_ridge(loss, eta, lam, mu0, xi, subsample_masks, T):
             lambda u, rows: -eta * _sel(mask, rows) * _curvature(loss, xi, u, rows),
             row_constant=False)
 
+    keep, shift = 1.0 - eta * lam, -eta * lam * mu0
+
     def decay(t):
-        w = np.zeros(t)
-        w[t - 1] = 1.0 - eta * lam
-        return affine_combination(t, w, intercept=-eta * lam * mu0)
+        return column_map(t, t - 1, lambda v, rows: v * keep + _sel(shift, rows),
+                          lambda v, rows: np.full(v.shape[-1:], keep),
+                          row_constant=False)
 
     return AsymmetricProgram(
         T=T,

@@ -59,7 +59,7 @@ p+1) view, so each per-column operation streams through memory.  Partials
 that do not vary over the samples stay (R,) rows through the chain rule
 (see _forward) and are broadcast to planes only where a plane is consumed.
 The sampler mixes the normal draws into the planes with explicit
-multiply-adds summed in one fixed order (``programs.fixed_order_sum``),
+multiply-adds summed in one fixed order (fixed_order_sum, beside _mix),
 whatever the layout, which up to 7 columns is the order numpy's einsum took
 here.  The paths are pushed through the history transform in sub-blocks
 along the sample axis, each holding at most _SUB_BLOCK_BYTES of path
@@ -91,8 +91,7 @@ from numpy.random import Generator, Philox
 from .ensembles import _strip_pool, profile_weights
 from .errors import ConfigError, NumericalError
 from .programs import (RowFunction, SymmetricProgram, _sel, asymmetric_tracks,
-                       central_difference, check_tracks, fixed_order_sum,
-                       symmetric_tracks)
+                       central_difference, check_tracks, symmetric_tracks)
 from .seeds import DOMAIN_PREDICT, DOMAIN_SE, child_sequence, fixed_child
 
 PSD_FLOOR = -1e-10
@@ -128,6 +127,22 @@ def _planes(shape, buf=None):
     block = shape[-1:] + shape[:-1]
     block = np.empty(block) if buf is None else buf[:math.prod(block)].reshape(block)
     return np.moveaxis(block, 0, -1)
+
+
+def fixed_order_sum(cols, coefs, out):
+    """Write sum_j coefs[j] * cols[j] into ``out`` and return it, summed in
+    one order whatever the memory layout: the even-indexed terms left to
+    right, then the odd-indexed ones, then the two sums.  Each term is
+    rounded before it is added."""
+    total = np.multiply(cols[0], coefs[0], out=out)
+    if len(cols) == 1:
+        return total
+    sums = [total, np.multiply(cols[1], coefs[1])]
+    term = np.empty_like(sums[1])
+    for j in range(2, len(cols)):
+        sums[j % 2] += np.multiply(cols[j], coefs[j], out=term)
+    sums[0] += sums[1]
+    return sums[0]
 
 
 def _mix(out, factors, cols):

@@ -7,12 +7,34 @@ import pytest
 from gfomlab import ensembles
 from gfomlab.ensembles import VarianceProfile
 from gfomlab.erm import Loss
+from gfomlab.errors import ConfigError
 from gfomlab.programs import (
     AsymmetricProgram,
+    RowFunction,
     SymmetricProgram,
-    affine_combination,
     tanh_map,
 )
+from gfomlab.state_evolution import fixed_order_sum
+
+
+def affine_combination(arity, weights, intercept=0.0):
+    """sum_j weights[j] * h_j + intercept, summed by ``fixed_order_sum``:
+    the memory terms of the random test programs.  No builder of the package
+    mixes more than one history column."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (arity,):
+        raise ConfigError("weights must have one entry per history column")
+
+    def fn(h, rows):
+        out = fixed_order_sum([h[..., j] for j in range(arity)], weights,
+                              np.empty(h.shape[:-1]))
+        return out + float(intercept)
+
+    return RowFunction(
+        arity=arity,
+        fn=fn,
+        dfn=lambda h, rows, which: np.full(h.shape[-2:-1], weights[which]),
+    )
 
 
 def mixed_symmetric_program(n, T, seed):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import mixed_symmetric_program
+from conftest import affine_combination, mixed_symmetric_program
 from gfomlab.dynamics import (
     run_amp_asymmetric,
     run_amp_symmetric,
@@ -22,7 +22,6 @@ from gfomlab.errors import ConfigError, DivergenceError
 from gfomlab.programs import (
     AsymmetricProgram,
     SymmetricProgram,
-    affine_combination,
     build_pgd_linear,
     build_power_iteration,
     build_tanh_iteration,

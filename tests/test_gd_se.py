@@ -16,12 +16,7 @@ from gfomlab.ensembles import (
 )
 from gfomlab.erm import gradient_descent, prox_zero, squared_loss
 from gfomlab.errors import ConfigError, NumericalError
-from gfomlab.gd_se import (
-    g_coefficient_nested_sum,
-    gd_key_params,
-    gd_se,
-    gd_se_homogeneous,
-)
+from gfomlab.gd_se import g_coefficient_nested_sum, gd_key_params, gd_se
 from gfomlab.programs import build_gd_ridge, build_pgd_linear
 from gfomlab.state_evolution import predict_entrywise, se_asymmetric
 
@@ -191,30 +186,23 @@ def test_non_finite_rates_are_config_errors(entry, rate, bad):
 
 
 @pytest.mark.parametrize("mc", [0, 1, True, 2.5, "100"])
-@pytest.mark.parametrize("entry", ["gd_se", "gd_se_homogeneous"])
+@pytest.mark.parametrize("entry", ["gd_se"])   # names the route in the test id
 def test_sample_count_must_be_an_integer_of_at_least_two(entry, mc):
     # the Monte Carlo route (wavy loss) used to return NaN tables at 0 and
     # standard errors of 0 at 1
     n, m = 4, 6
     with pytest.raises(ConfigError, match="mc_samples"):
-        if entry == "gd_se":
-            gd_se(wavy_loss(), 0.3, 0.1, np.ones(n), np.ones(m), None,
-                  constant_profile((m, n)), 2, mc_samples=mc)
-        else:
-            gd_se_homogeneous(wavy_loss(), 0.3, 0.1, 1.0, np.ones(m), m / n, 2,
-                              mc_samples=mc)
+        gd_se(wavy_loss(), 0.3, 0.1, np.ones(n), np.ones(m), None,
+              constant_profile((m, n)), 2, mc_samples=mc)
 
 
 @pytest.mark.parametrize("T", [2.5, True, "2"])
-@pytest.mark.parametrize("entry", ["gd_se", "gd_se_homogeneous"])
+@pytest.mark.parametrize("entry", ["gd_se"])   # names the route in the test id
 def test_horizon_must_be_an_integer(entry, T):
     n, m = 4, 6
     with pytest.raises(ConfigError, match="horizon"):
-        if entry == "gd_se":
-            gd_se(squared_loss(), 0.3, 0.1, np.ones(n), np.ones(m), None,
-                  constant_profile((m, n)), T)
-        else:
-            gd_se_homogeneous(squared_loss(), 0.3, 0.1, 1.0, np.ones(m), m / n, T)
+        gd_se(squared_loss(), 0.3, 0.1, np.ones(n), np.ones(m), None,
+              constant_profile((m, n)), T)
 
 
 @pytest.mark.parametrize("bad", [-5.0, np.nan])
@@ -320,16 +308,6 @@ def test_nested_sum_guards():
         g_coefficient_nested_sum(st, 3, 2)
     with pytest.raises(ConfigError):
         g_coefficient_nested_sum(st, 0, 1)
-    # a one-class state is an ordinary state: both routes apply to it
-    xi = 0.5 * np.random.default_rng(12).normal(size=6)
-    for loss in (squared_loss(), wavy_loss()):
-        hom = gd_se_homogeneous(loss, 0.3, 0.1, 1.0, xi, 1.5, 4,
-                                mc_samples=400, seed=12)
-        for t in range(1, 5):
-            for s in range(1, t + 1):
-                gap = np.max(np.abs(g_coefficient_nested_sum(hom, s, t)
-                                    - hom.g_tables[t - 1][s - 1]))
-                assert gap <= 1e-10, (s, t, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -345,63 +323,6 @@ def test_overparameterized_regime_barely_moves():
     law = gd_key_params(st, T)
     assert np.all(np.abs(law.bias + 1.0) <= 0.05)
     assert np.all(np.abs(law.bias + 1.0) >= T * eta * phi / 2)
-
-
-# ---------------------------------------------------------------------------
-# scalarized recursion
-
-def test_homogeneous_matches_general_quadratic():
-    n, m, T, eta, lam = 6, 9, 3, 0.3, 0.2
-    rng = np.random.default_rng(14)
-    mu0 = rng.normal(size=n)
-    xi = 0.5 * rng.normal(size=m)
-    gen = gd_se(squared_loss(), eta, lam, mu0, xi, None,
-                constant_profile((m, n)), T, seed=14)
-    hom = gd_se_homogeneous(squared_loss(), eta, lam, float(np.mean(mu0**2)),
-                            xi, m / n, T, seed=14)
-    for t in range(T + 1):
-        gl, hl = gd_key_params(gen, t), gd_key_params(hom, t)
-        assert np.allclose(gl.bias, hl.bias[0], atol=1e-12)
-        assert np.allclose(gl.variance, hl.variance[0], atol=1e-12)
-
-
-def test_homogeneous_matches_general_monte_carlo():
-    n, m, T, eta = 200, 400, 3, 0.15
-    rng = np.random.default_rng(15)
-    mu0 = rng.normal(size=n)
-    xi = 0.4 * rng.normal(size=m)
-    gen = gd_se(wavy_loss(), eta, 0.1, mu0, xi, None, constant_profile((m, n)),
-                T, mc_samples=2000, seed=15)
-    hom = gd_se_homogeneous(wavy_loss(), eta, 0.1, float(np.mean(mu0**2)),
-                            xi, m / n, T, mc_samples=2000, seed=15)
-    for t in range(1, T + 1):
-        band = 4.0 * np.hypot(gen.v_cov_se[:, t, t], hom.v_cov_se[0, t, t])
-        gap = np.abs(gen.v_cov[:, t, t] - hom.v_cov[0, t, t])
-        assert np.all(gap <= band + 1e-12), t
-
-
-def test_homogeneous_zero_rate_identical():
-    m, T = 7, 3
-    xi = np.linspace(-1, 1, m)
-    gen = gd_se(squared_loss(), 0.0, 0.3, np.ones(5), xi, None,
-                constant_profile((m, 5)), T, seed=16)
-    hom = gd_se_homogeneous(squared_loss(), 0.0, 0.3, 1.0, xi, m / 5, T,
-                            seed=16)
-    for t in range(T + 1):
-        gl, hl = gd_key_params(gen, t), gd_key_params(hom, t)
-        assert np.all(gl.bias == hl.bias[0])
-        assert np.all(gl.variance == 0.0) and np.all(hl.variance == 0.0)
-
-
-def test_homogeneous_first_prediction_moment():
-    mu0_sq = 0.73
-    hom = gd_se_homogeneous(squared_loss(), 0.2, 0.0, mu0_sq, np.ones(8),
-                            2.0, 1, seed=17)
-    assert hom.u_cov[0, 0, 0] == mu0_sq
-    for mu0_sq_mean, phi in ((-1.0, 2.0), (1.0, 0.0), (np.nan, 2.0), (np.inf, 2.0),
-                             (1.0, np.nan), (1.0, np.inf)):
-        with pytest.raises(ConfigError):
-            gd_se_homogeneous(squared_loss(), 0.2, 0.0, mu0_sq_mean, np.ones(8), phi, 1)
 
 
 # ---------------------------------------------------------------------------

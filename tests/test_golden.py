@@ -16,7 +16,9 @@ on purpose re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in CHANGES.md which bytes moved and why.
+and says in CHANGES.md which bytes moved and why.  The script rewrites and
+prints each golden CSV path and each digest key (as ``file: case``) whose
+bytes moved, and prints nothing when none did.
 """
 
 import dataclasses
@@ -418,6 +420,7 @@ def test_samples_match_golden_digests(case):
 TR_M, TR_N, TR_T, TR_MC = 50, 40, 4, 2000
 TRAJECTORY_CASES = ("run_symmetric/mixed", "run_leave_k_out/mixed",
                     "run_asymmetric/mixed", "run_asymmetric/gd_ridge_masked",
+                    "run_asymmetric/gd_ridge_lam0",
                     "run_asymmetric/pgd_lasso", "run_asymmetric/logistic",
                     "run_amp_symmetric/amp_se", "run_amp_symmetric/gfom_to_amp",
                     "run_amp_asymmetric/amp_se",
@@ -449,6 +452,10 @@ def _trajectory(case):
         return run_asymmetric(a, asym)
     if what == "gd_ridge_masked":
         return run_asymmetric(a, build_gd_ridge(squared_loss(), 0.3, 0.2, mu0,
+                                                xi, masks, T))
+    if what == "gd_ridge_lam0":
+        # no ridge: the decay's intercept -eta lam mu0 is a signed zero
+        return run_asymmetric(a, build_gd_ridge(squared_loss(), 0.3, 0.0, mu0,
                                                 xi, masks, T))
     if what == "pgd_lasso":
         return run_asymmetric(a, build_pgd_linear(squared_loss(), prox_lasso(0.1),
@@ -509,10 +516,18 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as work:
             (GOLDEN / case).mkdir(exist_ok=True)
             for name, data in _artifacts(case, work).items():
-                (GOLDEN / case / name).write_bytes(data)
-    digests = {case: _record_digest(case) for case in RECORD_CASES}
-    RECORDS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    digests = {case: _sample_digest(case) for case in SAMPLE_CASES}
-    SAMPLES.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    digests = {case: _trajectory_digest(case) for case in TRAJECTORY_CASES}
-    TRAJECTORIES.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+                path = GOLDEN / case / name
+                if not path.exists() or path.read_bytes() != data:
+                    path.write_bytes(data)
+                    print(path.relative_to(GOLDEN.parent.parent))
+    for path, digest, cases in ((RECORDS, _record_digest, RECORD_CASES),
+                                (SAMPLES, _sample_digest, SAMPLE_CASES),
+                                (TRAJECTORIES, _trajectory_digest,
+                                 TRAJECTORY_CASES)):
+        old = json.loads(path.read_text()) if path.exists() else {}
+        new = {case: digest(case) for case in cases}
+        for case in sorted(set(old) | set(new)):
+            if old.get(case) != new.get(case):
+                print(f"{path.name}: {case}")
+        if new != old:
+            path.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mixed_asymmetric_program, mixed_symmetric_program, wavy_loss
+from conftest import (affine_combination, mixed_asymmetric_program,
+                      mixed_symmetric_program, wavy_loss)
 from gfomlab.dynamics import run_asymmetric, run_symmetric
 from gfomlab.ensembles import (
     EnsembleSpec,
@@ -26,7 +27,6 @@ from gfomlab.programs import (
     AsymmetricProgram,
     RowFunction,
     SymmetricProgram,
-    affine_combination,
     build_gd_ridge,
     build_logistic,
     build_pgd_linear,
@@ -215,7 +215,8 @@ def test_affine_combination_rejects_wrong_width():
 @pytest.mark.parametrize("arity", range(1, 11))
 def test_affine_combination_bytes_do_not_depend_on_layout(arity):
     # the limit-law engines hand row functions column planes, the executors
-    # a transposed (width, t) history; one row function gives one result
+    # a transposed (width, t) history; fixed_order_sum, which also mixes the
+    # engines' paths, gives one result whatever the layout
     rng = np.random.default_rng(70 + arity)
     rf = affine_combination(arity, rng.normal(size=arity), intercept=0.1)
     hist = rng.normal(size=(6, 30, arity))

@@ -34,7 +34,6 @@ from gfomlab.programs import (
     AsymmetricProgram,
     RowFunction,
     SymmetricProgram,
-    affine_combination,
     build_gd_ridge,
     build_logistic,
     build_pgd_linear,
@@ -42,6 +41,7 @@ from gfomlab.programs import (
     build_tanh_iteration,
     constant_rows,
     pick_iterate,
+    scalar_map,
     symmetrize,
     tanh_map,
     zero_row_function,
@@ -61,6 +61,12 @@ def _gauss_expect(g, var, deg=80):
     """Gauss-Hermite quadrature oracle for E g(N(0, var))."""
     x, w = np.polynomial.hermite_e.hermegauss(deg)
     return float(np.sum(w * g(np.sqrt(var) * x)) / np.sum(w))
+
+
+def _slope(arity, c):
+    """c times the last history column."""
+    return scalar_map(arity, arity - 1, lambda x: c * x,
+                      lambda x: np.full(x.shape[-1:], c))
 
 
 def _zero_fn_program(n, T, values):
@@ -168,7 +174,7 @@ def test_two_sided_all_zero_updates_degenerate():
 
 def test_linear_update_slope_appears_in_correction_table():
     n, T, c = 5, 3, 0.37
-    fns = [affine_combination(t, [0.0] * (t - 1) + [c]) for t in range(1, T + 1)]
+    fns = [_slope(t, c) for t in range(1, T + 1)]
     rec = amp_se_symmetric(fns, constant_profile((n, n)), np.ones(n),
                            mc_samples=300, seed=9)
     for t in range(2, T + 1):
@@ -214,8 +220,8 @@ def test_corrected_tanh_moments_match_quadrature():
 def test_two_sided_corrected_tables():
     n = m = 5
     T, c1, c2 = 3, 0.8, -0.4
-    u_fns = [affine_combination(t, [0.0] * (t - 1) + [c1]) for t in range(1, T + 1)]
-    v_fns = [affine_combination(t + 1, [0.0] * t + [c2]) for t in range(1, T + 1)]
+    u_fns = [_slope(t, c1) for t in range(1, T + 1)]
+    v_fns = [_slope(t + 1, c2) for t in range(1, T + 1)]
     rec = amp_se_asymmetric(u_fns, v_fns, constant_profile((m, n)),
                             np.zeros(m), np.ones(n), mc_samples=300, seed=13)
     for t in range(1, T + 1):
@@ -361,7 +367,7 @@ def test_prediction_recovers_additive_offset():
     prog = SymmetricProgram(
         T=1,
         mat_fns=[pick_iterate(1, 0)],
-        add_fns=[affine_combination(1, [0.0], intercept=c)],
+        add_fns=[constant_rows(np.full(n, c), 1)],
         z0=np.ones(n),
     )
     rec = se_symmetric(prog, constant_profile((n, n)), mc_samples=200, seed=24)
@@ -588,6 +594,34 @@ def test_a_helper_draw_error_reaches_the_caller(strip_threads):
             ahead.take()
     assert helper_failed.is_set()
     assert ensembles._strip_pool()[0].submit(lambda: 7).result(timeout=30) == 7
+
+
+def test_a_failed_caller_leaves_only_after_the_draw_in_flight(strip_threads):
+    # the helper is drawing piece k when the caller fails: leaving the with
+    # block waits for that draw to end, and no later piece is begun
+    strip_threads(2)
+    k = 2
+    begun, ended = [], []
+    in_flight, release = threading.Event(), threading.Event()
+
+    def draw(i):
+        begun.append(i)
+        if i == k:
+            in_flight.set()
+            release.wait(timeout=30)
+        ended.append(i)
+
+    releaser = threading.Timer(0.2, release.set)
+    with pytest.raises(RuntimeError, match="caller failed"):
+        with state_evolution._DrawAhead(6, draw, lambda i, taken: True):
+            assert in_flight.wait(timeout=30)
+            releaser.start()
+            raise RuntimeError("caller failed")
+    assert ended == list(range(k + 1))
+    releaser.join()
+    # once the helper is idle, it has begun nothing after piece k
+    assert ensembles._strip_pool()[0].submit(lambda: 7).result(timeout=30) == 7
+    assert begun == list(range(k + 1))
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
